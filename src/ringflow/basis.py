@@ -107,9 +107,13 @@ class FockBasis:
 def build_basis(
     n_atoms: int, n_modes: int, dimension_cap: int = DEFAULT_DIMENSION_CAP
 ) -> FockBasis:
-    """Enumerate the full N-atom basis in ascending lexicographic order."""
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
+    """Enumerate the full N-atom basis in ascending lexicographic order.
+
+    N = 0 gives the one-state vacuum, the target of the two-atom pair
+    annihilator.
+    """
+    if n_atoms < 0:
+        raise ValueError(f"n_atoms must be >= 0, got {n_atoms}")
     window = momentum_window(n_modes)
     size = basis_size(n_atoms, n_modes)
     if size > dimension_cap:

@@ -694,7 +694,12 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     shared.add_argument("--seed", type=int, help="solver start-vector seed")
     shared.add_argument("--tol", type=float, help="eigensolver tolerance")
-    shared.add_argument("--threads", type=int, help="worker threads for sweeps")
+    shared.add_argument(
+        "--threads", type=int,
+        help="worker threads for sweeps; used only when a config sets warm_start = false "
+        "(by default, and for the fig2 and fig3a presets, a sweep is one sequential "
+        "warm-start chain)",
+    )
     shared.add_argument("--config", type=str, help="INI config or manifest JSON")
     shared.add_argument(
         "--json-errors", dest="json_errors", action="store_const", const=True,

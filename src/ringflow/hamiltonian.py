@@ -1,25 +1,38 @@
-"""Sparse operators in the truncated occupation-number basis.
+"""Hamiltonian of N bosons on the ring, kept in factored form.
 
-The many-body Hamiltonian splits into three pieces with scalar prefactors
-(canonical units, L = E0 = hbar = 1):
+The many-body Hamiltonian has three pieces with scalar prefactors (canonical
+units, L = E0 = hbar = 1):
 
     kinetic      sum_k (k - Omega/2pi)^2 n_k            (diagonal)
     barrier      b * sum_{k1,k2} a+_{k1} a_{k2}         (all mode pairs)
     interaction  (g_tilde/2) * sum a+_{k1} a+_{k2} a_{k1-q} a_{k2+q}
 
 The interaction keeps every normal-ordered term whose four mode indices lie
-inside the window (strict projection of the contact interaction).  The
-b- and g-independent matrices are assembled once per (N, r) and cached, so a
-coupling sweep costs only sparse adds.  Matrix elements use the bosonic
-ladder conventions sqrt(n) / sqrt(n+1); assembled operators are exactly
-symmetric and their regeneration is bit-identical.
+inside the window (strict projection of the contact interaction).  Both
+coupling terms are Gram products of one annihilator each:
+
+    barrier      b * A^T A             A = sum_k a_k                  (N -> N-1 atoms)
+    interaction  (g_tilde/2) * P^T P   P = [P_K]_K, P_K = sum_{k1+k2=K} a_{k1} a_{k2}
+                                                                      (N -> N-2 atoms)
+
+where the pair annihilators P_K, summed over ordered mode pairs, are stacked
+over the total momentum K of the removed pair.  A and P are built once per
+(N, r) from the single-atom loss operators a_k and cached, together with
+their projections onto the reflection-parity sectors.  A parameter point only
+sets the prefactors: the Hamiltonian is applied as
+kin*x + b*A^T(Ax) + (g_tilde/2)*P^T(Px) without forming the products.  The
+explicit sparse matrix is built from the factors only where its entries are
+needed (dense solves, propagation, coordinate dumps).  Matrix elements use the
+bosonic ladder conventions sqrt(n) / sqrt(n+1); explicit matrices are exactly
+symmetric and rebuilding the factors is bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-import os
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,12 +40,13 @@ import scipy.sparse as sp
 from .basis import FockBasis, build_basis
 from .params import RescaledCoupling, SystemParams, rescale_interaction
 
-CACHE_DIR_ENV = "RINGFLOW_CACHE_DIR"
-
 _BASIS_CACHE: dict[tuple[int, int], FockBasis] = {}
 _PIECES_CACHE: dict[tuple[int, int], "OperatorPieces"] = {}
 _SECTOR_CACHE: dict[tuple[int, int], "SectorPieces"] = {}
 _LOSS_CACHE: dict[tuple[int, int, int], "SparseOperator"] = {}
+# one lock for every cache: a miss builds under it, so concurrent sweep
+# workers never build the same entry twice (builds nest, hence reentrant)
+_CACHE_LOCK = threading.RLock()
 
 
 @dataclass
@@ -63,6 +77,67 @@ def _symmetrize(matrix: sp.spmatrix) -> sp.csr_matrix:
     return out
 
 
+@dataclass(frozen=True)
+class Factor:
+    """Sparse factor F of a Gram term F^T F, with F^T kept as CSR for matvecs."""
+
+    matrix: sp.csr_matrix
+    transpose: sp.csr_matrix
+
+    @classmethod
+    def of(cls, matrix: sp.spmatrix) -> "Factor":
+        matrix = matrix.tocsr()
+        matrix.sort_indices()
+        return cls(matrix, matrix.T.tocsr())
+
+
+@dataclass
+class FactoredOperator:
+    """H = diag(diagonal) + sum_i c_i F_i^T F_i over nonzero prefactors c_i.
+
+    `H @ x` applies the terms factor by factor; `matrix` forms the explicit,
+    exactly symmetric sparse matrix on first use.
+    """
+
+    diagonal: np.ndarray
+    terms: tuple[tuple[float, Factor], ...]
+    symmetric = True  # a real diagonal plus Gram terms
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.diagonal.size, self.diagonal.size)
+
+    @property
+    def dimension(self) -> int:
+        return self.diagonal.size
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = x * (self.diagonal if x.ndim == 1 else self.diagonal[:, None])
+        for coef, factor in self.terms:
+            y += coef * (factor.transpose @ (factor.matrix @ x))
+        return y
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        out = sp.diags(self.diagonal, format="csr")
+        for coef, factor in self.terms:
+            out = out + coef * (factor.transpose @ factor.matrix)
+        return _symmetrize(out)
+
+
+def _hamiltonian(
+    kin: np.ndarray,
+    barrier: Factor,
+    interaction: Factor | None,
+    params: SystemParams,
+    coupling: RescaledCoupling,
+) -> FactoredOperator:
+    terms = ((params.barrier, barrier), (0.5 * coupling.g_tilde, interaction))
+    return FactoredOperator(
+        kin, tuple((c, f) for c, f in terms if c != 0.0 and f is not None)
+    )
+
+
 def kinetic_diagonals(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     """Per-state sums (sum_k k*n_k, sum_k k^2*n_k) as float arrays."""
     k1 = (basis.occupations @ basis.window).astype(float)
@@ -77,193 +152,79 @@ def kinetic_diagonal(basis: FockBasis, phase: float) -> np.ndarray:
     return k2 - 2.0 * a * k1 + basis.n_atoms * a * a
 
 
-def barrier_matrix(basis: FockBasis) -> sp.csr_matrix:
-    """Matrix of sum_{k1,k2} a+_{k1} a_{k2} (barrier coefficient factored out)."""
-    occ = basis.occupations
-    window = [int(k) for k in basis.window]
-    rows, cols, vals = [], [], []
-    for k_dst in window:
-        i_dst = basis.mode_position(k_dst)
-        for k_src in window:
-            i_src = basis.mode_position(k_src)
-            n_src = occ[:, i_src]
-            if k_dst == k_src:
-                src = np.flatnonzero(n_src > 0)
-                rows.append(src)
-                cols.append(src)
-                vals.append(n_src[src].astype(float))
-                continue
-            src = np.flatnonzero(n_src > 0)
-            amp = np.sqrt(n_src[src] * (occ[src, i_dst] + 1.0))
-            new = occ[src].copy()
-            new[:, i_src] -= 1
-            new[:, i_dst] += 1
-            rows.append(basis.rank_rows(new))
-            cols.append(src)
-            vals.append(amp)
-    coo = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.size, basis.size),
-    )
-    return _symmetrize(coo.tocsr())
-
-
-def _interaction_moves(window: np.ndarray) -> list[tuple[int, int, int, int, int]]:
-    """Unordered scattering moves (annihilate {a,b}, create {c,d}) with the
-    number of (k1, k2, q) realizations each move has in the projected sum."""
-    ks = [int(k) for k in window]
-    by_total: dict[int, list[tuple[int, int]]] = {}
-    for i, a in enumerate(ks):
-        for b in ks[i:]:
-            by_total.setdefault(a + b, []).append((a, b))
-    moves = []
-    for pairs in by_total.values():
-        for a, b in pairs:
-            for c, d in pairs:
-                mult = (2 - (a == b)) * (2 - (c == d))
-                moves.append((a, b, c, d, mult))
-    return moves
-
-
-def interaction_matrix(basis: FockBasis) -> sp.csr_matrix:
-    """Matrix of sum a+_{k1} a+_{k2} a_{k1-q} a_{k2+q} over the window.
-
-    The physical interaction is (g_tilde/2) times this matrix.
-    """
-    occ = basis.occupations
-    rows, cols, vals = [], [], []
-    for a, b, c, d, mult in _interaction_moves(basis.window):
-        ia, ib = basis.mode_position(a), basis.mode_position(b)
-        ic, id_ = basis.mode_position(c), basis.mode_position(d)
-        na = occ[:, ia]
-        nb = occ[:, ib]
-        if a == b:
-            valid = na >= 2
-            annP = na * (na - 1)
-        else:
-            valid = (na >= 1) & (nb >= 1)
-            annP = na * nb
-        src = np.flatnonzero(valid)
-        if src.size == 0:
-            continue
-        mc = occ[src, ic] - (a == c) - (b == c)
-        md = occ[src, id_] - (a == d) - (b == d)
-        if c == d:
-            creP = (mc + 1) * (mc + 2)
-        else:
-            creP = (mc + 1) * (md + 1)
-        amp = mult * np.sqrt((annP[src] * creP).astype(float))
-        new = occ[src].copy()
-        new[:, ia] -= 1
-        new[:, ib] -= 1
-        new[:, ic] += 1
-        new[:, id_] += 1
-        rows.append(basis.rank_rows(new))
-        cols.append(src)
-        vals.append(amp)
-    if not rows:
-        return sp.csr_matrix((basis.size, basis.size))
-    coo = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.size, basis.size),
-    )
-    return _symmetrize(coo.tocsr())
-
-
 @dataclass
 class OperatorPieces:
-    """Coupling-independent building blocks for one (N, r)."""
+    """Coupling-independent building blocks for one (N, r).
+
+    `interaction_factor` is None for a single atom, which has no pairs.
+    """
 
     basis: FockBasis
     kin_k: np.ndarray
     kin_k2: np.ndarray
-    barrier: sp.csr_matrix
-    interaction: sp.csr_matrix
+    barrier_factor: Factor
+    interaction_factor: Factor | None
 
 
 def build_pieces(basis: FockBasis) -> OperatorPieces:
+    """Kinetic sums and the factors A and P, from the cached a_k matrices."""
+    n, r = basis.n_atoms, basis.n_modes
+    window = [int(k) for k in basis.window]
+    singles = [cached_loss_operator(n, r, k).matrix for k in window]
+    # the a_k have disjoint supports, so their sum is exact
+    annihilator = sum(singles[1:], singles[0])
+    pair = None
+    if n >= 2:
+        # P = M @ [a_k2]_k2 with block (K, k2) of M equal to the (N-1)-atom
+        # a_{K-k2}, so block row K of P is sum_{k1+k2=K} a_{k1} a_{k2}
+        lower = {k: cached_loss_operator(n - 1, r, k).matrix for k in window}
+        totals = range(2 * window[0], 2 * window[-1] + 1)
+        blocks = [[lower.get(total - k2) for k2 in window] for total in totals]
+        pair = sp.bmat(blocks, format="csr") @ sp.vstack(singles, format="csr")
     k1, k2 = kinetic_diagonals(basis)
     return OperatorPieces(
         basis=basis,
         kin_k=k1,
         kin_k2=k2,
-        barrier=barrier_matrix(basis),
-        interaction=interaction_matrix(basis),
+        barrier_factor=Factor.of(annihilator),
+        interaction_factor=None if pair is None else Factor.of(pair),
     )
 
 
 def cached_basis(n_atoms: int, n_modes: int, dimension_cap: int | None = None) -> FockBasis:
     key = (n_atoms, n_modes)
-    if key not in _BASIS_CACHE:
-        if dimension_cap is None:
-            _BASIS_CACHE[key] = build_basis(n_atoms, n_modes)
-        else:
-            _BASIS_CACHE[key] = build_basis(n_atoms, n_modes, dimension_cap)
-    return _BASIS_CACHE[key]
-
-
-def _pieces_cache_path(n_atoms: int, n_modes: int) -> str | None:
-    cache_dir = os.environ.get(CACHE_DIR_ENV)
-    if not cache_dir:
-        return None
-    os.makedirs(cache_dir, exist_ok=True)
-    return os.path.join(cache_dir, f"pieces_N{n_atoms}_r{n_modes}.npz")
+    with _CACHE_LOCK:
+        if key not in _BASIS_CACHE:
+            if dimension_cap is None:
+                _BASIS_CACHE[key] = build_basis(n_atoms, n_modes)
+            else:
+                _BASIS_CACHE[key] = build_basis(n_atoms, n_modes, dimension_cap)
+        return _BASIS_CACHE[key]
 
 
 def cached_pieces(n_atoms: int, n_modes: int) -> OperatorPieces:
-    """Operator pieces for (N, r), memoized in-process and optionally on disk
-    (RINGFLOW_CACHE_DIR)."""
+    """Operator pieces for (N, r), memoized in-process."""
     key = (n_atoms, n_modes)
-    if key in _PIECES_CACHE:
+    with _CACHE_LOCK:
+        if key not in _PIECES_CACHE:
+            _PIECES_CACHE[key] = build_pieces(cached_basis(n_atoms, n_modes))
         return _PIECES_CACHE[key]
-    basis = cached_basis(n_atoms, n_modes)
-    path = _pieces_cache_path(n_atoms, n_modes)
-    if path and os.path.exists(path):
-        with np.load(path) as data:
-            barrier = sp.csr_matrix(
-                (data["b_data"], data["b_indices"], data["b_indptr"]),
-                shape=(basis.size, basis.size),
-            )
-            interaction = sp.csr_matrix(
-                (data["v_data"], data["v_indices"], data["v_indptr"]),
-                shape=(basis.size, basis.size),
-            )
-        k1, k2 = kinetic_diagonals(basis)
-        pieces = OperatorPieces(basis, k1, k2, barrier, interaction)
-    else:
-        pieces = build_pieces(basis)
-        if path:
-            np.savez_compressed(
-                path,
-                b_data=pieces.barrier.data,
-                b_indices=pieces.barrier.indices,
-                b_indptr=pieces.barrier.indptr,
-                v_data=pieces.interaction.data,
-                v_indices=pieces.interaction.indices,
-                v_indptr=pieces.interaction.indptr,
-            )
-    _PIECES_CACHE[key] = pieces
-    return pieces
 
 
 def assemble(
     pieces: OperatorPieces, params: SystemParams, coupling: RescaledCoupling
-) -> SparseOperator:
-    """H = kinetic(Omega) + b*B + (g_tilde/2)*V from cached pieces."""
+) -> FactoredOperator:
+    """H = kinetic(Omega) + b*A^T A + (g_tilde/2)*P^T P from cached pieces."""
     a = params.phase / (2.0 * math.pi)
     kin = pieces.kin_k2 - 2.0 * a * pieces.kin_k + params.n_atoms * a * a
-    matrix = (
-        sp.diags(kin, format="csr")
-        + params.barrier * pieces.barrier
-        + (0.5 * coupling.g_tilde) * pieces.interaction
-    ).tocsr()
-    matrix.sort_indices()
-    return SparseOperator(matrix=matrix, symmetric=True, label="hamiltonian")
+    return _hamiltonian(
+        kin, pieces.barrier_factor, pieces.interaction_factor, params, coupling
+    )
 
 
 def build_hamiltonian(
     basis: FockBasis, params: SystemParams, coupling: RescaledCoupling | None = None
-) -> SparseOperator:
+) -> FactoredOperator:
     """Assemble the full Hamiltonian for one parameter point.
 
     `coupling` defaults to the leading-order rescaling of params.interaction;
@@ -301,11 +262,12 @@ def loss_operator(k: int, basis_n: FockBasis, basis_nm1: FockBasis) -> SparseOpe
 
 def cached_loss_operator(n_atoms: int, n_modes: int, k: int) -> SparseOperator:
     key = (n_atoms, n_modes, k)
-    if key not in _LOSS_CACHE:
-        _LOSS_CACHE[key] = loss_operator(
-            k, cached_basis(n_atoms, n_modes), cached_basis(n_atoms - 1, n_modes)
-        )
-    return _LOSS_CACHE[key]
+    with _CACHE_LOCK:
+        if key not in _LOSS_CACHE:
+            _LOSS_CACHE[key] = loss_operator(
+                k, cached_basis(n_atoms, n_modes), cached_basis(n_atoms - 1, n_modes)
+            )
+        return _LOSS_CACHE[key]
 
 
 @dataclass
@@ -313,15 +275,16 @@ class SectorPieces:
     """Reflection-parity (k -> 1-k) blocks of the pieces, valid at Omega = pi.
 
     At the crossing point the reflection commutes with every Hamiltonian
-    piece, so the even/odd blocks can be assembled per coupling point from
-    the projected matrices alone.
+    piece, so with S the isometry onto a sector, the sector block of
+    b*A^T A + (g_tilde/2)*P^T P is b*(AS)^T(AS) + (g_tilde/2)*(PS)^T(PS):
+    each sector keeps the projected factors AS and PS.
     """
 
     basis: FockBasis
     isometries: tuple[sp.csr_matrix, sp.csr_matrix]
     kin_pi: tuple[np.ndarray, np.ndarray]
-    barrier: tuple[sp.csr_matrix, sp.csr_matrix]
-    interaction: tuple[sp.csr_matrix, sp.csr_matrix]
+    barrier_factor: tuple[Factor, Factor]
+    interaction_factor: tuple[Factor | None, Factor | None]
 
 
 def _parity_isometries(
@@ -357,46 +320,45 @@ def _parity_isometries(
 
 def cached_sector_pieces(n_atoms: int, n_modes: int) -> SectorPieces:
     key = (n_atoms, n_modes)
-    if key in _SECTOR_CACHE:
+    with _CACHE_LOCK:
+        if key not in _SECTOR_CACHE:
+            _SECTOR_CACHE[key] = _project_pieces(cached_pieces(n_atoms, n_modes))
         return _SECTOR_CACHE[key]
-    pieces = cached_pieces(n_atoms, n_modes)
+
+
+def _project_pieces(pieces: OperatorPieces) -> SectorPieces:
     basis = pieces.basis
     s_even, s_odd, reps_even, reps_odd = _parity_isometries(basis)
     kin_full = pieces.kin_k2 - pieces.kin_k + 0.25 * basis.n_atoms
-    kin_sectors = []
-    barrier_sectors = []
-    interaction_sectors = []
-    for s, reps in ((s_even, reps_even), (s_odd, reps_odd)):
-        # the orbit representative carries the (reflection-invariant) diagonal
-        kin_sectors.append(kin_full[reps])
-        barrier_sectors.append(_symmetrize(s.T @ pieces.barrier @ s))
-        interaction_sectors.append(_symmetrize(s.T @ pieces.interaction @ s))
-    sector = SectorPieces(
+    a, p = pieces.barrier_factor.matrix, pieces.interaction_factor
+    return SectorPieces(
         basis=basis,
         isometries=(s_even, s_odd),
-        kin_pi=(kin_sectors[0], kin_sectors[1]),
-        barrier=(barrier_sectors[0], barrier_sectors[1]),
-        interaction=(interaction_sectors[0], interaction_sectors[1]),
+        # the orbit representative carries the (reflection-invariant) diagonal
+        kin_pi=(kin_full[reps_even], kin_full[reps_odd]),
+        barrier_factor=(Factor.of(a @ s_even), Factor.of(a @ s_odd)),
+        interaction_factor=(
+            (None, None) if p is None
+            else (Factor.of(p.matrix @ s_even), Factor.of(p.matrix @ s_odd))
+        ),
     )
-    _SECTOR_CACHE[key] = sector
-    return sector
 
 
 def assemble_sector(
     sector: SectorPieces, params: SystemParams, coupling: RescaledCoupling, which: int
-) -> sp.csr_matrix:
+) -> FactoredOperator:
     """Parity block (0 = even, 1 = odd) of the Hamiltonian at Omega = pi."""
-    matrix = (
-        sp.diags(sector.kin_pi[which], format="csr")
-        + params.barrier * sector.barrier[which]
-        + (0.5 * coupling.g_tilde) * sector.interaction[which]
-    ).tocsr()
-    matrix.sort_indices()
-    return matrix
+    return _hamiltonian(
+        sector.kin_pi[which],
+        sector.barrier_factor[which],
+        sector.interaction_factor[which],
+        params,
+        coupling,
+    )
 
 
 def dump_coordinate(
-    op: SparseOperator,
+    op: FactoredOperator | SparseOperator,
     path: str,
     params: SystemParams,
     coupling: RescaledCoupling | None = None,
@@ -424,7 +386,8 @@ def dump_coordinate(
 
 
 def clear_caches() -> None:
-    _BASIS_CACHE.clear()
-    _PIECES_CACHE.clear()
-    _SECTOR_CACHE.clear()
-    _LOSS_CACHE.clear()
+    with _CACHE_LOCK:
+        _BASIS_CACHE.clear()
+        _PIECES_CACHE.clear()
+        _SECTOR_CACHE.clear()
+        _LOSS_CACHE.clear()

@@ -25,8 +25,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError
 from .hamiltonian import (
+    FactoredOperator,
     OperatorPieces,
-    SparseOperator,
     assemble,
     assemble_sector,
     cached_pieces,
@@ -67,7 +67,7 @@ class EigenSolution:
 
 
 def _as_matrix(operator) -> sp.csr_matrix:
-    if isinstance(operator, SparseOperator):
+    if isinstance(operator, FactoredOperator):
         return operator.matrix
     if sp.issparse(operator):
         return operator.tocsr()
@@ -80,17 +80,17 @@ def _start_vector(dim: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _residuals(matrix: sp.csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+def _residuals(operator, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.array(
-        [np.linalg.norm(matrix @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(vals.size)]
+        [np.linalg.norm(operator @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(vals.size)]
     )
 
 
-def _finish(vals, vecs, matrix, iterations, method, tol) -> EigenSolution:
+def _finish(vals, vecs, operator, iterations, method, tol) -> EigenSolution:
     order = np.argsort(vals)
     vals = np.asarray(vals, dtype=float)[order]
     vecs = np.asarray(vecs, dtype=float)[:, order]
-    res = _residuals(matrix, vals, vecs)
+    res = _residuals(operator, vals, vecs)
     degenerate = vals.size >= 2 and (vals[1] - vals[0]) < DEGENERACY_FACTOR * tol
     return EigenSolution(
         eigenvalues=vals,
@@ -114,27 +114,29 @@ def lowest_eigenpairs(
 ) -> EigenSolution:
     """The m lowest eigenpairs of a real symmetric operator.
 
-    Dimensions up to `dense_cutoff` are solved densely; larger problems use
-    the Krylov path with the seeded (or provided) start vector.  Raises
+    Dimensions up to `dense_cutoff` are solved densely from the explicit
+    matrix; larger problems use the Krylov path with the seeded (or provided)
+    start vector, applying a FactoredOperator factor by factor.  Raises
     ConvergenceError with the achieved residual if the iteration stalls.
     """
-    matrix = _as_matrix(operator)
-    dim = matrix.shape[0]
+    if not isinstance(operator, FactoredOperator):
+        operator = _as_matrix(operator)
+    dim = operator.shape[0]
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m > dim:
         raise ValueError(f"requested {m} eigenpairs of a dimension-{dim} operator")
     if dim <= dense_cutoff or m >= dim - 1:
-        vals, vecs = sla.eigh(matrix.toarray(), subset_by_index=(0, m - 1))
-        return _finish(vals, vecs, matrix, 0, "dense", tol)
+        vals, vecs = sla.eigh(_as_matrix(operator).toarray(), subset_by_index=(0, m - 1))
+        return _finish(vals, vecs, operator, 0, "dense", tol)
 
     matvecs = [0]
 
     def counted(x):
         matvecs[0] += 1
-        return matrix @ x
+        return operator @ x
 
-    op = LinearOperator(shape=matrix.shape, matvec=counted, dtype=float)
+    op = LinearOperator(shape=operator.shape, matvec=counted, dtype=float)
     if v0 is None:
         v0 = _start_vector(dim, seed)
     if ncv is None:
@@ -154,13 +156,13 @@ def lowest_eigenpairs(
         if exc.eigenvalues is not None and len(exc.eigenvalues):
             got = np.asarray(exc.eigenvalues)
             vecs = np.asarray(exc.eigenvectors)
-            achieved = float(np.max(_residuals(matrix, got, vecs)))
+            achieved = float(np.max(_residuals(operator, got, vecs)))
         raise ConvergenceError(
             f"Krylov eigensolve did not converge ({matvecs[0]} matvecs, "
             f"achieved residual {achieved:.3e})",
             residual=achieved,
         ) from exc
-    return _finish(vals, vecs, matrix, matvecs[0], "lanczos", tol)
+    return _finish(vals, vecs, operator, matvecs[0], "lanczos", tol)
 
 
 def _is_crossing_phase(phase: float) -> bool:

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from ringflow.basis import build_basis
 from ringflow.hamiltonian import (
+    assemble_sector,
     build_hamiltonian,
     build_pieces,
     cached_basis,
+    cached_sector_pieces,
+    clear_caches,
     dump_coordinate,
     kinetic_diagonal,
     loss_operator,
@@ -122,10 +125,80 @@ def test_kinetic_phase_dependence():
 def test_rebuild_is_bit_identical():
     basis = build_basis(3, 6)
     p1 = build_pieces(basis)
+    clear_caches()  # rebuild the loss operators the factors come from, too
     p2 = build_pieces(basis)
-    assert np.array_equal(p1.interaction.data, p2.interaction.data)
-    assert np.array_equal(p1.interaction.indices, p2.interaction.indices)
-    assert np.array_equal(p1.barrier.data, p2.barrier.data)
+    for f1, f2 in (
+        (p1.barrier_factor, p2.barrier_factor),
+        (p1.interaction_factor, p2.interaction_factor),
+    ):
+        assert np.array_equal(f1.matrix.data, f2.matrix.data)
+        assert np.array_equal(f1.matrix.indices, f2.matrix.indices)
+        assert np.array_equal(f1.matrix.indptr, f2.matrix.indptr)
+
+
+def _ladder_string(ops, occ):
+    """Apply a product of ladder operators, rightmost first, to an occupation
+    list; returns (amplitude, new occupations) or None when it annihilates."""
+    occ = list(occ)
+    amp = 1.0
+    for create, pos in reversed(ops):
+        if create:
+            occ[pos] += 1
+            amp *= math.sqrt(occ[pos])
+        elif occ[pos] == 0:
+            return None
+        else:
+            amp *= math.sqrt(occ[pos])
+            occ[pos] -= 1
+    return amp, occ
+
+
+def _reference_hamiltonian(basis, params, g_tilde):
+    """Dense H term by term from the sums in the hamiltonian module docstring."""
+    window = [int(k) for k in basis.window]
+    pos = {k: i for i, k in enumerate(window)}
+    a = params.phase / (2 * math.pi)
+    terms = []  # (coefficient, ladder string)
+    for k1 in window:
+        for k2 in window:
+            terms.append((params.barrier, [(True, pos[k1]), (False, pos[k2])]))
+            for q in range(-2 * len(window), 2 * len(window) + 1):
+                if k1 - q in pos and k2 + q in pos:
+                    ops = [(True, pos[k1]), (True, pos[k2]),
+                           (False, pos[k1 - q]), (False, pos[k2 + q])]
+                    terms.append((0.5 * g_tilde, ops))
+    h = np.zeros((basis.size, basis.size))
+    for j, occ in enumerate(basis.occupations):
+        h[j, j] += sum(n * (k - a) ** 2 for k, n in zip(window, occ))
+        for coef, ops in terms:
+            out = _ladder_string(ops, occ)
+            if out is not None:
+                h[basis.rank(out[1]), j] += coef * out[0]
+    return h
+
+
+@pytest.mark.parametrize("n_atoms, n_modes", [(1, 2), (2, 6), (3, 8)])
+@pytest.mark.parametrize(
+    "g, b, phase", [(0.7, 0.03, math.pi), (5.0, 0.0, math.pi), (0.0, 0.2, 2.1), (1.3, 0.01, 0.4)]
+)
+def test_factored_hamiltonian_matches_term_sums(n_atoms, n_modes, g, b, phase):
+    basis = build_basis(n_atoms, n_modes)
+    params = SystemParams(n_atoms=n_atoms, n_modes=n_modes, interaction=g, barrier=b, phase=phase)
+    coupling = rescale_interaction(g, n_modes)
+    reference = _reference_hamiltonian(basis, params, coupling.g_tilde)
+    op = build_hamiltonian(basis, params, coupling)
+    assert np.max(np.abs(op.matrix.toarray() - reference)) < 1e-13
+    x = np.random.default_rng(0).standard_normal(basis.size)
+    assert np.max(np.abs(op @ x - reference @ x)) < 1e-13
+    if phase != math.pi:
+        return
+    sector = cached_sector_pieces(n_atoms, n_modes)
+    for which, s in enumerate(sector.isometries):
+        block = assemble_sector(sector, params, coupling, which)
+        projected = s.T.toarray() @ reference @ s.toarray()
+        y = np.random.default_rng(which).standard_normal(s.shape[1])
+        assert np.max(np.abs(block @ y - projected @ y)) < 1e-13
+        assert np.max(np.abs(block.matrix.toarray() - projected)) < 1e-13
 
 
 def test_basis_params_mismatch_rejected():
@@ -168,21 +241,6 @@ def test_number_conservation_under_loss(state_seed):
         phi = loss_operator(int(k), b3, b2).matrix @ psi
         total += float(phi @ phi)
     assert total == pytest.approx(3.0, abs=1e-10)
-
-
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    import ringflow.hamiltonian as ham
-
-    monkeypatch.setenv(ham.CACHE_DIR_ENV, str(tmp_path))
-    ham.clear_caches()
-    first = ham.cached_pieces(2, 6)
-    assert (tmp_path / "pieces_N2_r6.npz").exists()
-    ham.clear_caches()
-    second = ham.cached_pieces(2, 6)  # served from disk
-    assert np.array_equal(first.interaction.data, second.interaction.data)
-    assert np.array_equal(first.interaction.indices, second.interaction.indices)
-    assert np.array_equal(first.barrier.data, second.barrier.data)
-    ham.clear_caches()
 
 
 def test_coordinate_dump(tmp_path):

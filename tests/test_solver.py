@@ -9,6 +9,7 @@ from ringflow.errors import ConvergenceError
 from ringflow.hamiltonian import build_hamiltonian, cached_pieces
 from ringflow.params import SystemParams, raw_coupling, rescale_interaction
 from ringflow.solver import (
+    DENSE_CUTOFF,
     dominant_frequency,
     level_splitting,
     lowest_eigenpairs,
@@ -63,10 +64,15 @@ def test_parity_path_matches_plain():
 
 
 def test_degeneracy_flag_at_zero_barrier():
-    params = SystemParams(n_atoms=2, n_modes=6, interaction=0.5, barrier=0.0, phase=math.pi)
-    sol = solve_lowest(params, m=2)
-    assert sol.degenerate
-    assert sol.eigenvalues[1] - sol.eigenvalues[0] < 1e-10
+    # dense sector blocks at N=2; at N=4 the Krylov path, with no barrier term
+    for n_atoms, n_modes, dense_cutoff in ((2, 6, DENSE_CUTOFF), (4, 12, 0)):
+        params = SystemParams(
+            n_atoms=n_atoms, n_modes=n_modes, interaction=0.5, barrier=0.0, phase=math.pi
+        )
+        sol = solve_lowest(params, m=2, dense_cutoff=dense_cutoff)
+        assert sol.degenerate
+        assert sol.eigenvalues[1] - sol.eigenvalues[0] < 1e-10
+        assert (sol.iterations > 0) == (dense_cutoff == 0)
 
 
 def test_variational_monotonicity_in_window_size():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ringflow.hamiltonian import clear_caches
 from ringflow.params import SystemParams, lieb_liniger_gamma
 from ringflow.solver import level_splitting
 from ringflow.sweep import (
@@ -77,6 +78,7 @@ def test_warm_start_does_not_change_results():
 
 def test_threaded_execution_matches_sequential():
     sequential = run_sweep(_small_spec(warm_start=False))
+    clear_caches()  # the workers race on the cold operator builders
     threaded = run_sweep(_small_spec(warm_start=False), threads=4)
     for a, b in zip(sequential, threaded):
         assert a.delta_e == pytest.approx(b.delta_e, abs=1e-12)
