@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .basis import FockBasis, build_basis, total_momentum
 from .errors import ConvergenceError, DimensionCapError
-from .hamiltonian import FactoredOperator, SparseOperator, build_hamiltonian, loss_operator
+from .hamiltonian import FactoredOperator, build_hamiltonian, loss_operator
 from .noon import (
     chain_elimination,
     chain_gap_numeric,
@@ -49,7 +49,6 @@ __all__ = [
     "PhysicalRing",
     "QuenchResult",
     "RescaledCoupling",
-    "SparseOperator",
     "SweepRecord",
     "SweepSpec",
     "SystemParams",

@@ -2,9 +2,9 @@
 
 States are weak compositions (n_k) of N atoms over the integer momenta
 k in {-r/2+1, ..., r/2}, enumerated in ascending lexicographic order of the
-occupation tuple read from the most negative momentum.  Ranking is served by
-a precomputed lookup table; `rank_rows` provides the equivalent closed-form
-combinatorial rank, vectorized over many states, for bulk matrix assembly.
+occupation tuple read from the most negative momentum.  A state's index is
+its closed-form combinatorial rank, computed from a small binomial table and
+vectorized over many states by `rank_rows`; no per-state lookup is stored.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ def total_momentum(occupations, window) -> int:
 
 @dataclass
 class FockBasis:
-    """Immutable enumeration of the N-atom basis with O(1) rank lookup."""
+    """Immutable enumeration of the N-atom basis with closed-form ranking."""
 
     n_atoms: int
     window: np.ndarray
     occupations: np.ndarray
-    _index: dict[bytes, int] = field(repr=False)
     _binom: np.ndarray = field(repr=False)
     total_k: np.ndarray = field(repr=False)
 
@@ -66,11 +65,11 @@ class FockBasis:
         return self.occupations[i]
 
     def rank(self, occupations) -> int:
-        occ = np.ascontiguousarray(occupations, dtype=np.int64)
-        try:
-            return self._index[occ.tobytes()]
-        except KeyError:
-            raise KeyError(f"occupation {occ.tolist()} not in basis") from None
+        occ = np.asarray(occupations, dtype=np.int64)
+        # rank_rows assumes a valid state and would misrank any other row
+        if occ.shape != (self.n_modes,) or occ.min() < 0 or occ.sum() != self.n_atoms:
+            raise KeyError(f"occupation {occ.tolist()} not in basis")
+        return int(self.rank_rows(occ[None, :])[0])
 
     def rank_rows(self, occ2d: np.ndarray) -> np.ndarray:
         """Closed-form lexicographic ranks of many occupation rows at once."""
@@ -141,7 +140,6 @@ def build_basis(
     occupations = np.diff(padded, axis=1) - 1
     occupations.setflags(write=False)
 
-    index = {occupations[i].tobytes(): i for i in range(size)}
     a_max = n_atoms + n_modes
     binom = np.zeros((a_max + 1, n_modes + 1), dtype=np.int64)
     for a in range(a_max + 1):
@@ -152,7 +150,6 @@ def build_basis(
         n_atoms=n_atoms,
         window=window,
         occupations=occupations,
-        _index=index,
         _binom=binom,
         total_k=total_k,
     )

@@ -152,6 +152,27 @@ def _json_report(payload: dict, output: str | None) -> None:
     _print_or_write(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
 
 
+def write_table(path: str, title: str, digest: str, comments, header: str, rows) -> None:
+    """Write a data table: title and manifest lines, `# `-prefixed comments
+    and header, then one comma-joined line per row.  String cells are written
+    as they are, other cells through `fmt`."""
+    lines = [f"# ringflow {__version__} {title}", f"# manifest: sha256:{digest}"]
+    lines += ["# " + text for text in [*comments, header]]
+    lines += [",".join(c if isinstance(c, str) else fmt(c) for c in row) for row in rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _system(opts: dict, phase: float) -> SystemParams:
+    return SystemParams(
+        n_atoms=opts["atoms"],
+        n_modes=opts["modes"],
+        interaction=opts["interaction"],
+        barrier=opts["barrier"],
+        phase=phase,
+    )
+
+
 # ---------------------------------------------------------------- sweep
 
 SWEEP_DEFAULTS = {
@@ -194,13 +215,7 @@ def _sweep_spec_from(opts: dict, seed: int, tol: float) -> tuple[SweepSpec, str]
     elif figure:
         raise ValueError(f"unknown figure preset {figure!r}")
     else:
-        base = SystemParams(
-            n_atoms=opts["atoms"],
-            n_modes=opts["modes"],
-            interaction=opts["interaction"],
-            barrier=opts["barrier"],
-            phase=opts["phase_over_pi"] * math.pi,
-        )
+        base = _system(opts, opts["phase_over_pi"] * math.pi)
         grid_fn = log_grid if opts["scale"] == "log" else linear_grid
         outputs = frozenset(s.strip() for s in opts["outputs"].split(",") if s.strip())
         spec = SweepSpec(
@@ -219,43 +234,24 @@ def _sweep_spec_from(opts: dict, seed: int, tol: float) -> tuple[SweepSpec, str]
 
 
 def write_sweep_csv(path: str, spec: SweepSpec, records, digest: str) -> None:
-    lines = [
-        f"# ringflow {__version__} sweep",
-        f"# manifest: sha256:{digest}",
-        "# units: couplings in E0*L, energies in E0, momenta in hbar",
-        (
-            f"# base: N={spec.base.n_atoms} r={spec.base.n_modes} "
-            f"g={fmt(spec.base.interaction)} b={fmt(spec.base.barrier)} "
-            f"omega={fmt(spec.base.phase)} sweep={spec.parameter} "
-            f"points={spec.grid.size} rescale={spec.rescale} "
-            f"warm_start={spec.warm_start} seed={spec.seed} tol={fmt(spec.tol)}"
-        ),
-        "# " + SWEEP_COLUMNS,
+    base = (
+        f"base: N={spec.base.n_atoms} r={spec.base.n_modes} "
+        f"g={fmt(spec.base.interaction)} b={fmt(spec.base.barrier)} "
+        f"omega={fmt(spec.base.phase)} sweep={spec.parameter} "
+        f"points={spec.grid.size} rescale={spec.rescale} "
+        f"warm_start={spec.warm_start} seed={spec.seed} tol={fmt(spec.tol)}"
+    )
+    rows = [
+        (rec.value, rec.gamma, rec.g_tilde, rec.e0, rec.e1, rec.delta_e, rec.p0,
+         rec.pn, rec.quality, rec.qbar_loss, rec.iterations, rec.residual)
+        for rec in records
     ]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    fmt(rec.value),
-                    fmt(rec.gamma),
-                    fmt(rec.g_tilde),
-                    fmt(rec.e0),
-                    fmt(rec.e1),
-                    fmt(rec.delta_e),
-                    fmt(rec.p0),
-                    fmt(rec.pn),
-                    fmt(rec.quality),
-                    fmt(rec.qbar_loss),
-                    str(rec.iterations),
-                    fmt(rec.residual),
-                ]
-            )
-        )
-    for i, rec in enumerate(records):
-        if rec.error:
-            lines.append(f"# point {i} error: {rec.error}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows += [(f"# point {i} error: {rec.error}",) for i, rec in enumerate(records) if rec.error]
+    write_table(
+        path, "sweep", digest,
+        ["units: couplings in E0*L, energies in E0, momenta in hbar", base],
+        SWEEP_COLUMNS, rows,
+    )
 
 
 def handle_sweep(opts: dict, gopts: dict) -> int:
@@ -307,9 +303,6 @@ SPECTRUM_DEFAULTS = {
 def handle_spectrum(opts: dict, gopts: dict) -> int:
     omegas = np.linspace(opts["omega_start"], opts["omega_stop"], opts["omega_points"])
     m = opts["levels"]
-    if gopts["dry_run"]:
-        _json_report({"command": "spectrum", "parameters": opts}, None)
-        return EXIT_OK
     rows = []
     for w in omegas:
         if opts["method"] == "tg":
@@ -317,31 +310,17 @@ def handle_spectrum(opts: dict, gopts: dict) -> int:
                 opts["atoms"], opts["barrier"], w * math.pi, m, allow_even=opts["allow_even"]
             )
         else:
-            params = SystemParams(
-                n_atoms=opts["atoms"],
-                n_modes=opts["modes"],
-                interaction=opts["interaction"],
-                barrier=opts["barrier"],
-                phase=w * math.pi,
-            )
             vals = solve_lowest(
-                params, m=m, tol=gopts["tol"], seed=gopts["seed"],
+                _system(opts, w * math.pi), m=m, tol=gopts["tol"], seed=gopts["seed"],
                 max_iterations=opts["max_iterations"] or None,
             ).eigenvalues
-        rows.append((w, vals))
+        rows.append((w, *vals))
     output = opts["output"] or f"spectrum_{opts['method']}.csv"
     digest = write_manifest(output, "spectrum", opts, gopts["seed"], gopts["tol"])
     header = "omega_over_pi," + ",".join(f"level_{i}" for i in range(m))
-    lines = [
-        f"# ringflow {__version__} spectrum ({opts['method']})",
-        f"# manifest: sha256:{digest}",
-        "# energies in E0",
-        "# " + header,
-    ]
-    for w, vals in rows:
-        lines.append(",".join([fmt(w)] + [fmt(v) for v in vals]))
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(
+        output, f"spectrum ({opts['method']})", digest, ["energies in E0"], header, rows
+    )
     print(f"wrote {output} ({len(rows)} phases)")
     return EXIT_OK
 
@@ -359,9 +338,6 @@ SP_DEFAULTS = {
 
 
 def handle_single_particle(opts: dict, gopts: dict) -> int:
-    if gopts["dry_run"]:
-        _json_report({"command": "single-particle", "parameters": opts}, None)
-        return EXIT_OK
     if opts["tg_atoms"]:
         n = opts["tg_atoms"]
         payload = {
@@ -400,9 +376,6 @@ NOON_DEFAULTS = {
 
 
 def handle_noon(opts: dict, gopts: dict) -> int:
-    if gopts["dry_run"]:
-        _json_report({"command": "noon", "parameters": opts}, None)
-        return EXIT_OK
     rows = []
     cache = SolveCache()
     for n in range(opts["atoms_min"], opts["atoms_max"] + 1):
@@ -423,34 +396,16 @@ def handle_noon(opts: dict, gopts: dict) -> int:
                 params, cache=cache, with_loss=False, tol=gopts["tol"], seed=gopts["seed"]
             )
             ed = float(solution.eigenvalues[1] - solution.eigenvalues[0])
-        rows.append((n, g, closed, chain, chain / closed, ed, validity))
+        rows.append((n, g, closed, chain, chain / closed, ed, validity.ratio_barrier,
+                     validity.ratio_interaction, str(validity.condition_met)))
     output = opts["output"] or "fig4.csv"
     digest = write_manifest(output, "noon", opts, gopts["seed"], gopts["tol"])
-    lines = [
-        f"# ringflow {__version__} noon gap scaling",
-        f"# manifest: sha256:{digest}",
-        f"# b={fmt(opts['barrier'])}; energies in E0",
-        "# n_atoms,interaction,gap_closed_form,gap_chain,chain_over_closed,"
+    write_table(
+        output, "noon gap scaling", digest, [f"b={fmt(opts['barrier'])}; energies in E0"],
+        "n_atoms,interaction,gap_closed_form,gap_chain,chain_over_closed,"
         "gap_ed,ratio_barrier,ratio_interaction,condition_met",
-    ]
-    for n, g, closed, chain, ratio, ed, validity in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(n),
-                    fmt(g),
-                    fmt(closed),
-                    fmt(chain),
-                    fmt(ratio),
-                    fmt(ed),
-                    fmt(validity.ratio_barrier),
-                    fmt(validity.ratio_interaction),
-                    str(validity.condition_met),
-                ]
-            )
-        )
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows,
+    )
     print(f"wrote {output} ({len(rows)} atom numbers)")
     return EXIT_OK
 
@@ -477,16 +432,7 @@ def _write_distribution(path: str, dist, header: str) -> None:
 
 
 def handle_loss(opts: dict, gopts: dict) -> int:
-    if gopts["dry_run"]:
-        _json_report({"command": "loss", "parameters": opts}, None)
-        return EXIT_OK
-    params = SystemParams(
-        n_atoms=opts["atoms"],
-        n_modes=opts["modes"],
-        interaction=opts["interaction"],
-        barrier=opts["barrier"],
-        phase=opts["phase_over_pi"] * math.pi,
-    )
+    params = _system(opts, opts["phase_over_pi"] * math.pi)
     cache = SolveCache()
     keep = bool(opts["distributions_dir"])
     solution, coupling, dist, loss = point_report(
@@ -553,18 +499,8 @@ DYNAMICS_DEFAULTS = {
 
 
 def handle_dynamics(opts: dict, gopts: dict) -> int:
-    if gopts["dry_run"]:
-        _json_report({"command": "dynamics", "parameters": opts}, None)
-        return EXIT_OK
-    params = SystemParams(
-        n_atoms=opts["atoms"],
-        n_modes=opts["modes"],
-        interaction=opts["interaction"],
-        barrier=opts["barrier"],
-        phase=opts["omega_final_over_pi"] * math.pi,
-    )
     report = run_quench(
-        params,
+        _system(opts, opts["omega_final_over_pi"] * math.pi),
         phase_initial=opts["omega_initial_over_pi"] * math.pi,
         periods=opts["periods"],
         samples_per_period=opts["samples_per_period"],
@@ -573,16 +509,11 @@ def handle_dynamics(opts: dict, gopts: dict) -> int:
     )
     output = opts["output"] or "dynamics.csv"
     digest = write_manifest(output, "dynamics", opts, gopts["seed"], gopts["tol"])
-    lines = [
-        f"# ringflow {__version__} quench trace",
-        f"# manifest: sha256:{digest}",
-        "# time in hbar/E0",
-        "# t,P_K0,norm",
-    ]
-    for t, p, n in zip(report.result.times, report.result.traces["P_K0"], report.result.norms):
-        lines.append(f"{fmt(t)},{fmt(p)},{fmt(n)}")
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    result = report.result
+    write_table(
+        output, "quench trace", digest, ["time in hbar/E0"], "t,P_K0,norm",
+        zip(result.times, result.traces["P_K0"], result.norms),
+    )
     payload = {
         "deltaE_solver": report.delta_e,
         "fft_peak": report.fft_peak,
@@ -619,9 +550,6 @@ def _parse_species(spec: str) -> float:
 
 
 def handle_units(opts: dict, gopts: dict) -> int:
-    if gopts["dry_run"]:
-        _json_report({"command": "units", "parameters": opts}, None)
-        return EXIT_OK
     mass = opts["mass_kg"] or _parse_species(opts["species"])
     ring = PhysicalRing(atom_mass=mass, ring_radius=opts["radius"])
     params = SystemParams(
@@ -637,9 +565,6 @@ VALIDATE_DEFAULTS = {"output": ""}
 
 
 def handle_validate(opts: dict, gopts: dict) -> int:
-    if gopts["dry_run"]:
-        _json_report({"command": "validate", "parameters": opts}, None)
-        return EXIT_OK
     report = run_validation(verbose_print=print)
     if opts["output"]:
         _json_report(report, opts["output"])
@@ -743,6 +668,10 @@ def main(argv: list[str] | None = None) -> int:
             "dry_run": bool(getattr(args, "dry_run", False)),
         }
         opts = resolve(args.command, DEFAULTS_BY_COMMAND[args.command], args, config)
+        if gopts["dry_run"] and args.command != "sweep":
+            # the sweep resolves its spec first and reports it in its own dry run
+            _json_report({"command": args.command, "parameters": opts}, None)
+            return EXIT_OK
         return HANDLERS[args.command](opts, gopts)
     except DimensionCapError as exc:
         _report_error(exc, EXIT_DIMENSION, json_errors)

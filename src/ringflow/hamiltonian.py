@@ -43,31 +43,10 @@ from .params import RescaledCoupling, SystemParams, rescale_interaction
 _BASIS_CACHE: dict[tuple[int, int], FockBasis] = {}
 _PIECES_CACHE: dict[tuple[int, int], "OperatorPieces"] = {}
 _SECTOR_CACHE: dict[tuple[int, int], "SectorPieces"] = {}
-_LOSS_CACHE: dict[tuple[int, int, int], "SparseOperator"] = {}
+_LOSS_CACHE: dict[tuple[int, int, int], sp.csr_matrix] = {}
 # one lock for every cache: a miss builds under it, so concurrent sweep
 # workers never build the same entry twice (builds nest, hence reentrant)
 _CACHE_LOCK = threading.RLock()
-
-
-@dataclass
-class SparseOperator:
-    """Real sparse operator with an explicit symmetry flag."""
-
-    matrix: sp.csr_matrix
-    symmetric: bool
-    label: str = ""
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
 
 
 def _symmetrize(matrix: sp.spmatrix) -> sp.csr_matrix:
@@ -145,11 +124,15 @@ def kinetic_diagonals(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     return k1, k2
 
 
+def _kinetic(k1: np.ndarray, k2: np.ndarray, n_atoms: int, phase: float) -> np.ndarray:
+    """sum_k (k - a)^2 n_k = k2 - 2a*k1 + N*a^2 with a = Omega/2pi."""
+    a = phase / (2.0 * math.pi)
+    return k2 - 2.0 * a * k1 + n_atoms * a * a
+
+
 def kinetic_diagonal(basis: FockBasis, phase: float) -> np.ndarray:
     """Diagonal of sum_k (k - Omega/2pi)^2 n_k."""
-    k1, k2 = kinetic_diagonals(basis)
-    a = phase / (2.0 * math.pi)
-    return k2 - 2.0 * a * k1 + basis.n_atoms * a * a
+    return _kinetic(*kinetic_diagonals(basis), basis.n_atoms, phase)
 
 
 @dataclass
@@ -170,14 +153,14 @@ def build_pieces(basis: FockBasis) -> OperatorPieces:
     """Kinetic sums and the factors A and P, from the cached a_k matrices."""
     n, r = basis.n_atoms, basis.n_modes
     window = [int(k) for k in basis.window]
-    singles = [cached_loss_operator(n, r, k).matrix for k in window]
+    singles = [cached_loss_operator(n, r, k) for k in window]
     # the a_k have disjoint supports, so their sum is exact
     annihilator = sum(singles[1:], singles[0])
     pair = None
     if n >= 2:
         # P = M @ [a_k2]_k2 with block (K, k2) of M equal to the (N-1)-atom
         # a_{K-k2}, so block row K of P is sum_{k1+k2=K} a_{k1} a_{k2}
-        lower = {k: cached_loss_operator(n - 1, r, k).matrix for k in window}
+        lower = {k: cached_loss_operator(n - 1, r, k) for k in window}
         totals = range(2 * window[0], 2 * window[-1] + 1)
         blocks = [[lower.get(total - k2) for k2 in window] for total in totals]
         pair = sp.bmat(blocks, format="csr") @ sp.vstack(singles, format="csr")
@@ -215,8 +198,7 @@ def assemble(
     pieces: OperatorPieces, params: SystemParams, coupling: RescaledCoupling
 ) -> FactoredOperator:
     """H = kinetic(Omega) + b*A^T A + (g_tilde/2)*P^T P from cached pieces."""
-    a = params.phase / (2.0 * math.pi)
-    kin = pieces.kin_k2 - 2.0 * a * pieces.kin_k + params.n_atoms * a * a
+    kin = _kinetic(pieces.kin_k, pieces.kin_k2, params.n_atoms, params.phase)
     return _hamiltonian(
         kin, pieces.barrier_factor, pieces.interaction_factor, params, coupling
     )
@@ -240,7 +222,7 @@ def build_hamiltonian(
     return assemble(build_pieces(basis), params, coupling)
 
 
-def loss_operator(k: int, basis_n: FockBasis, basis_nm1: FockBasis) -> SparseOperator:
+def loss_operator(k: int, basis_n: FockBasis, basis_nm1: FockBasis) -> sp.csr_matrix:
     """Annihilation operator a_k mapping N-atom to (N-1)-atom coefficients."""
     if basis_nm1.n_atoms != basis_n.n_atoms - 1:
         raise ValueError("target basis must hold one atom fewer")
@@ -257,10 +239,10 @@ def loss_operator(k: int, basis_n: FockBasis, basis_nm1: FockBasis) -> SparseOpe
         (amp, (rows, src)), shape=(basis_nm1.size, basis_n.size)
     ).tocsr()
     matrix.sort_indices()
-    return SparseOperator(matrix=matrix, symmetric=False, label=f"loss_a[{k}]")
+    return matrix
 
 
-def cached_loss_operator(n_atoms: int, n_modes: int, k: int) -> SparseOperator:
+def cached_loss_operator(n_atoms: int, n_modes: int, k: int) -> sp.csr_matrix:
     key = (n_atoms, n_modes, k)
     with _CACHE_LOCK:
         if key not in _LOSS_CACHE:
@@ -329,7 +311,8 @@ def cached_sector_pieces(n_atoms: int, n_modes: int) -> SectorPieces:
 def _project_pieces(pieces: OperatorPieces) -> SectorPieces:
     basis = pieces.basis
     s_even, s_odd, reps_even, reps_odd = _parity_isometries(basis)
-    kin_full = pieces.kin_k2 - pieces.kin_k + 0.25 * basis.n_atoms
+    # a = 1/2 exactly at Omega = pi
+    kin_full = _kinetic(pieces.kin_k, pieces.kin_k2, basis.n_atoms, math.pi)
     a, p = pieces.barrier_factor.matrix, pieces.interaction_factor
     return SectorPieces(
         basis=basis,
@@ -358,7 +341,7 @@ def assemble_sector(
 
 
 def dump_coordinate(
-    op: FactoredOperator | SparseOperator,
+    op: FactoredOperator,
     path: str,
     params: SystemParams,
     coupling: RescaledCoupling | None = None,

@@ -122,8 +122,7 @@ def loss_quality(
         occupation = float(prob @ basis_n.occupations[:, pos])
         if occupation <= occupation_threshold:
             continue
-        op = cached_loss_operator(n, basis_n.n_modes, k)
-        phi = op.matrix @ psi
+        phi = cached_loss_operator(n, basis_n.n_modes, k) @ psi
         phi /= math.sqrt(occupation)
         dist = angular_momentum_distribution(phi, basis_nm1)
         q_k = quality(dist, -k, n - k)

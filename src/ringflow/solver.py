@@ -57,14 +57,6 @@ class EigenSolution:
     degenerate: bool
     sector_vectors: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
-    @property
-    def ground_energy(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def ground_state(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
-
 
 def _as_matrix(operator) -> sp.csr_matrix:
     if isinstance(operator, FactoredOperator):
@@ -86,19 +78,21 @@ def _residuals(operator, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     )
 
 
-def _finish(vals, vecs, operator, iterations, method, tol) -> EigenSolution:
-    order = np.argsort(vals)
+def _lowest(
+    vals, vecs, res, m, iterations, method, tol, sector_vectors=None
+) -> EigenSolution:
+    """The m lowest of the given eigenpairs (vector columns), ascending."""
+    order = np.argsort(vals)[:m]
     vals = np.asarray(vals, dtype=float)[order]
-    vecs = np.asarray(vecs, dtype=float)[:, order]
-    res = _residuals(operator, vals, vecs)
     degenerate = vals.size >= 2 and (vals[1] - vals[0]) < DEGENERACY_FACTOR * tol
     return EigenSolution(
         eigenvalues=vals,
-        eigenvectors=vecs,
-        residual_norms=res,
+        eigenvectors=np.asarray(vecs, dtype=float)[:, order],
+        residual_norms=np.asarray(res)[order],
         iterations=iterations,
         method=method,
         degenerate=degenerate,
+        sector_vectors=sector_vectors,
     )
 
 
@@ -117,7 +111,8 @@ def lowest_eigenpairs(
     Dimensions up to `dense_cutoff` are solved densely from the explicit
     matrix; larger problems use the Krylov path with the seeded (or provided)
     start vector, applying a FactoredOperator factor by factor.  Raises
-    ConvergenceError with the achieved residual if the iteration stalls.
+    ConvergenceError if the iteration stalls, with the achieved residual of
+    the pairs that converged (None when none did).
     """
     if not isinstance(operator, FactoredOperator):
         operator = _as_matrix(operator)
@@ -128,7 +123,7 @@ def lowest_eigenpairs(
         raise ValueError(f"requested {m} eigenpairs of a dimension-{dim} operator")
     if dim <= dense_cutoff or m >= dim - 1:
         vals, vecs = sla.eigh(_as_matrix(operator).toarray(), subset_by_index=(0, m - 1))
-        return _finish(vals, vecs, operator, 0, "dense", tol)
+        return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, 0, "dense", tol)
 
     matvecs = [0]
 
@@ -152,17 +147,21 @@ def lowest_eigenpairs(
             maxiter=max_iterations if max_iterations is not None else 2000,
         )
     except ArpackNoConvergence as exc:
-        achieved = float("nan")
-        if exc.eigenvalues is not None and len(exc.eigenvalues):
-            got = np.asarray(exc.eigenvalues)
-            vecs = np.asarray(exc.eigenvectors)
-            achieved = float(np.max(_residuals(operator, got, vecs)))
+        if exc.eigenvalues is None or not len(exc.eigenvalues):
+            raise ConvergenceError(
+                f"Krylov eigensolve did not converge: no eigenpair converged "
+                f"in {matvecs[0]} matvecs"
+            ) from exc
+        got = np.asarray(exc.eigenvalues)
+        achieved = float(np.max(_residuals(operator, got, np.asarray(exc.eigenvectors))))
         raise ConvergenceError(
             f"Krylov eigensolve did not converge ({matvecs[0]} matvecs, "
             f"achieved residual {achieved:.3e})",
             residual=achieved,
         ) from exc
-    return _finish(vals, vecs, operator, matvecs[0], "lanczos", tol)
+    return _lowest(
+        vals, vecs, _residuals(operator, vals, vecs), m, matvecs[0], "lanczos", tol
+    )
 
 
 def _is_crossing_phase(phase: float) -> bool:
@@ -227,23 +226,12 @@ def solve_lowest(
         iterations += sol.iterations
         sector_grounds.append(sol.eigenvectors[:, 0].copy())
         isometry = sector.isometries[which]
-        for i in range(k_s):
-            all_vals.append(sol.eigenvalues[i])
-            all_vecs.append(isometry @ sol.eigenvectors[:, i])
-            all_res.append(sol.residual_norms[i])
+        all_vals.extend(sol.eigenvalues)
+        all_vecs.extend(isometry @ sol.eigenvectors[:, i] for i in range(k_s))
+        all_res.extend(sol.residual_norms)
 
-    order = np.argsort(all_vals)[:m]
-    vals = np.array([all_vals[i] for i in order])
-    vecs = np.column_stack([all_vecs[i] for i in order])
-    res = np.array([all_res[i] for i in order])
-    degenerate = vals.size >= 2 and (vals[1] - vals[0]) < DEGENERACY_FACTOR * tol
-    return EigenSolution(
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        residual_norms=res,
-        iterations=iterations,
-        method="lanczos-parity",
-        degenerate=degenerate,
+    return _lowest(
+        all_vals, np.column_stack(all_vecs), all_res, m, iterations, "lanczos-parity", tol,
         sector_vectors=tuple(sector_grounds),
     )
 

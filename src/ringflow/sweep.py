@@ -306,10 +306,3 @@ def fig3a_spec(
         tol=tol,
         seed=seed,
     )
-
-
-SWEEP_PRESETS = {
-    "fig2": fig2_spec,
-    "fig3": fig2_spec,  # same scan; the loss columns are the point of fig3
-    "fig3a": fig3a_spec,
-}

@@ -45,6 +45,12 @@ def test_rank_unknown_state_raises():
     b = build_basis(2, 4)
     with pytest.raises(KeyError):
         b.rank([1, 0, 0, 0])  # wrong atom number
+    with pytest.raises(KeyError):
+        b.rank([3, -1, 0, 0])  # negative entry, right sum
+    with pytest.raises(KeyError):
+        b.rank([0, 0, 2])  # wrong length
+    with pytest.raises(KeyError):
+        b.rank([2, 0, 1, 0])  # sum above N
 
 
 def test_total_momentum_examples():
@@ -92,3 +98,7 @@ def test_reflection_is_an_involution(n, r):
 def test_dimension_cap():
     with pytest.raises(DimensionCapError):
         build_basis(5, 20, dimension_cap=1000)
+    # the cap is inclusive: C(24, 5) = 42504 states
+    assert build_basis(5, 20, dimension_cap=42504).size == 42504
+    with pytest.raises(DimensionCapError):
+        build_basis(5, 20, dimension_cap=42503)

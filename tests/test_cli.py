@@ -132,6 +132,23 @@ def test_dry_run_prints_without_writing(tmp_path, capsys):
     assert payload["parameters"]["figure"] == "fig2"
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["sweep", "spectrum", "single-particle", "noon", "loss", "dynamics", "units", "validate"],
+)
+def test_dry_run_every_command(command, tmp_path, monkeypatch, capsys):
+    from ringflow.cli import DEFAULTS_BY_COMMAND
+
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["--dry-run", command], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == command
+    for key, default in DEFAULTS_BY_COMMAND[command].items():
+        assert payload["parameters"][key] == default
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_fig4_redirects_to_noon(capsys):
     code, _, err = run_cli(["sweep", "--figure", "fig4"], capsys)
     assert code == 2
@@ -250,10 +267,15 @@ def test_convergence_exit_code(capsys):
         ["--tol", "1e-14", "spectrum", "--method", "ed", "--atoms", "5", "--modes", "14",
          "--interaction", "0.7", "--barrier", "0.01", "--levels", "2",
          "--omega-start", "1.0", "--omega-stop", "1.0", "--omega-points", "1",
-         "--max-iterations", "1"],
+         "--max-iterations", "1", "--json-errors"],
         capsys,
     )
     assert code == 3
+    payload = json.loads(err)
+    assert payload["type"] == "ConvergenceError"
+    assert payload["exit_code"] == 3
+    assert "no eigenpair converged" in payload["error"]
+    assert "nan" not in payload["error"]
 
 
 def test_validate_runs_clean(tmp_path, capsys):

@@ -216,12 +216,12 @@ def test_loss_operator_ladder_rules():
     assert op0.shape == (b2.size, b3.size)
     condensate = np.zeros(b3.size)
     condensate[b3.rank([0, 3, 0, 0])] = 1.0
-    out = op0.matrix @ condensate
+    out = op0 @ condensate
     assert out[b2.rank([0, 2, 0, 0])] == pytest.approx(math.sqrt(3), rel=1e-15)
     assert np.count_nonzero(out) == 1
     # annihilating an empty mode gives zero
     op1 = loss_operator(1, b3, b2)
-    assert np.allclose(op1.matrix @ condensate, 0.0)
+    assert np.allclose(op1 @ condensate, 0.0)
     with pytest.raises(ValueError):
         loss_operator(5, b3, b2)  # outside the window
     with pytest.raises(ValueError):
@@ -238,7 +238,7 @@ def test_number_conservation_under_loss(state_seed):
     psi /= np.linalg.norm(psi)
     total = 0.0
     for k in b3.window:
-        phi = loss_operator(int(k), b3, b2).matrix @ psi
+        phi = loss_operator(int(k), b3, b2) @ psi
         total += float(phi @ phi)
     assert total == pytest.approx(3.0, abs=1e-10)
 

@@ -103,8 +103,27 @@ def test_convergence_error_reports_residual():
     pieces = cached_pieces(4, 12)
     params = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
     op = __build(pieces, params, rescale_interaction(0.7, 12))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as info:
         lowest_eigenpairs(op, 2, dense_cutoff=0, tol=1e-14, max_iterations=1, ncv=6)
+    # ARPACK returned no converged pair, so there is no residual to report
+    assert info.value.residual is None
+    assert "no eigenpair converged in" in str(info.value)
+    assert "matvecs" in str(info.value)
+
+
+def test_crossing_phase_snap():
+    def solve(phase):
+        params = SystemParams(
+            n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=phase
+        )
+        return solve_lowest(params)
+
+    inside = solve(math.pi + 5e-13)
+    outside = solve(math.pi + 2e-12)
+    assert inside.method == "lanczos-parity"
+    assert outside.method == "dense"  # plain path, below the dense cutoff
+    gap = lambda sol: sol.eigenvalues[1] - sol.eigenvalues[0]
+    assert gap(inside) == pytest.approx(gap(outside), abs=1e-12)
 
 
 # ----------------------------------------------------------------- dynamics
