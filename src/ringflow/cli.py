@@ -268,14 +268,9 @@ def handle_sweep(opts: dict, gopts: dict) -> int:
         return EXIT_OK
     records = run_sweep(spec, threads=gopts["threads"])
     if records and all(rec.error for rec in records):
-        # per-point capture is for partial failures; a fully failed sweep is
-        # reported through the exit code of the first failure
-        message = records[0].error
-        if message.startswith("DimensionCapError"):
-            raise DimensionCapError(message)
-        if message.startswith("ConvergenceError"):
-            raise ConvergenceError(message)
-        raise ValueError(message)
+        # per-point capture is for partial failures; a fully failed sweep
+        # re-raises its first failure, which sets the exit code
+        raise records[0].exception
     digest = write_manifest(output, "sweep", opts, gopts["seed"], gopts["tol"])
     write_sweep_csv(output, spec, records, digest)
     print(f"wrote {output} ({len(records)} points)")
@@ -522,6 +517,7 @@ def handle_dynamics(opts: dict, gopts: dict) -> int:
         "energy_drift": report.energy_drift,
         "steps_taken": report.result.steps_taken,
         "rejected_steps": report.result.rejected_steps,
+        "method": report.result.method,
         "trace_file": output,
     }
     _json_report(payload, opts["report"] or None)

@@ -1,4 +1,4 @@
-"""Lowest-eigenpair solves and real-time Krylov propagation.
+"""Lowest-eigenpair solves and real-time propagation.
 
 Eigen solves use a Lanczos-type Krylov method (ARPACK) with a deterministic
 seeded start vector and a dense fallback below `DENSE_CUTOFF`.  At the
@@ -7,9 +7,12 @@ reflection k -> 1-k, and the avoided-crossing pair splits across the two
 parity sectors; solving each sector's ground-state problem separately makes
 splittings far below the spectral width (the NOON regime) cheap to resolve.
 
-Real-time propagation uses a fixed-dimension Lanczos approximation of
-exp(-i*H*dt) with adaptive substepping controlled by the standard residual
-estimate; states stay normalized to machine precision per step.
+Real-time propagation up to `DENSE_CUTOFF` is exact: one dense
+eigendecomposition H = V diag(E) V^T gives every sample state at once as
+psi(t) = V exp(-i(t - t0)E) V^T psi0.  Larger operators use a
+fixed-dimension Lanczos approximation of exp(-i*H*dt) with blocked full
+reorthogonalization and adaptive substepping controlled by the standard
+residual estimate; states stay normalized to machine precision per step.
 """
 
 from __future__ import annotations
@@ -284,13 +287,17 @@ def level_splitting(
 
 @dataclass
 class QuenchResult:
-    """Observable traces along a real-time propagation."""
+    """Observable traces along a real-time propagation.
+
+    `method` is "spectral" (exact phases, no steps) or "krylov".
+    """
 
     times: np.ndarray
     traces: dict[str, np.ndarray]
     norms: np.ndarray
     steps_taken: int
     rejected_steps: int
+    method: str
 
 
 def _lanczos_expm_step(
@@ -299,30 +306,37 @@ def _lanczos_expm_step(
     """One exp(-i*H*dt) application; returns the new state and an error
     estimate from the last Krylov residual."""
     beta0 = np.linalg.norm(psi)
-    vectors = [psi / beta0]
+    vectors = np.empty((psi.size, krylov_dim), dtype=complex, order="F")
+    vectors[:, 0] = psi / beta0
     alphas: list[float] = []
     betas: list[float] = []
     for j in range(krylov_dim):
-        w = matrix @ vectors[j]
-        alpha = float(np.real(np.vdot(vectors[j], w)))
-        alphas.append(alpha)
-        # full reorthogonalization, two passes
+        w = matrix @ vectors[:, j]
+        alphas.append(float(np.real(np.vdot(vectors[:, j], w))))
+        # full reorthogonalization, two blocked passes
+        basis = vectors[:, : j + 1]
         for _ in range(2):
-            for v in vectors:
-                w = w - np.vdot(v, w) * v
+            w -= basis @ (basis.conj().T @ w)
         beta = float(np.linalg.norm(w))
-        if beta < 1e-14 * beta0 or j == krylov_dim - 1:
-            betas.append(beta)
-            break
         betas.append(beta)
-        vectors.append(w / beta)
+        if beta < 1e-14 * beta0 or j == krylov_dim - 1:
+            break
+        vectors[:, j + 1] = w / beta
     size = len(alphas)
     evals, evecs = sla.eigh_tridiagonal(np.array(alphas), np.array(betas[: size - 1]))
     y = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
-    basis_matrix = np.column_stack(vectors)
-    new_psi = beta0 * (basis_matrix @ y)
+    new_psi = beta0 * (vectors[:, :size] @ y)
     error = abs(betas[size - 1] * dt * y[-1]) if size == krylov_dim else 0.0
     return new_psi, float(error)
+
+
+def _spectral_states(matrix: sp.csr_matrix, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Exact states at every grid time, one row each: (exp(-i(t - t0)E) * c) V^T
+    with H = V diag(E) V^T and c = V^T psi0."""
+    energies, vectors = sla.eigh(matrix.toarray())
+    c = vectors.T @ psi0
+    phases = np.exp(-1j * np.outer(times - times[0], energies))
+    return (phases * c) @ vectors.T
 
 
 def propagate(
@@ -332,12 +346,15 @@ def propagate(
     observables: Mapping[str, Callable[[np.ndarray], float]] | None = None,
     krylov_dim: int = KRYLOV_DIM,
     step_tol: float = 1e-12,
+    dense_cutoff: int = DENSE_CUTOFF,
 ) -> QuenchResult:
     """Unitary propagation of psi0 through the given time grid.
 
     Observables are callables evaluated on the state at every grid time.
-    Substeps between grid points are chosen adaptively: a step whose local
-    error estimate exceeds `step_tol` is rejected and halved.
+    Dimensions up to `dense_cutoff` are propagated exactly from one dense
+    eigendecomposition.  Larger ones use Krylov substeps between grid points,
+    chosen adaptively: a step whose local error estimate exceeds `step_tol`
+    is rejected and halved.
     """
     matrix = _as_matrix(operator)
     psi = np.asarray(psi0, dtype=complex).copy()
@@ -348,6 +365,17 @@ def propagate(
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
     observables = dict(observables or {})
+
+    if matrix.shape[0] <= dense_cutoff:
+        states = _spectral_states(matrix, psi, times)
+        return QuenchResult(
+            times=times,
+            traces={name: np.array([fn(s) for s in states]) for name, fn in observables.items()},
+            norms=np.linalg.norm(states, axis=1),
+            steps_taken=0,
+            rejected_steps=0,
+            method="spectral",
+        )
 
     traces = {name: [fn(psi)] for name, fn in observables.items()}
     norms = [float(np.linalg.norm(psi))]
@@ -379,6 +407,7 @@ def propagate(
         norms=np.array(norms),
         steps_taken=steps,
         rejected_steps=rejected,
+        method="krylov",
     )
 
 

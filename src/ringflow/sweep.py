@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -105,6 +105,7 @@ class SweepRecord:
     residual: float = math.nan
     wall_time: float = 0.0
     error: str | None = None
+    exception: Exception | None = field(default=None, repr=False, compare=False)
 
 
 class SolveCache:
@@ -186,6 +187,7 @@ def _point_record(
         return record, solution
     except (ValueError, ConvergenceError, DimensionCapError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
+        record.exception = exc
         record.wall_time = time.perf_counter() - start
         return record, None
 
@@ -198,7 +200,7 @@ def run_sweep(
     With warm starts enabled the grid defines a sequential chain of start
     vectors; with them disabled the points are independent and may be run on
     a thread pool.  Per-point failures are captured in the record's `error`
-    field without aborting the sweep.
+    text and `exception` field without aborting the sweep.
     """
     cache = cache if cache is not None else SolveCache()
     values = list(spec.grid)

@@ -237,6 +237,8 @@ def test_dynamics_cli(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["relative_deviation"] < 0.02
     assert payload["norm_drift"] < 1e-10
+    assert payload["method"] == "spectral"  # dimension 21, below the dense cutoff
+    assert payload["steps_taken"] == payload["rejected_steps"] == 0
     rows = [l for l in trace.read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == 8 * 32 + 1
     t0, p0, n0 = rows[0].split(",")
@@ -258,6 +260,20 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(["--json-errors", "sweep", "--figure", "nonsense"], capsys)
     assert code == 2
     assert json.loads(err)["exit_code"] == 2
+
+
+def test_failed_sweep_reraises_point_error(capsys):
+    # every point hits the dimension cap: the sweep re-raises the point's own
+    # exception, so its message carries no doubled type prefix
+    size = ["--atoms", "30", "--modes", "40"]
+    code, _, sweep_err = run_cli(["--json-errors", "sweep", *size, "--points", "2"], capsys)
+    assert code == 4
+    code, _, spectrum_err = run_cli(["--json-errors", "spectrum", *size], capsys)
+    assert code == 4
+    sweep_payload, spectrum_payload = json.loads(sweep_err), json.loads(spectrum_err)
+    assert sweep_payload == spectrum_payload
+    assert sweep_payload["type"] == "DimensionCapError"
+    assert not sweep_payload["error"].startswith("DimensionCapError")
 
 
 def test_convergence_exit_code(capsys):

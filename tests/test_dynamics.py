@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ringflow.dynamics import run_quench
-from ringflow.params import SystemParams
+from ringflow.hamiltonian import assemble, cached_basis, cached_pieces
+from ringflow.params import SystemParams, rescale_interaction
+from ringflow.solver import propagate, solve_lowest
 
 
 @pytest.fixture(scope="module")
@@ -28,4 +32,27 @@ def test_quench_trace_has_visible_contrast(quench_report):
 
 
 def test_quench_substepping_reports_steps(quench_report):
-    assert quench_report.result.steps_taken > len(quench_report.result.times)
+    # the fixture runs on the spectral path (dimension 120); rebuild its
+    # post-quench operator and initial state and request the Krylov path over
+    # the first two periods of its grid
+    params = quench_report.params
+    pieces = cached_pieces(params.n_atoms, params.n_modes)
+    coupling = rescale_interaction(params.interaction, params.n_modes)
+    pre = solve_lowest(
+        replace(params, phase=quench_report.phase_initial), m=1, coupling=coupling, pieces=pieces
+    )
+    k0_mask = (cached_basis(params.n_atoms, params.n_modes).total_k == 0).astype(float)
+    times = quench_report.result.times[: 2 * 48 + 1]
+    krylov = propagate(
+        assemble(pieces, params, coupling),
+        pre.eigenvectors[:, 0],
+        times,
+        observables={"P_K0": lambda psi: float(np.real(np.vdot(psi, k0_mask * psi)))},
+        dense_cutoff=0,
+    )
+    assert quench_report.result.method == "spectral"
+    assert quench_report.result.steps_taken == 0
+    assert krylov.method == "krylov"
+    assert krylov.steps_taken > len(times)
+    spectral = quench_report.result.traces["P_K0"][: times.size]
+    assert np.max(np.abs(krylov.traces["P_K0"] - spectral)) < 1e-9

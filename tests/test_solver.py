@@ -135,14 +135,29 @@ def _two_level():
     return h, vals, vecs
 
 
+# both propagation paths: exact spectral phases and Krylov substeps
+PATHS = (DENSE_CUTOFF, 0)
+
+
+def _check_path(out, cutoff, n_times):
+    if cutoff:
+        assert out.method == "spectral"
+        assert out.steps_taken == out.rejected_steps == 0
+    else:
+        assert out.method == "krylov"
+        assert out.steps_taken >= n_times - 1
+
+
 def test_propagate_eigenstate_is_stationary():
     h, vals, vecs = _two_level()
     psi0 = vecs[:, 0].astype(complex)
     times = np.linspace(0.0, 50.0, 101)
     pop = lambda psi: float(abs(psi[0]) ** 2)
-    out = propagate(h, psi0, times, observables={"p": pop})
-    assert np.max(np.abs(out.traces["p"] - out.traces["p"][0])) < 1e-10
-    assert np.max(np.abs(out.norms - 1.0)) < 1e-12
+    for cutoff in PATHS:
+        out = propagate(h, psi0, times, observables={"p": pop}, dense_cutoff=cutoff)
+        _check_path(out, cutoff, len(times))
+        assert np.max(np.abs(out.traces["p"] - out.traces["p"][0])) < 1e-10
+        assert np.max(np.abs(out.norms - 1.0)) < 1e-12
 
 
 def test_propagate_two_level_frequency():
@@ -151,30 +166,55 @@ def test_propagate_two_level_frequency():
     gap = vals[1] - vals[0]
     period = 2 * math.pi / gap
     times = np.linspace(0.0, 24 * period, 24 * 64 + 1)
-    out = propagate(h, psi0.astype(complex), times, observables={"p": lambda s: float(abs(s[0]) ** 2)})
-    peak = dominant_frequency(out.times, out.traces["p"])
-    assert peak == pytest.approx(gap, rel=1e-3)
+    pop = lambda s: float(abs(s[0]) ** 2)
+    for cutoff in PATHS:
+        out = propagate(h, psi0.astype(complex), times, observables={"p": pop}, dense_cutoff=cutoff)
+        _check_path(out, cutoff, len(times))
+        peak = dominant_frequency(out.times, out.traces["p"])
+        assert peak == pytest.approx(gap, rel=1e-3)
 
 
-def test_propagate_conserves_energy_and_norm():
+def _random_state_on_ring():
     basis = build_basis(3, 6)
     params = SystemParams(n_atoms=3, n_modes=6, interaction=1.0, barrier=0.05, phase=math.pi)
     h = build_hamiltonian(basis, params).matrix
     rng = np.random.default_rng(3)
     psi0 = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    psi0 /= np.linalg.norm(psi0)
+    return h, psi0 / np.linalg.norm(psi0)
+
+
+def test_propagate_conserves_energy_and_norm():
+    h, psi0 = _random_state_on_ring()
     times = np.linspace(0.0, 30.0, 61)
     energy = lambda s: float(np.real(np.vdot(s, h @ s)))
-    out = propagate(h, psi0, times, observables={"E": energy})
-    e = out.traces["E"]
-    assert np.max(np.abs(e - e[0])) / max(abs(e[0]), 1.0) < 1e-10
-    assert np.max(np.abs(out.norms - 1.0)) < 1e-10
-    assert out.steps_taken >= len(times) - 1
+    for cutoff in PATHS:
+        out = propagate(h, psi0, times, observables={"E": energy}, dense_cutoff=cutoff)
+        _check_path(out, cutoff, len(times))
+        e = out.traces["E"]
+        assert np.max(np.abs(e - e[0])) / max(abs(e[0]), 1.0) < 1e-10
+        assert np.max(np.abs(out.norms - 1.0)) < 1e-10
+
+
+def test_propagate_offset_grid_uses_elapsed_time():
+    # a grid starting at t0 > 0 holds psi0 at t0: the spectral phases use
+    # t - t0, as the Krylov steps do
+    h, psi0 = _random_state_on_ring()
+    times = np.linspace(7.5, 12.5, 21)
+    observables = {"re0": lambda s: float(s[0].real), "im0": lambda s: float(s[0].imag)}
+    spectral = propagate(h, psi0, times, observables=observables)
+    krylov = propagate(h, psi0, times, observables=observables, dense_cutoff=0)
+    assert spectral.method == "spectral" and krylov.method == "krylov"
+    assert spectral.traces["re0"][0] == pytest.approx(psi0[0].real, abs=1e-12)
+    assert spectral.traces["im0"][0] == pytest.approx(psi0[0].imag, abs=1e-12)
+    for name in observables:
+        assert np.max(np.abs(spectral.traces[name] - krylov.traces[name])) < 1e-10
+    assert np.max(np.abs(spectral.norms - krylov.norms)) < 1e-10
 
 
 def test_propagate_rejects_bad_input():
     h, _, _ = _two_level()
-    with pytest.raises(ValueError):
-        propagate(h, np.array([2.0, 0.0]), np.linspace(0, 1, 5))
-    with pytest.raises(ValueError):
-        propagate(h, np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    for cutoff in PATHS:
+        with pytest.raises(ValueError):
+            propagate(h, np.array([2.0, 0.0]), np.linspace(0, 1, 5), dense_cutoff=cutoff)
+        with pytest.raises(ValueError):
+            propagate(h, np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]), dense_cutoff=cutoff)
