@@ -8,11 +8,11 @@ parity sectors; solving each sector's ground-state problem separately makes
 splittings far below the spectral width (the NOON regime) cheap to resolve.
 
 Real-time propagation up to `DENSE_CUTOFF` is exact: one dense
-eigendecomposition H = V diag(E) V^T gives every sample state at once as
-psi(t) = V exp(-i(t - t0)E) V^T psi0.  Larger operators use a
-fixed-dimension Lanczos approximation of exp(-i*H*dt) with blocked full
-reorthogonalization and adaptive substepping controlled by the standard
-residual estimate; states stay normalized to machine precision per step.
+eigendecomposition H = V diag(E) V^H gives every sample state as
+psi(t) = V exp(-i(t - t0)E) V^H psi0, formed in blocks of sample times.
+Larger operators use a fixed-dimension Lanczos approximation of
+exp(-i*H*dt) with adaptive substepping controlled by the standard residual
+estimate; states stay normalized to machine precision per step.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 2000
 DEGENERACY_FACTOR = 10.0
 KRYLOV_DIM = 20
+SPECTRAL_BLOCK = 256
 
 
 @dataclass
@@ -306,37 +307,56 @@ def _lanczos_expm_step(
     """One exp(-i*H*dt) application; returns the new state and an error
     estimate from the last Krylov residual."""
     beta0 = np.linalg.norm(psi)
-    vectors = np.empty((psi.size, krylov_dim), dtype=complex, order="F")
-    vectors[:, 0] = psi / beta0
+    vectors = [psi / beta0]
     alphas: list[float] = []
     betas: list[float] = []
     for j in range(krylov_dim):
-        w = matrix @ vectors[:, j]
-        alphas.append(float(np.real(np.vdot(vectors[:, j], w))))
-        # full reorthogonalization, two blocked passes
-        basis = vectors[:, : j + 1]
+        w = matrix @ vectors[j]
+        alpha = float(np.real(np.vdot(vectors[j], w)))
+        alphas.append(alpha)
+        # full reorthogonalization, two passes
         for _ in range(2):
-            w -= basis @ (basis.conj().T @ w)
+            for v in vectors:
+                w = w - np.vdot(v, w) * v
         beta = float(np.linalg.norm(w))
-        betas.append(beta)
         if beta < 1e-14 * beta0 or j == krylov_dim - 1:
+            betas.append(beta)
             break
-        vectors[:, j + 1] = w / beta
+        betas.append(beta)
+        vectors.append(w / beta)
     size = len(alphas)
     evals, evecs = sla.eigh_tridiagonal(np.array(alphas), np.array(betas[: size - 1]))
     y = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
-    new_psi = beta0 * (vectors[:, :size] @ y)
+    basis_matrix = np.column_stack(vectors)
+    new_psi = beta0 * (basis_matrix @ y)
     error = abs(betas[size - 1] * dt * y[-1]) if size == krylov_dim else 0.0
     return new_psi, float(error)
 
 
-def _spectral_states(matrix: sp.csr_matrix, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Exact states at every grid time, one row each: (exp(-i(t - t0)E) * c) V^T
-    with H = V diag(E) V^T and c = V^T psi0."""
+def _spectral_samples(
+    matrix: sp.csr_matrix,
+    psi0: np.ndarray,
+    times: np.ndarray,
+    observables: Mapping[str, Callable[[np.ndarray], float]],
+) -> tuple[dict[str, list], list[float]]:
+    """Observables and norms of the exact states at every grid time.
+
+    With H = V diag(E) V^H and c = V^H psi0, the states at a block of grid
+    times are the rows of (exp(-i(t - t0)E) * c) V^T; blocks of
+    SPECTRAL_BLOCK rows keep memory independent of the grid length.
+    """
     energies, vectors = sla.eigh(matrix.toarray())
-    c = vectors.T @ psi0
-    phases = np.exp(-1j * np.outer(times - times[0], energies))
-    return (phases * c) @ vectors.T
+    c = vectors.conj().T @ psi0
+    elapsed = times - times[0]
+    traces: dict[str, list] = {name: [] for name in observables}
+    norms: list[float] = []
+    for start in range(0, times.size, SPECTRAL_BLOCK):
+        phases = np.exp(-1j * np.outer(elapsed[start : start + SPECTRAL_BLOCK], energies))
+        states = (phases * c) @ vectors.T
+        for name, fn in observables.items():
+            traces[name].extend(fn(s) for s in states)
+        norms.extend(np.linalg.norm(states, axis=1))
+    return traces, norms
 
 
 def propagate(
@@ -346,15 +366,15 @@ def propagate(
     observables: Mapping[str, Callable[[np.ndarray], float]] | None = None,
     krylov_dim: int = KRYLOV_DIM,
     step_tol: float = 1e-12,
-    dense_cutoff: int = DENSE_CUTOFF,
 ) -> QuenchResult:
     """Unitary propagation of psi0 through the given time grid.
 
     Observables are callables evaluated on the state at every grid time.
-    Dimensions up to `dense_cutoff` are propagated exactly from one dense
-    eigendecomposition.  Larger ones use Krylov substeps between grid points,
-    chosen adaptively: a step whose local error estimate exceeds `step_tol`
-    is rejected and halved.
+    The operator may be real symmetric or complex Hermitian.  Dimensions up
+    to DENSE_CUTOFF are propagated exactly from one dense eigendecomposition.
+    Larger ones use Krylov substeps between grid points, chosen adaptively:
+    a step whose local error estimate exceeds `step_tol` is rejected and
+    halved.
     """
     matrix = _as_matrix(operator)
     psi = np.asarray(psi0, dtype=complex).copy()
@@ -366,12 +386,12 @@ def propagate(
         raise ValueError("times must be a strictly increasing 1-d grid")
     observables = dict(observables or {})
 
-    if matrix.shape[0] <= dense_cutoff:
-        states = _spectral_states(matrix, psi, times)
+    if matrix.shape[0] <= DENSE_CUTOFF:
+        traces, norms = _spectral_samples(matrix, psi, times, observables)
         return QuenchResult(
             times=times,
-            traces={name: np.array([fn(s) for s in states]) for name, fn in observables.items()},
-            norms=np.linalg.norm(states, axis=1),
+            traces={name: np.array(vals) for name, vals in traces.items()},
+            norms=np.array(norms),
             steps_taken=0,
             rejected_steps=0,
             method="spectral",

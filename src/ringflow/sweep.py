@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -104,8 +104,24 @@ class SweepRecord:
     iterations: int = 0
     residual: float = math.nan
     wall_time: float = 0.0
-    error: str | None = None
-    exception: Exception | None = field(default=None, repr=False, compare=False)
+    exception: Exception | None = None
+
+    @property
+    def error(self) -> str | None:
+        """The failure as written to the CSV comment line, or None."""
+        if self.exception is None:
+            return None
+        return f"{type(self.exception).__name__}: {self.exception}"
+
+
+def _without_frames(exc: BaseException) -> BaseException:
+    """The exception with the tracebacks of it and of its cause/context chain
+    dropped, so that a kept failure does not keep the failed solve's arrays."""
+    link = exc
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__cause__ or link.__context__
+    return exc
 
 
 class SolveCache:
@@ -186,8 +202,7 @@ def _point_record(
         record.wall_time = time.perf_counter() - start
         return record, solution
     except (ValueError, ConvergenceError, DimensionCapError) as exc:
-        record.error = f"{type(exc).__name__}: {exc}"
-        record.exception = exc
+        record.exception = _without_frames(exc)
         record.wall_time = time.perf_counter() - start
         return record, None
 
@@ -199,8 +214,8 @@ def run_sweep(
 
     With warm starts enabled the grid defines a sequential chain of start
     vectors; with them disabled the points are independent and may be run on
-    a thread pool.  Per-point failures are captured in the record's `error`
-    text and `exception` field without aborting the sweep.
+    a thread pool.  Per-point failures are captured in the record's `exception`
+    field without aborting the sweep.
     """
     cache = cache if cache is not None else SolveCache()
     values = list(spec.grid)

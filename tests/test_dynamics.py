@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ringflow import solver
 from ringflow.dynamics import run_quench
 from ringflow.hamiltonian import assemble, cached_basis, cached_pieces
 from ringflow.params import SystemParams, rescale_interaction
@@ -31,7 +32,7 @@ def test_quench_trace_has_visible_contrast(quench_report):
     assert trace.max() - trace.min() > 0.1
 
 
-def test_quench_substepping_reports_steps(quench_report):
+def test_quench_substepping_reports_steps(quench_report, monkeypatch):
     # the fixture runs on the spectral path (dimension 120); rebuild its
     # post-quench operator and initial state and request the Krylov path over
     # the first two periods of its grid
@@ -43,12 +44,12 @@ def test_quench_substepping_reports_steps(quench_report):
     )
     k0_mask = (cached_basis(params.n_atoms, params.n_modes).total_k == 0).astype(float)
     times = quench_report.result.times[: 2 * 48 + 1]
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", 0)
     krylov = propagate(
         assemble(pieces, params, coupling),
         pre.eigenvectors[:, 0],
         times,
         observables={"P_K0": lambda psi: float(np.real(np.vdot(psi, k0_mask * psi)))},
-        dense_cutoff=0,
     )
     assert quench_report.result.method == "spectral"
     assert quench_report.result.steps_taken == 0

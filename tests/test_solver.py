@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
+from ringflow import solver
 from ringflow.basis import build_basis
 from ringflow.errors import ConvergenceError
 from ringflow.hamiltonian import build_hamiltonian, cached_pieces
 from ringflow.params import SystemParams, raw_coupling, rescale_interaction
 from ringflow.solver import (
     DENSE_CUTOFF,
+    SPECTRAL_BLOCK,
     dominant_frequency,
     level_splitting,
     lowest_eigenpairs,
@@ -135,41 +139,47 @@ def _two_level():
     return h, vals, vecs
 
 
-# both propagation paths: exact spectral phases and Krylov substeps
-PATHS = (DENSE_CUTOFF, 0)
+# both propagation paths: exact spectral phases, and Krylov substeps forced
+# by a zero dense cutoff
+PATHS = ("spectral", "krylov")
 
 
-def _check_path(out, cutoff, n_times):
-    if cutoff:
-        assert out.method == "spectral"
+def _use_path(monkeypatch, method):
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", DENSE_CUTOFF if method == "spectral" else 0)
+
+
+def _check_path(out, method, n_times):
+    assert out.method == method
+    if method == "spectral":
         assert out.steps_taken == out.rejected_steps == 0
     else:
-        assert out.method == "krylov"
         assert out.steps_taken >= n_times - 1
 
 
-def test_propagate_eigenstate_is_stationary():
+def test_propagate_eigenstate_is_stationary(monkeypatch):
     h, vals, vecs = _two_level()
     psi0 = vecs[:, 0].astype(complex)
     times = np.linspace(0.0, 50.0, 101)
     pop = lambda psi: float(abs(psi[0]) ** 2)
-    for cutoff in PATHS:
-        out = propagate(h, psi0, times, observables={"p": pop}, dense_cutoff=cutoff)
-        _check_path(out, cutoff, len(times))
+    for method in PATHS:
+        _use_path(monkeypatch, method)
+        out = propagate(h, psi0, times, observables={"p": pop})
+        _check_path(out, method, len(times))
         assert np.max(np.abs(out.traces["p"] - out.traces["p"][0])) < 1e-10
         assert np.max(np.abs(out.norms - 1.0)) < 1e-12
 
 
-def test_propagate_two_level_frequency():
+def test_propagate_two_level_frequency(monkeypatch):
     h, vals, vecs = _two_level()
     psi0 = (vecs[:, 0] + vecs[:, 1]) / math.sqrt(2)
     gap = vals[1] - vals[0]
     period = 2 * math.pi / gap
     times = np.linspace(0.0, 24 * period, 24 * 64 + 1)
     pop = lambda s: float(abs(s[0]) ** 2)
-    for cutoff in PATHS:
-        out = propagate(h, psi0.astype(complex), times, observables={"p": pop}, dense_cutoff=cutoff)
-        _check_path(out, cutoff, len(times))
+    for method in PATHS:
+        _use_path(monkeypatch, method)
+        out = propagate(h, psi0.astype(complex), times, observables={"p": pop})
+        _check_path(out, method, len(times))
         peak = dominant_frequency(out.times, out.traces["p"])
         assert peak == pytest.approx(gap, rel=1e-3)
 
@@ -183,26 +193,28 @@ def _random_state_on_ring():
     return h, psi0 / np.linalg.norm(psi0)
 
 
-def test_propagate_conserves_energy_and_norm():
+def test_propagate_conserves_energy_and_norm(monkeypatch):
     h, psi0 = _random_state_on_ring()
     times = np.linspace(0.0, 30.0, 61)
     energy = lambda s: float(np.real(np.vdot(s, h @ s)))
-    for cutoff in PATHS:
-        out = propagate(h, psi0, times, observables={"E": energy}, dense_cutoff=cutoff)
-        _check_path(out, cutoff, len(times))
+    for method in PATHS:
+        _use_path(monkeypatch, method)
+        out = propagate(h, psi0, times, observables={"E": energy})
+        _check_path(out, method, len(times))
         e = out.traces["E"]
         assert np.max(np.abs(e - e[0])) / max(abs(e[0]), 1.0) < 1e-10
         assert np.max(np.abs(out.norms - 1.0)) < 1e-10
 
 
-def test_propagate_offset_grid_uses_elapsed_time():
+def test_propagate_offset_grid_uses_elapsed_time(monkeypatch):
     # a grid starting at t0 > 0 holds psi0 at t0: the spectral phases use
     # t - t0, as the Krylov steps do
     h, psi0 = _random_state_on_ring()
     times = np.linspace(7.5, 12.5, 21)
     observables = {"re0": lambda s: float(s[0].real), "im0": lambda s: float(s[0].imag)}
     spectral = propagate(h, psi0, times, observables=observables)
-    krylov = propagate(h, psi0, times, observables=observables, dense_cutoff=0)
+    _use_path(monkeypatch, "krylov")
+    krylov = propagate(h, psi0, times, observables=observables)
     assert spectral.method == "spectral" and krylov.method == "krylov"
     assert spectral.traces["re0"][0] == pytest.approx(psi0[0].real, abs=1e-12)
     assert spectral.traces["im0"][0] == pytest.approx(psi0[0].imag, abs=1e-12)
@@ -211,10 +223,71 @@ def test_propagate_offset_grid_uses_elapsed_time():
     assert np.max(np.abs(spectral.norms - krylov.norms)) < 1e-10
 
 
-def test_propagate_rejects_bad_input():
+def test_propagate_rejects_bad_input(monkeypatch):
     h, _, _ = _two_level()
-    for cutoff in PATHS:
+    for method in PATHS:
+        _use_path(monkeypatch, method)
         with pytest.raises(ValueError):
-            propagate(h, np.array([2.0, 0.0]), np.linspace(0, 1, 5), dense_cutoff=cutoff)
+            propagate(h, np.array([2.0, 0.0]), np.linspace(0, 1, 5))
         with pytest.raises(ValueError):
-            propagate(h, np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]), dense_cutoff=cutoff)
+            propagate(h, np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+
+
+def _components(indices):
+    """Observables reading the real and imaginary parts of state entries."""
+    observables = {}
+    for i in indices:
+        observables[f"re{i}"] = lambda s, i=i: float(s[i].real)
+        observables[f"im{i}"] = lambda s, i=i: float(s[i].imag)
+    return observables
+
+
+def test_propagate_complex_hermitian(monkeypatch):
+    # c = V^H psi0: a complex Hermitian operator propagates exactly on both paths
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    h = (a + a.conj().T) / 2
+    psi0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    psi0 /= np.linalg.norm(psi0)
+    times = np.linspace(0.0, 3.0, 13)
+    exact = np.array([sla.expm(-1j * t * h) @ psi0 for t in times])
+    for method in PATHS:
+        _use_path(monkeypatch, method)
+        out = propagate(h, psi0, times, observables=_components(range(8)))
+        _check_path(out, method, len(times))
+        for i in range(8):
+            assert np.max(np.abs(out.traces[f"re{i}"] - exact[:, i].real)) < 1e-10
+            assert np.max(np.abs(out.traces[f"im{i}"] - exact[:, i].imag)) < 1e-10
+
+
+def test_propagate_long_grid_in_blocks():
+    # a grid spanning several blocks of sample times matches stepping the
+    # exact one-step propagator, across the block boundaries
+    h, psi0 = _random_state_on_ring()
+    times = np.linspace(0.0, 40.0, 2 * SPECTRAL_BLOCK + 3)
+    step = sla.expm(-1j * (times[1] - times[0]) * h.toarray())
+    exact = [psi0]
+    for _ in times[1:]:
+        exact.append(step @ exact[-1])
+    exact = np.array(exact)
+    out = propagate(h, psi0, times, observables=_components((0, 17)))
+    assert out.method == "spectral"
+    for i in (0, 17):
+        assert np.max(np.abs(out.traces[f"re{i}"] - exact[:, i].real)) < 1e-10
+        assert np.max(np.abs(out.traces[f"im{i}"] - exact[:, i].imag)) < 1e-10
+    assert np.max(np.abs(out.norms - 1.0)) < 1e-12
+
+
+def test_propagate_memory_independent_of_grid_length():
+    # 20,000 samples at dimension 56: holding every state at once would take
+    # 3 x 20,000 x 56 x 16 B = 54 MB; blocks of sample times stay far below
+    h, psi0 = _random_state_on_ring()
+    times = np.linspace(0.0, 200.0, 20_000)
+    tracemalloc.start()
+    try:
+        out = propagate(h, psi0, times, observables={"p": lambda s: float(abs(s[0]) ** 2)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.method == "spectral"
+    assert peak < 10e6

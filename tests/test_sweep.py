@@ -90,6 +90,8 @@ def test_per_point_failure_captured():
     records = run_sweep(spec)
     assert records[0].error is None
     assert "ValueError" in records[1].error  # odd window size is invalid
+    assert records[1].error == f"ValueError: {records[1].exception}"
+    assert records[1].exception.__traceback__ is None  # no frames kept alive
     assert math.isnan(records[1].delta_e)
     assert records[2].error is None
 
