@@ -174,14 +174,11 @@ def build_pieces(basis: FockBasis) -> OperatorPieces:
     )
 
 
-def cached_basis(n_atoms: int, n_modes: int, dimension_cap: int | None = None) -> FockBasis:
+def cached_basis(n_atoms: int, n_modes: int) -> FockBasis:
     key = (n_atoms, n_modes)
     with _CACHE_LOCK:
         if key not in _BASIS_CACHE:
-            if dimension_cap is None:
-                _BASIS_CACHE[key] = build_basis(n_atoms, n_modes)
-            else:
-                _BASIS_CACHE[key] = build_basis(n_atoms, n_modes, dimension_cap)
+            _BASIS_CACHE[key] = build_basis(n_atoms, n_modes)
         return _BASIS_CACHE[key]
 
 

@@ -3,8 +3,9 @@
 A sweep walks a strictly monotone grid of one parameter, solves the lowest
 pair at each point, and derives the requested observables into flat records
 emitted in grid order.  Eigensolves are cached on (N, r, g_tilde, b, Omega,
-tol, seed); neighboring grid points warm-start each other by default, which
-is what makes dense coupling scans through the avoided crossing cheap.
+tol, seed); neighboring grid points warm-start each other by default.  The
+chain saves little: the 12-point fig2 scan takes 8,388 matvecs warm against
+8,829 cold, and it makes the points run one after another.
 """
 
 from __future__ import annotations

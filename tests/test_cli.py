@@ -84,6 +84,21 @@ def test_sweep_csv_schema_and_determinism(tmp_path, capsys):
     assert f"sha256:{manifest['config_digest']}" in text_a
 
 
+def test_single_atom_sweep_splitting_is_2b(tmp_path, capsys):
+    # both parity sectors have dimension 1, so each is solved completely
+    path = tmp_path / "n1.csv"
+    code, _, _ = run_cli(
+        ["sweep", "--atoms", "1", "--modes", "2", "--barrier", "0.004", "--points", "3",
+         "--output", str(path)],
+        capsys,
+    )
+    assert code == 0
+    rows = [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 3
+    for row in rows:
+        assert float(row[5]) == pytest.approx(0.008, rel=1e-12)
+
+
 def test_manifest_round_trips_as_config(tmp_path, capsys):
     path_a = tmp_path / "a.csv"
     args = [

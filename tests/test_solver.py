@@ -67,6 +67,48 @@ def test_parity_path_matches_plain():
     assert np.max(np.abs(parity.eigenvalues - plain.eigenvalues)) < 1e-10
 
 
+def test_wrong_first_sector_is_caught_by_the_certificate(monkeypatch):
+    # N = 4: the ground lies in the even sector.  Levels above it: odd 0.0047,
+    # even 1.126, odd 1.147, even 1.502.  Starting from the odd sector, m = 2
+    # leaves the even sector one level short and must re-solve it; at m = 3
+    # the even sector's two levels already reach the third merged level.
+    params = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return lowest_eigenpairs(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "lowest_eigenpairs", counting)
+    for m in (2, 3):
+        plain = solve_lowest(params, m=m, use_parity=False)
+        calls.clear()
+        right = solve_lowest(params, m=m, dense_cutoff=0)
+        assert calls == [m, m - 1]
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_first_sector", lambda n_atoms: 1 - n_atoms % 2)
+            calls.clear()
+            wrong = solve_lowest(params, m=m, dense_cutoff=0)
+        if m == 2:
+            assert calls == [2, 1, 2]  # the retry ran
+            assert wrong.iterations > right.iterations
+        else:
+            assert calls == [3, 2]
+        assert np.max(np.abs(wrong.eigenvalues - plain.eigenvalues)) <= 1e-10
+        assert np.max(np.abs(wrong.eigenvalues - right.eigenvalues)) <= 1e-10
+
+
+def test_parity_residuals_within_tol_at_large_coupling():
+    # |theta| ~ 6: a plain relative stopping test at tol leaves the odd
+    # sector's one-level solve with a residual of about 1.9e-10
+    params = SystemParams(n_atoms=4, n_modes=12, interaction=100.0, barrier=0.008, phase=math.pi)
+    tol = 1e-10
+    sol = solve_lowest(params, m=2, tol=tol, dense_cutoff=0)
+    assert sol.eigenvalues[0] > 5.0
+    assert sol.iterations > 0
+    assert np.max(sol.residual_norms) <= tol
+
+
 def test_degeneracy_flag_at_zero_barrier():
     # dense sector blocks at N=2; at N=4 the Krylov path, with no barrier term
     for n_atoms, n_modes, dense_cutoff in ((2, 6, DENSE_CUTOFF), (4, 12, 0)):
