@@ -515,8 +515,6 @@ def handle_dynamics(opts: dict, gopts: dict) -> int:
         "relative_deviation": report.relative_deviation,
         "norm_drift": report.norm_drift,
         "energy_drift": report.energy_drift,
-        "steps_taken": report.result.steps_taken,
-        "rejected_steps": report.result.rejected_steps,
         "method": report.result.method,
         "trace_file": output,
     }

@@ -13,12 +13,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import assemble, cached_basis, cached_pieces
+from .hamiltonian import (
+    assemble,
+    assemble_sector,
+    cached_basis,
+    cached_pieces,
+    cached_sector_pieces,
+)
 from .params import SystemParams, rescale_interaction
 from .solver import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     QuenchResult,
+    _is_crossing_phase,
     dominant_frequency,
     level_splitting,
     propagate,
@@ -47,13 +54,14 @@ def run_quench(
     samples_per_period: int = 48,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
-    step_tol: float = 1e-12,
 ) -> QuenchReport:
     """Propagate the pre-quench ground state under the post-quench system.
 
     `params.phase` is the post-quench phase; the initial state is the ground
     state at `phase_initial`.  The trace records P(K=0), the norm, and the
     energy over `periods` oscillation periods of the post-quench splitting.
+    The propagation is exact: at Omega = pi each reflection-parity block is
+    diagonalized on its own, elsewhere the whole operator.
     """
     pieces = cached_pieces(params.n_atoms, params.n_modes)
     coupling = rescale_interaction(params.interaction, params.n_modes)
@@ -84,7 +92,14 @@ def run_quench(
         "P_K0": lambda psi: float(np.real(np.vdot(psi, k0_mask * psi))),
         "energy": lambda psi: float(np.real(np.vdot(psi, matrix @ psi))),
     }
-    result = propagate(operator, psi0, times, observables=observables, step_tol=step_tol)
+    blocks = operator
+    if _is_crossing_phase(params.phase):
+        sector = cached_sector_pieces(params.n_atoms, params.n_modes)
+        blocks = [
+            (assemble_sector(sector, params, coupling, which), sector.isometries[which])
+            for which in (0, 1)
+        ]
+    result = propagate(blocks, psi0, times, observables=observables)
 
     peak = dominant_frequency(result.times, result.traces["P_K0"])
     energies = result.traces["energy"]

@@ -10,12 +10,12 @@ Of m levels, only the sector expected to hold the ground (N mod 2) is asked
 for m; the other is asked for m - 1 and is re-solved for m unless its highest
 computed level certifies that no level of it was missed.
 
-Real-time propagation up to `DENSE_CUTOFF` is exact: one dense
-eigendecomposition H = V diag(E) V^H gives every sample state as
-psi(t) = V exp(-i(t - t0)E) V^H psi0, formed in blocks of sample times.
-Larger operators use a fixed-dimension Lanczos approximation of
-exp(-i*H*dt) with adaptive substepping controlled by the standard residual
-estimate; states stay normalized to machine precision per step.
+Real-time propagation is exact: one dense eigendecomposition
+H_s = V_s diag(E_s) V_s^H per block gives every sample state as
+psi(t) = sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0, formed in blocks
+of sample times.  A plain operator is one block with the identity as S; at
+the crossing the two parity sectors are the blocks, and no block may exceed
+`SPECTRAL_CAP`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DimensionCapError
 from .hamiltonian import (
     FactoredOperator,
     OperatorPieces,
@@ -44,8 +44,10 @@ DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 2000
 DEGENERACY_FACTOR = 10.0
-KRYLOV_DIM = 20
 SPECTRAL_BLOCK = 256
+# largest block `propagate` diagonalizes densely; at 4,500 its eigenvectors
+# alone take 162 MB (N=4, r=20 has parity blocks of 4,455 and 4,400)
+SPECTRAL_CAP = 4500
 
 
 @dataclass
@@ -171,6 +173,19 @@ def lowest_eigenpairs(
     )
 
 
+def _one_level_within_tol(operator, sol: EigenSolution, tol: float, **kwargs) -> EigenSolution:
+    """`sol`, or for one level above `tol` that solve once more from its
+    vector at tol / max(1, |theta|): ARPACK stops on |r| <= tol*|theta|."""
+    if sol.eigenvalues.size > 1 or sol.residual_norms[0] <= tol:
+        return sol
+    again = lowest_eigenpairs(
+        operator, 1, tol=tol / max(1.0, abs(float(sol.eigenvalues[0]))),
+        v0=sol.eigenvectors[:, 0], **kwargs,
+    )
+    again.iterations += sol.iterations
+    return again
+
+
 def _is_crossing_phase(phase: float) -> bool:
     return abs(phase - math.pi) <= 1e-12
 
@@ -203,8 +218,10 @@ def solve_lowest(
     [0, A's m-th level]).  The result is exact for any spectrum: a sector
     that has uncomputed levels and whose highest computed level lies below
     the m-th merged level is solved again for m levels; a sector of
-    dimension at most k is complete.  `warm` reuses a previous solution's
-    sector grounds as start vectors (grid sweeps).
+    dimension at most k is complete.  A one-level solve asked for `tol` whose
+    residual exceeds it is solved once more at tol / max(1, |theta|).
+    `warm` reuses a previous solution's sector grounds as start vectors
+    (grid sweeps).
     """
     if coupling is None:
         coupling = rescale_interaction(params.interaction, params.n_modes)
@@ -217,9 +234,12 @@ def solve_lowest(
         if warm is not None and warm.sector_vectors is None:
             if warm.eigenvectors.shape[0] == operator.dimension:
                 v0 = warm.eigenvectors[:, 0]
-        return lowest_eigenpairs(
+        sol = lowest_eigenpairs(
             operator, m, tol=tol, seed=seed, v0=v0,
             dense_cutoff=dense_cutoff, max_iterations=max_iterations,
+        )
+        return _one_level_within_tol(
+            operator, sol, tol, dense_cutoff=dense_cutoff, max_iterations=max_iterations
         )
 
     sector = cached_sector_pieces(params.n_atoms, params.n_modes)
@@ -234,10 +254,13 @@ def solve_lowest(
             prev = warm.sector_vectors[which]
             if prev.size == blocks[which].shape[0]:
                 v0 = prev
-        sols[which] = lowest_eigenpairs(
+        sol = lowest_eigenpairs(
             blocks[which], min(k, blocks[which].shape[0]), tol=sector_tol,
             seed=seed + which, v0=v0, dense_cutoff=dense_cutoff,
             max_iterations=max_iterations,
+        )
+        sols[which] = _one_level_within_tol(
+            blocks[which], sol, tol, dense_cutoff=dense_cutoff, max_iterations=max_iterations
         )
         iterations += sols[which].iterations
 
@@ -327,73 +350,13 @@ def level_splitting(
 class QuenchResult:
     """Observable traces along a real-time propagation.
 
-    `method` is "spectral" (exact phases, no steps) or "krylov".
+    `method` is "spectral" (one block) or "spectral-parity" (parity blocks).
     """
 
     times: np.ndarray
     traces: dict[str, np.ndarray]
     norms: np.ndarray
-    steps_taken: int
-    rejected_steps: int
     method: str
-
-
-def _lanczos_expm_step(
-    matrix: sp.csr_matrix, psi: np.ndarray, dt: float, krylov_dim: int
-) -> tuple[np.ndarray, float]:
-    """One exp(-i*H*dt) application; returns the new state and an error
-    estimate from the last Krylov residual."""
-    beta0 = np.linalg.norm(psi)
-    vectors = [psi / beta0]
-    alphas: list[float] = []
-    betas: list[float] = []
-    for j in range(krylov_dim):
-        w = matrix @ vectors[j]
-        alpha = float(np.real(np.vdot(vectors[j], w)))
-        alphas.append(alpha)
-        # full reorthogonalization, two passes
-        for _ in range(2):
-            for v in vectors:
-                w = w - np.vdot(v, w) * v
-        beta = float(np.linalg.norm(w))
-        if beta < 1e-14 * beta0 or j == krylov_dim - 1:
-            betas.append(beta)
-            break
-        betas.append(beta)
-        vectors.append(w / beta)
-    size = len(alphas)
-    evals, evecs = sla.eigh_tridiagonal(np.array(alphas), np.array(betas[: size - 1]))
-    y = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
-    basis_matrix = np.column_stack(vectors)
-    new_psi = beta0 * (basis_matrix @ y)
-    error = abs(betas[size - 1] * dt * y[-1]) if size == krylov_dim else 0.0
-    return new_psi, float(error)
-
-
-def _spectral_samples(
-    matrix: sp.csr_matrix,
-    psi0: np.ndarray,
-    times: np.ndarray,
-    observables: Mapping[str, Callable[[np.ndarray], float]],
-) -> tuple[dict[str, list], list[float]]:
-    """Observables and norms of the exact states at every grid time.
-
-    With H = V diag(E) V^H and c = V^H psi0, the states at a block of grid
-    times are the rows of (exp(-i(t - t0)E) * c) V^T; blocks of
-    SPECTRAL_BLOCK rows keep memory independent of the grid length.
-    """
-    energies, vectors = sla.eigh(matrix.toarray())
-    c = vectors.conj().T @ psi0
-    elapsed = times - times[0]
-    traces: dict[str, list] = {name: [] for name in observables}
-    norms: list[float] = []
-    for start in range(0, times.size, SPECTRAL_BLOCK):
-        phases = np.exp(-1j * np.outer(elapsed[start : start + SPECTRAL_BLOCK], energies))
-        states = (phases * c) @ vectors.T
-        for name, fn in observables.items():
-            traces[name].extend(fn(s) for s in states)
-        norms.extend(np.linalg.norm(states, axis=1))
-    return traces, norms
 
 
 def propagate(
@@ -401,20 +364,21 @@ def propagate(
     psi0: np.ndarray,
     times: np.ndarray,
     observables: Mapping[str, Callable[[np.ndarray], float]] | None = None,
-    krylov_dim: int = KRYLOV_DIM,
-    step_tol: float = 1e-12,
 ) -> QuenchResult:
     """Unitary propagation of psi0 through the given time grid.
 
     Observables are callables evaluated on the state at every grid time.
-    The operator may be real symmetric or complex Hermitian.  Dimensions up
-    to DENSE_CUTOFF are propagated exactly from one dense eigendecomposition.
-    Larger ones use Krylov substeps between grid points, chosen adaptively:
-    a step whose local error estimate exceeds `step_tol` is rejected and
-    halved.
+    `operator` is a real symmetric or complex Hermitian operator, or a
+    sequence of (block H_s, isometry S_s) pairs with H = sum_s S_s H_s S_s^T.
+    Each block is diagonalized densely once, H_s = V_s diag(E_s) V_s^H, and
+    the state at time t is sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0;
+    blocks of SPECTRAL_BLOCK sample times keep memory independent of the
+    grid length.  Raises DimensionCapError, before any diagonalization, if a
+    block exceeds SPECTRAL_CAP.
     """
-    matrix = _as_matrix(operator)
-    psi = np.asarray(psi0, dtype=complex).copy()
+    if not isinstance(operator, (list, tuple)):
+        operator = [(operator, sp.identity(operator.shape[0], format="csr"))]
+    psi = np.asarray(psi0, dtype=complex)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"initial state norm {norm} deviates from 1")
@@ -422,49 +386,36 @@ def propagate(
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
     observables = dict(observables or {})
-
-    if matrix.shape[0] <= DENSE_CUTOFF:
-        traces, norms = _spectral_samples(matrix, psi, times, observables)
-        return QuenchResult(
-            times=times,
-            traces={name: np.array(vals) for name, vals in traces.items()},
-            norms=np.array(norms),
-            steps_taken=0,
-            rejected_steps=0,
-            method="spectral",
+    largest = max(block.shape[0] for block, _ in operator)
+    if largest > SPECTRAL_CAP:
+        raise DimensionCapError(
+            f"propagation block of dimension {largest} exceeds the spectral cap {SPECTRAL_CAP}"
         )
 
-    traces = {name: [fn(psi)] for name, fn in observables.items()}
-    norms = [float(np.linalg.norm(psi))]
-    # crude spectral-scale guess to seed the first substep
-    scale = max(float(np.abs(matrix).sum(axis=1).max()), 1e-30)
-    suggested = min(float(krylov_dim) / scale, float(times[-1] - times[0]) or 1.0)
-    steps = 0
-    rejected = 0
-    for t_prev, t_next in zip(times[:-1], times[1:]):
-        remaining = float(t_next - t_prev)
-        while remaining > 0.0:
-            dt = min(suggested, remaining)
-            new_psi, err = _lanczos_expm_step(matrix, psi, dt, krylov_dim)
-            if err > step_tol and dt > 1e-12 * remaining:
-                suggested = dt / 2.0
-                rejected += 1
-                continue
-            psi = new_psi
-            remaining -= dt
-            steps += 1
-            if err < step_tol / 100.0:
-                suggested = min(suggested * 1.5, float(times[-1] - times[0]))
+    spectra = []
+    for block, isometry in operator:
+        energies, vectors = sla.eigh(_as_matrix(block).toarray())
+        spectra.append((energies, vectors, vectors.conj().T @ (isometry.T @ psi), isometry))
+    elapsed = times - times[0]
+    traces: dict[str, list] = {name: [] for name in observables}
+    norms: list[float] = []
+    for start in range(0, times.size, SPECTRAL_BLOCK):
+        t = elapsed[start : start + SPECTRAL_BLOCK]
+        states = sum(
+            (isometry @ ((np.exp(-1j * np.outer(t, energies)) * c) @ vectors.T).T).T
+            for energies, vectors, c, isometry in spectra
+        )
+        # row j is the state at time t[j]; contiguous rows give the
+        # observables' sums the same order as a plain state vector
+        states = np.ascontiguousarray(states)
         for name, fn in observables.items():
-            traces[name].append(fn(psi))
-        norms.append(float(np.linalg.norm(psi)))
+            traces[name].extend(fn(s) for s in states)
+        norms.extend(np.linalg.norm(states, axis=1))
     return QuenchResult(
         times=times,
         traces={name: np.array(vals) for name, vals in traces.items()},
         norms=np.array(norms),
-        steps_taken=steps,
-        rejected_steps=rejected,
-        method="krylov",
+        method="spectral" if len(operator) == 1 else "spectral-parity",
     )
 
 

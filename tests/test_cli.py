@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ringflow import solver
 from ringflow.cli import main
 
 
@@ -252,8 +253,8 @@ def test_dynamics_cli(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["relative_deviation"] < 0.02
     assert payload["norm_drift"] < 1e-10
-    assert payload["method"] == "spectral"  # dimension 21, below the dense cutoff
-    assert payload["steps_taken"] == payload["rejected_steps"] == 0
+    assert payload["method"] == "spectral-parity"  # Omega_final = pi
+    assert "steps_taken" not in payload and "rejected_steps" not in payload
     rows = [l for l in trace.read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == 8 * 32 + 1
     t0, p0, n0 = rows[0].split(",")
@@ -275,6 +276,21 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(["--json-errors", "sweep", "--figure", "nonsense"], capsys)
     assert code == 2
     assert json.loads(err)["exit_code"] == 2
+
+
+def test_dynamics_block_over_the_spectral_cap_exits_4(tmp_path, capsys, monkeypatch):
+    # N=3, r=8 at Omega = pi: parity blocks of 60 and 60
+    monkeypatch.setattr(solver, "SPECTRAL_CAP", 50)
+    code, _, err = run_cli(
+        ["--json-errors", "dynamics", "--periods", "1",
+         "--output", str(tmp_path / "trace.csv"), "--report", str(tmp_path / "report.json")],
+        capsys,
+    )
+    assert code == 4
+    payload = json.loads(err)
+    assert payload["type"] == "DimensionCapError"
+    assert payload["exit_code"] == 4
+    assert "spectral cap 50" in payload["error"]
 
 
 def test_failed_sweep_reraises_point_error(capsys):

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ringflow import solver
 from ringflow.dynamics import run_quench
 from ringflow.hamiltonian import assemble, cached_basis, cached_pieces
 from ringflow.params import SystemParams, rescale_interaction
@@ -32,10 +31,9 @@ def test_quench_trace_has_visible_contrast(quench_report):
     assert trace.max() - trace.min() > 0.1
 
 
-def test_quench_substepping_reports_steps(quench_report, monkeypatch):
-    # the fixture runs on the spectral path (dimension 120); rebuild its
-    # post-quench operator and initial state and request the Krylov path over
-    # the first two periods of its grid
+def test_parity_blocks_match_single_operator(quench_report):
+    # the quench at Omega = pi propagates the two parity blocks; the whole
+    # post-quench operator as one block gives the same trace
     params = quench_report.params
     pieces = cached_pieces(params.n_atoms, params.n_modes)
     coupling = rescale_interaction(params.interaction, params.n_modes)
@@ -43,17 +41,18 @@ def test_quench_substepping_reports_steps(quench_report, monkeypatch):
         replace(params, phase=quench_report.phase_initial), m=1, coupling=coupling, pieces=pieces
     )
     k0_mask = (cached_basis(params.n_atoms, params.n_modes).total_k == 0).astype(float)
-    times = quench_report.result.times[: 2 * 48 + 1]
-    monkeypatch.setattr(solver, "DENSE_CUTOFF", 0)
-    krylov = propagate(
-        assemble(pieces, params, coupling),
+    matrix = assemble(pieces, params, coupling).matrix
+    single = propagate(
+        matrix,
         pre.eigenvectors[:, 0],
-        times,
-        observables={"P_K0": lambda psi: float(np.real(np.vdot(psi, k0_mask * psi)))},
+        quench_report.result.times,
+        observables={
+            "P_K0": lambda psi: float(np.real(np.vdot(psi, k0_mask * psi))),
+            "energy": lambda psi: float(np.real(np.vdot(psi, matrix @ psi))),
+        },
     )
-    assert quench_report.result.method == "spectral"
-    assert quench_report.result.steps_taken == 0
-    assert krylov.method == "krylov"
-    assert krylov.steps_taken > len(times)
-    spectral = quench_report.result.traces["P_K0"][: times.size]
-    assert np.max(np.abs(krylov.traces["P_K0"] - spectral)) < 1e-9
+    parity = quench_report.result
+    assert parity.method == "spectral-parity" and single.method == "spectral"
+    for name in ("P_K0", "energy"):
+        assert np.max(np.abs(parity.traces[name] - single.traces[name])) < 1e-10
+    assert np.max(np.abs(parity.norms - single.norms)) < 1e-10

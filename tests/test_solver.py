@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from ringflow import solver
 from ringflow.basis import build_basis
-from ringflow.errors import ConvergenceError
+from ringflow.errors import ConvergenceError, DimensionCapError
 from ringflow.hamiltonian import build_hamiltonian, cached_pieces
 from ringflow.params import SystemParams, raw_coupling, rescale_interaction
 from ringflow.solver import (
@@ -109,6 +109,19 @@ def test_parity_residuals_within_tol_at_large_coupling():
     assert np.max(sol.residual_norms) <= tol
 
 
+def test_one_level_krylov_residual_within_tol():
+    # E0 ~ 11: ARPACK's relative test at tol alone leaves 1.03e-9 at the
+    # crossing (sector N mod 2) and 3.5e-10 at 0.9 pi (plain path); the
+    # re-solve at tol / |theta| brings both within tol
+    tol = 1e-10
+    for phase, method in ((math.pi, "lanczos-parity"), (0.9 * math.pi, "lanczos")):
+        params = SystemParams(n_atoms=5, n_modes=12, interaction=100.0, barrier=0.008, phase=phase)
+        sol = solve_lowest(params, m=1, tol=tol, dense_cutoff=0)
+        assert sol.method == method
+        assert sol.eigenvalues[0] > 10.0
+        assert np.max(sol.residual_norms) <= tol
+
+
 def test_degeneracy_flag_at_zero_barrier():
     # dense sector blocks at N=2; at N=4 the Krylov path, with no barrier term
     for n_atoms, n_modes, dense_cutoff in ((2, 6, DENSE_CUTOFF), (4, 12, 0)):
@@ -181,49 +194,28 @@ def _two_level():
     return h, vals, vecs
 
 
-# both propagation paths: exact spectral phases, and Krylov substeps forced
-# by a zero dense cutoff
-PATHS = ("spectral", "krylov")
-
-
-def _use_path(monkeypatch, method):
-    monkeypatch.setattr(solver, "DENSE_CUTOFF", DENSE_CUTOFF if method == "spectral" else 0)
-
-
-def _check_path(out, method, n_times):
-    assert out.method == method
-    if method == "spectral":
-        assert out.steps_taken == out.rejected_steps == 0
-    else:
-        assert out.steps_taken >= n_times - 1
-
-
-def test_propagate_eigenstate_is_stationary(monkeypatch):
+def test_propagate_eigenstate_is_stationary():
     h, vals, vecs = _two_level()
     psi0 = vecs[:, 0].astype(complex)
     times = np.linspace(0.0, 50.0, 101)
     pop = lambda psi: float(abs(psi[0]) ** 2)
-    for method in PATHS:
-        _use_path(monkeypatch, method)
-        out = propagate(h, psi0, times, observables={"p": pop})
-        _check_path(out, method, len(times))
-        assert np.max(np.abs(out.traces["p"] - out.traces["p"][0])) < 1e-10
-        assert np.max(np.abs(out.norms - 1.0)) < 1e-12
+    out = propagate(h, psi0, times, observables={"p": pop})
+    assert out.method == "spectral"
+    assert np.max(np.abs(out.traces["p"] - out.traces["p"][0])) < 1e-10
+    assert np.max(np.abs(out.norms - 1.0)) < 1e-12
 
 
-def test_propagate_two_level_frequency(monkeypatch):
+def test_propagate_two_level_frequency():
     h, vals, vecs = _two_level()
     psi0 = (vecs[:, 0] + vecs[:, 1]) / math.sqrt(2)
     gap = vals[1] - vals[0]
     period = 2 * math.pi / gap
     times = np.linspace(0.0, 24 * period, 24 * 64 + 1)
     pop = lambda s: float(abs(s[0]) ** 2)
-    for method in PATHS:
-        _use_path(monkeypatch, method)
-        out = propagate(h, psi0.astype(complex), times, observables={"p": pop})
-        _check_path(out, method, len(times))
-        peak = dominant_frequency(out.times, out.traces["p"])
-        assert peak == pytest.approx(gap, rel=1e-3)
+    out = propagate(h, psi0.astype(complex), times, observables={"p": pop})
+    assert out.method == "spectral"
+    peak = dominant_frequency(out.times, out.traces["p"])
+    assert peak == pytest.approx(gap, rel=1e-3)
 
 
 def _random_state_on_ring():
@@ -235,44 +227,37 @@ def _random_state_on_ring():
     return h, psi0 / np.linalg.norm(psi0)
 
 
-def test_propagate_conserves_energy_and_norm(monkeypatch):
+def test_propagate_conserves_energy_and_norm():
     h, psi0 = _random_state_on_ring()
     times = np.linspace(0.0, 30.0, 61)
     energy = lambda s: float(np.real(np.vdot(s, h @ s)))
-    for method in PATHS:
-        _use_path(monkeypatch, method)
-        out = propagate(h, psi0, times, observables={"E": energy})
-        _check_path(out, method, len(times))
-        e = out.traces["E"]
-        assert np.max(np.abs(e - e[0])) / max(abs(e[0]), 1.0) < 1e-10
-        assert np.max(np.abs(out.norms - 1.0)) < 1e-10
+    out = propagate(h, psi0, times, observables={"E": energy})
+    assert out.method == "spectral"
+    e = out.traces["E"]
+    assert np.max(np.abs(e - e[0])) / max(abs(e[0]), 1.0) < 1e-10
+    assert np.max(np.abs(out.norms - 1.0)) < 1e-10
 
 
-def test_propagate_offset_grid_uses_elapsed_time(monkeypatch):
+def test_propagate_offset_grid_uses_elapsed_time():
     # a grid starting at t0 > 0 holds psi0 at t0: the spectral phases use
-    # t - t0, as the Krylov steps do
+    # t - t0, as exp(-i(t - t0)H) psi0 does
     h, psi0 = _random_state_on_ring()
     times = np.linspace(7.5, 12.5, 21)
-    observables = {"re0": lambda s: float(s[0].real), "im0": lambda s: float(s[0].imag)}
-    spectral = propagate(h, psi0, times, observables=observables)
-    _use_path(monkeypatch, "krylov")
-    krylov = propagate(h, psi0, times, observables=observables)
-    assert spectral.method == "spectral" and krylov.method == "krylov"
-    assert spectral.traces["re0"][0] == pytest.approx(psi0[0].real, abs=1e-12)
-    assert spectral.traces["im0"][0] == pytest.approx(psi0[0].imag, abs=1e-12)
-    for name in observables:
-        assert np.max(np.abs(spectral.traces[name] - krylov.traces[name])) < 1e-10
-    assert np.max(np.abs(spectral.norms - krylov.norms)) < 1e-10
+    exact = np.array([sla.expm(-1j * (t - times[0]) * h.toarray()) @ psi0 for t in times])
+    out = propagate(h, psi0, times, observables=_components((0,)))
+    assert out.traces["re0"][0] == pytest.approx(psi0[0].real, abs=1e-12)
+    assert out.traces["im0"][0] == pytest.approx(psi0[0].imag, abs=1e-12)
+    assert np.max(np.abs(out.traces["re0"] - exact[:, 0].real)) < 1e-10
+    assert np.max(np.abs(out.traces["im0"] - exact[:, 0].imag)) < 1e-10
+    assert np.max(np.abs(out.norms - np.linalg.norm(exact, axis=1))) < 1e-10
 
 
-def test_propagate_rejects_bad_input(monkeypatch):
+def test_propagate_rejects_bad_input():
     h, _, _ = _two_level()
-    for method in PATHS:
-        _use_path(monkeypatch, method)
-        with pytest.raises(ValueError):
-            propagate(h, np.array([2.0, 0.0]), np.linspace(0, 1, 5))
-        with pytest.raises(ValueError):
-            propagate(h, np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        propagate(h, np.array([2.0, 0.0]), np.linspace(0, 1, 5))
+    with pytest.raises(ValueError):
+        propagate(h, np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
 
 
 def _components(indices):
@@ -284,8 +269,8 @@ def _components(indices):
     return observables
 
 
-def test_propagate_complex_hermitian(monkeypatch):
-    # c = V^H psi0: a complex Hermitian operator propagates exactly on both paths
+def test_propagate_complex_hermitian():
+    # c = V^H psi0: a complex Hermitian operator propagates exactly
     rng = np.random.default_rng(5)
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     h = (a + a.conj().T) / 2
@@ -293,13 +278,26 @@ def test_propagate_complex_hermitian(monkeypatch):
     psi0 /= np.linalg.norm(psi0)
     times = np.linspace(0.0, 3.0, 13)
     exact = np.array([sla.expm(-1j * t * h) @ psi0 for t in times])
-    for method in PATHS:
-        _use_path(monkeypatch, method)
-        out = propagate(h, psi0, times, observables=_components(range(8)))
-        _check_path(out, method, len(times))
-        for i in range(8):
-            assert np.max(np.abs(out.traces[f"re{i}"] - exact[:, i].real)) < 1e-10
-            assert np.max(np.abs(out.traces[f"im{i}"] - exact[:, i].imag)) < 1e-10
+    out = propagate(h, psi0, times, observables=_components(range(8)))
+    assert out.method == "spectral"
+    for i in range(8):
+        assert np.max(np.abs(out.traces[f"re{i}"] - exact[:, i].real)) < 1e-10
+        assert np.max(np.abs(out.traces[f"im{i}"] - exact[:, i].imag)) < 1e-10
+
+
+def test_propagate_block_over_the_cap_raises_before_any_eigh(monkeypatch):
+    # the small block comes first: checking block by block would diagonalize it
+    small, large = sp.identity(20, format="csr"), sp.identity(36, format="csr")
+    blocks = [(small, sp.identity(56, format="csr")[:, :20]),
+              (large, sp.identity(56, format="csr")[:, 20:])]
+    calls = []
+    monkeypatch.setattr(solver, "SPECTRAL_CAP", 30)
+    monkeypatch.setattr(solver.sla, "eigh", lambda *a, **k: calls.append(a) or None)
+    psi0 = np.zeros(56)
+    psi0[0] = 1.0
+    with pytest.raises(DimensionCapError, match="36 exceeds the spectral cap 30"):
+        propagate(blocks, psi0, np.linspace(0.0, 1.0, 3))
+    assert calls == []
 
 
 def test_propagate_long_grid_in_blocks():
