@@ -189,7 +189,6 @@ SWEEP_DEFAULTS = {
     "phase_over_pi": 1.0,
     "gamma": 200.0,
     "rescale": True,
-    "warm_start": True,
     "outputs": "delta_e,distribution,quality,loss",
     "output": "",
 }
@@ -223,13 +222,11 @@ def _sweep_spec_from(opts: dict, seed: int, tol: float) -> tuple[SweepSpec, str]
             grid=grid_fn(opts["start"], opts["stop"], opts["points"]),
             base=base,
             outputs=outputs,
-            rescale=opts["rescale"],
-            warm_start=opts["warm_start"],
             tol=tol,
             seed=seed,
         )
         default_name = f"sweep_{opts['param']}.csv"
-    spec = replace(spec, rescale=opts["rescale"], warm_start=opts["warm_start"])
+    spec = replace(spec, rescale=opts["rescale"])
     return spec, (opts["output"] or default_name)
 
 
@@ -239,7 +236,7 @@ def write_sweep_csv(path: str, spec: SweepSpec, records, digest: str) -> None:
         f"g={fmt(spec.base.interaction)} b={fmt(spec.base.barrier)} "
         f"omega={fmt(spec.base.phase)} sweep={spec.parameter} "
         f"points={spec.grid.size} rescale={spec.rescale} "
-        f"warm_start={spec.warm_start} seed={spec.seed} tol={fmt(spec.tol)}"
+        f"seed={spec.seed} tol={fmt(spec.tol)}"
     )
     rows = [
         (rec.value, rec.gamma, rec.g_tilde, rec.e0, rec.e1, rec.delta_e, rec.p0,
@@ -266,7 +263,7 @@ def handle_sweep(opts: dict, gopts: dict) -> int:
             None,
         )
         return EXIT_OK
-    records = run_sweep(spec, threads=gopts["threads"])
+    records = run_sweep(spec)
     if records and all(rec.error for rec in records):
         # per-point capture is for partial failures; a fully failed sweep
         # re-raises its first failure, which sets the exit code
@@ -613,12 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     shared.add_argument("--seed", type=int, help="solver start-vector seed")
     shared.add_argument("--tol", type=float, help="eigensolver tolerance")
-    shared.add_argument(
-        "--threads", type=int,
-        help="worker threads for sweeps; used only when a config sets warm_start = false "
-        "(by default, and for the fig2 and fig3a presets, a sweep is one sequential "
-        "warm-start chain)",
-    )
     shared.add_argument("--config", type=str, help="INI config or manifest JSON")
     shared.add_argument(
         "--json-errors", dest="json_errors", action="store_const", const=True,
@@ -654,11 +645,9 @@ def main(argv: list[str] | None = None) -> int:
         gsection = config.get("global", {})
         seed = getattr(args, "seed", None)
         tol = getattr(args, "tol", None)
-        threads = getattr(args, "threads", None)
         gopts = {
             "seed": seed if seed is not None else int(gsection.get("seed", DEFAULT_SEED)),
             "tol": tol if tol is not None else float(gsection.get("tol", DEFAULT_TOL)),
-            "threads": threads if threads is not None else int(gsection.get("threads", 1)),
             "dry_run": bool(getattr(args, "dry_run", False)),
         }
         opts = resolve(args.command, DEFAULTS_BY_COMMAND[args.command], args, config)

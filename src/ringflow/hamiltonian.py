@@ -22,8 +22,8 @@ their projections onto the reflection-parity sectors.  A parameter point only
 sets the prefactors: the Hamiltonian is applied as
 kin*x + b*A^T(Ax) + (g_tilde/2)*P^T(Px) without forming the products.  The
 explicit sparse matrix is built from the factors only where its entries are
-needed (dense solves, propagation, coordinate dumps).  Matrix elements use the
-bosonic ladder conventions sqrt(n) / sqrt(n+1); explicit matrices are exactly
+needed (dense solves and propagation).  Matrix elements use the bosonic
+ladder conventions sqrt(n) / sqrt(n+1); explicit matrices are exactly
 symmetric and rebuilding the factors is bit-identical.
 """
 
@@ -44,8 +44,9 @@ _BASIS_CACHE: dict[tuple[int, int], FockBasis] = {}
 _PIECES_CACHE: dict[tuple[int, int], "OperatorPieces"] = {}
 _SECTOR_CACHE: dict[tuple[int, int], "SectorPieces"] = {}
 _LOSS_CACHE: dict[tuple[int, int, int], sp.csr_matrix] = {}
-# one lock for every cache: a miss builds under it, so concurrent sweep
-# workers never build the same entry twice (builds nest, hence reentrant)
+# one lock for every cache: a miss builds under it, so library callers that
+# solve from several threads never build the same entry twice (builds nest,
+# hence reentrant)
 _CACHE_LOCK = threading.RLock()
 
 
@@ -80,7 +81,6 @@ class FactoredOperator:
 
     diagonal: np.ndarray
     terms: tuple[tuple[float, Factor], ...]
-    symmetric = True  # a real diagonal plus Gram terms
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -335,34 +335,6 @@ def assemble_sector(
         params,
         coupling,
     )
-
-
-def dump_coordinate(
-    op: FactoredOperator,
-    path: str,
-    params: SystemParams,
-    coupling: RescaledCoupling | None = None,
-) -> None:
-    """Write the operator in coordinate text format with a parameter header."""
-    g_tilde = coupling.g_tilde if coupling is not None else float("nan")
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "# N=%d r=%d g=%.17g g_tilde=%.17g b=%.17g omega=%.17g\n"
-            % (
-                params.n_atoms,
-                params.n_modes,
-                params.interaction,
-                g_tilde,
-                params.barrier,
-                params.phase,
-            )
-        )
-        fh.write(f"# rows={op.shape[0]} cols={op.shape[1]} nnz={coo.nnz} "
-                 f"symmetric={op.symmetric}\n")
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n")
 
 
 def clear_caches() -> None:

@@ -136,6 +136,41 @@ def test_ini_config_with_flag_override(tmp_path, capsys):
     assert "seed=11" in next(l for l in path.read_text().splitlines() if "seed=" in l)
 
 
+def test_old_warm_start_and_threads_keys_are_ignored(tmp_path, capsys):
+    # `warm_start` and `threads` are no longer options; configs written
+    # before still load, and the keys are ignored like any other unknown key
+    args = [
+        "sweep", "--param", "barrier", "--scale", "linear",
+        "--start", "0.005", "--stop", "0.02", "--points", "3",
+        "--atoms", "2", "--modes", "6", "--interaction", "0.4",
+    ]
+    plain = tmp_path / "plain.csv"
+    assert run_cli(args + ["--output", str(plain)], capsys)[0] == 0
+    strip = lambda path: [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+    manifest = json.loads((tmp_path / "plain.csv.manifest.json").read_text())
+    manifest["parameters"]["warm_start"] = False
+    old_manifest = tmp_path / "old.manifest.json"
+    old_manifest.write_text(json.dumps(manifest))
+    from_manifest = tmp_path / "from_manifest.csv"
+    code, _, _ = run_cli(
+        ["sweep", "--config", str(old_manifest), "--output", str(from_manifest)], capsys
+    )
+    assert code == 0
+    assert strip(from_manifest) == strip(plain)
+
+    ini = tmp_path / "old.ini"
+    ini.write_text(
+        "[global]\nthreads = 2\n\n[sweep]\nwarm_start = false\nparam = barrier\n"
+        "scale = linear\nstart = 0.005\nstop = 0.02\npoints = 3\natoms = 2\n"
+        "modes = 6\ninteraction = 0.4\n"
+    )
+    from_ini = tmp_path / "from_ini.csv"
+    code, _, _ = run_cli(["sweep", "--config", str(ini), "--output", str(from_ini)], capsys)
+    assert code == 0
+    assert strip(from_ini) == strip(plain)
+
+
 def test_dry_run_prints_without_writing(tmp_path, capsys):
     path = tmp_path / "never.csv"
     code, out, _ = run_cli(

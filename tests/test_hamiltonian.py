@@ -14,7 +14,6 @@ from ringflow.hamiltonian import (
     cached_basis,
     cached_sector_pieces,
     clear_caches,
-    dump_coordinate,
     kinetic_diagonal,
     loss_operator,
 )
@@ -73,7 +72,6 @@ def test_hermiticity_exact():
     basis = build_basis(3, 8)
     params = SystemParams(n_atoms=3, n_modes=8, interaction=1.7, barrier=0.03, phase=2.1)
     op = build_hamiltonian(basis, params)
-    assert op.symmetric
     assert (op.matrix - op.matrix.T).nnz == 0
 
 
@@ -241,21 +239,3 @@ def test_number_conservation_under_loss(state_seed):
         phi = loss_operator(int(k), b3, b2) @ psi
         total += float(phi @ phi)
     assert total == pytest.approx(3.0, abs=1e-10)
-
-
-def test_coordinate_dump(tmp_path):
-    basis = build_basis(1, 2)
-    params = SystemParams(n_atoms=1, n_modes=2, barrier=0.05, phase=math.pi)
-    coupling = rescale_interaction(0.0, 2)
-    op = build_hamiltonian(basis, params, coupling)
-    path = tmp_path / "op.txt"
-    dump_coordinate(op, str(path), params, coupling)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# N=1 r=2")
-    assert "symmetric=True" in lines[1]
-    entries = [line.split() for line in lines[2:]]
-    assert len(entries) == op.matrix.nnz
-    dense = np.zeros((2, 2))
-    for i, j, v in entries:
-        dense[int(i), int(j)] = float(v)
-    assert np.allclose(dense, op.matrix.toarray(), atol=1e-15)

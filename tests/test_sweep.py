@@ -1,12 +1,14 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ringflow.hamiltonian import clear_caches
+from ringflow.hamiltonian import cached_sector_pieces, clear_caches
 from ringflow.params import SystemParams, lieb_liniger_gamma
-from ringflow.solver import level_splitting
+from ringflow.solver import level_splitting, solve_lowest
 from ringflow.sweep import (
     SolveCache,
     SweepSpec,
@@ -69,19 +71,43 @@ def test_records_in_grid_order_and_complete():
 
 
 def test_warm_start_does_not_change_results():
-    warm = run_sweep(_small_spec(warm_start=True))
-    cold = run_sweep(_small_spec(warm_start=False))
-    for a, b in zip(warm, cold):
-        assert a.delta_e == pytest.approx(b.delta_e, abs=1e-11)
-        assert a.qbar_loss == pytest.approx(b.qbar_loss, abs=1e-9)
+    # the chained sweep against independent cold solves at every point; the
+    # second spec has parity sectors above the dense cutoff, so the chain
+    # feeds ARPACK's start vectors there
+    krylov = _small_spec(
+        base=SystemParams(n_atoms=5, n_modes=12, interaction=0.5, barrier=0.01, phase=math.pi),
+        grid=log_grid(0.1, 10.0, 3),
+    )
+    for spec in (_small_spec(), krylov):
+        records = run_sweep(spec)
+        for rec in records:
+            params = spec.params_at(rec.value)
+            direct = level_splitting(params)
+            assert rec.delta_e == pytest.approx(direct.delta_e, abs=1e-11)
+            _, _, _, loss = point_report(params)
+            assert rec.qbar_loss == pytest.approx(loss.qbar, abs=1e-9)
+    assert sum(rec.iterations for rec in records) > 0  # the Krylov path ran
 
 
 def test_threaded_execution_matches_sequential():
-    sequential = run_sweep(_small_spec(warm_start=False))
-    clear_caches()  # the workers race on the cold operator builders
-    threaded = run_sweep(_small_spec(warm_start=False), threads=4)
-    for a, b in zip(sequential, threaded):
-        assert a.delta_e == pytest.approx(b.delta_e, abs=1e-12)
+    # concurrent callers race on the cold builders; the cache lock must hand
+    # every thread the same pieces and leave the solves unchanged
+    params = SystemParams(n_atoms=2, n_modes=8, interaction=0.5, barrier=0.01, phase=math.pi)
+    reference = solve_lowest(params).eigenvalues
+    clear_caches()
+    start = threading.Barrier(4)
+
+    def worker(_):
+        start.wait()
+        pieces = cached_sector_pieces(2, 8)
+        return pieces, solve_lowest(params).eigenvalues
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(worker, range(4)))
+    shared = cached_sector_pieces(2, 8)
+    for pieces, eigenvalues in results:
+        assert pieces is shared
+        assert np.array_equal(eigenvalues, reference)
 
 
 def test_per_point_failure_captured():
