@@ -18,13 +18,15 @@ coupling terms are Gram products of one annihilator each:
 where the pair annihilators P_K, summed over ordered mode pairs, are stacked
 over the total momentum K of the removed pair.  A and P are built once per
 (N, r) from the single-atom loss operators a_k and cached, together with
-their projections onto the reflection-parity sectors.  A parameter point only
-sets the prefactors: the Hamiltonian is applied as
-kin*x + b*A^T(Ax) + (g_tilde/2)*P^T(Px) without forming the products.  The
-explicit sparse matrix is built from the factors only where its entries are
-needed (dense solves and propagation).  Matrix elements use the bosonic
-ladder conventions sqrt(n) / sqrt(n+1); explicit matrices are exactly
-symmetric and rebuilding the factors is bit-identical.
+their reflection-parity blocks at Omega = pi.  A and P keep parity, so each
+block is projected on both sides, from a sector of the N-atom space onto the
+same sector of the target rows; this halves the rows and nonzeros that a
+sector matvec touches.  A parameter point only sets the prefactors: the
+Hamiltonian is applied as kin*x + b*A^T(Ax) + (g_tilde/2)*P^T(Px) without
+forming the products.  The explicit sparse matrix is built from the factors
+only where its entries are needed (dense solves and propagation).  Matrix
+elements use the bosonic ladder conventions sqrt(n) / sqrt(n+1); explicit
+matrices are exactly symmetric and rebuilding the factors is bit-identical.
 """
 
 from __future__ import annotations
@@ -255,8 +257,15 @@ class SectorPieces:
 
     At the crossing point the reflection commutes with every Hamiltonian
     piece, so with S the isometry onto a sector, the sector block of
-    b*A^T A + (g_tilde/2)*P^T P is b*(AS)^T(AS) + (g_tilde/2)*(PS)^T(PS):
-    each sector keeps the projected factors AS and PS.
+    b*A^T A + (g_tilde/2)*P^T P is b*(AS)^T(AS) + (g_tilde/2)*(PS)^T(PS).
+    The reflection also maps A's target space onto itself and P's stacked
+    rows (K, i) onto (2-K, reflected i), so A and P keep parity:
+    AS = S'(S'^T A S) with S' the same-parity isometry of A's target, and
+    likewise for P.  Each sector keeps the two-sided factors S'^T A S and
+    S''^T P S, whose Gram products equal (AS)^T(AS) and (PS)^T(PS) and
+    whose rows are the target's parity orbits only: half the rows and half
+    the nonzeros of AS and PS (N=5, r=20: 88,550 and 161,700 nonzeros per
+    sector).
     """
 
     basis: FockBasis
@@ -266,15 +275,26 @@ class SectorPieces:
     interaction_factor: tuple[Factor | None, Factor | None]
 
 
+def _parity_orbits(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed points, and the lower index i < perm[i] of each pair, of an
+    involutive index permutation."""
+    idx = np.arange(perm.size)
+    return np.flatnonzero(perm == idx), np.flatnonzero(perm > idx)
+
+
 def _parity_isometries(
-    basis: FockBasis,
+    perm: np.ndarray,
 ) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Isometries onto the even/odd reflection sectors, plus the orbit
-    representative (full-basis index) of each sector column."""
-    perm = basis.reflection_permutation()
-    idx = np.arange(basis.size)
-    fixed = np.flatnonzero(perm == idx)
-    pair_lo = np.flatnonzero(perm > idx)
+    """Isometries onto the even/odd eigenspaces of an involutive index
+    permutation, plus the orbit representative of each sector column.
+
+    Fixed points span the even sector alone; each pair (i, perm[i]) gives one
+    even column (e_i + e_perm[i])/sqrt(2) and one odd column
+    (e_i - e_perm[i])/sqrt(2).  Columns follow the orbits: fixed points
+    first, then pairs by their lower index.
+    """
+    size = perm.size
+    fixed, pair_lo = _parity_orbits(perm)
     pair_hi = perm[pair_lo]
     inv = 1.0 / math.sqrt(2.0)
 
@@ -287,14 +307,46 @@ def _parity_isometries(
     vals = np.concatenate(
         [np.ones(fixed.size), np.full(pair_lo.size, inv), np.full(pair_lo.size, inv)]
     )
-    s_even = sp.coo_matrix((vals, (rows, cols)), shape=(basis.size, n_even)).tocsr()
+    s_even = sp.coo_matrix((vals, (rows, cols)), shape=(size, n_even)).tocsr()
     reps_even = np.concatenate([fixed, pair_lo])
 
     rows = np.concatenate([pair_lo, pair_hi])
     cols = np.concatenate([np.arange(pair_lo.size), np.arange(pair_lo.size)])
     vals = np.concatenate([np.full(pair_lo.size, inv), np.full(pair_lo.size, -inv)])
-    s_odd = sp.coo_matrix((vals, (rows, cols)), shape=(basis.size, pair_lo.size)).tocsr()
+    s_odd = sp.coo_matrix((vals, (rows, cols)), shape=(size, pair_lo.size)).tocsr()
     return s_even, s_odd, reps_even, pair_lo
+
+
+def _pair_row_reflection(n_atoms: int, n_modes: int) -> np.ndarray:
+    """Reflection of P's stacked rows: (K, i) -> (2-K, R(i)), i an
+    (N-2)-atom state.  `build_pieces` stacks the blocks over
+    K = 2*k_min..2*k_max, a range that K -> 2-K reverses."""
+    perm = cached_basis(n_atoms - 2, n_modes).reflection_permutation()
+    n_totals = 2 * n_modes - 1
+    blocks = np.arange(n_totals)[::-1, None] * perm.size
+    return (blocks + perm[None, :]).ravel()
+
+
+def _two_sided(
+    matrix: sp.csr_matrix, target_perm: np.ndarray, columns: tuple[sp.csr_matrix, ...]
+) -> tuple[Factor, ...]:
+    """Factors S'_s^T F S_s for s = even, odd, with S'_s the isometries of
+    the target permutation (`_parity_isometries`).
+
+    F S_s has parity s, so the rows of a pair (i, perm[i]) are equal up to
+    sign and S'_s^T F S_s is row i of F S_s, times sqrt(2) for a pair: only
+    the representative rows are formed, and S'_s is never built.
+    """
+    fixed, pair_lo = _parity_orbits(target_perm)
+    root2 = np.full(pair_lo.size, math.sqrt(2.0))
+    sectors = (
+        (np.concatenate([fixed, pair_lo]), np.concatenate([np.ones(fixed.size), root2])),
+        (pair_lo, root2),
+    )
+    return tuple(
+        Factor.of(sp.diags(scale) @ (matrix[rows] @ s))
+        for (rows, scale), s in zip(sectors, columns)
+    )
 
 
 def cached_sector_pieces(n_atoms: int, n_modes: int) -> SectorPieces:
@@ -307,19 +359,24 @@ def cached_sector_pieces(n_atoms: int, n_modes: int) -> SectorPieces:
 
 def _project_pieces(pieces: OperatorPieces) -> SectorPieces:
     basis = pieces.basis
-    s_even, s_odd, reps_even, reps_odd = _parity_isometries(basis)
+    n, r = basis.n_atoms, basis.n_modes
+    s_even, s_odd, reps_even, reps_odd = _parity_isometries(
+        basis.reflection_permutation()
+    )
     # a = 1/2 exactly at Omega = pi
-    kin_full = _kinetic(pieces.kin_k, pieces.kin_k2, basis.n_atoms, math.pi)
+    kin_full = _kinetic(pieces.kin_k, pieces.kin_k2, n, math.pi)
     a, p = pieces.barrier_factor.matrix, pieces.interaction_factor
     return SectorPieces(
         basis=basis,
         isometries=(s_even, s_odd),
         # the orbit representative carries the (reflection-invariant) diagonal
         kin_pi=(kin_full[reps_even], kin_full[reps_odd]),
-        barrier_factor=(Factor.of(a @ s_even), Factor.of(a @ s_odd)),
+        barrier_factor=_two_sided(
+            a, cached_basis(n - 1, r).reflection_permutation(), (s_even, s_odd)
+        ),
         interaction_factor=(
             (None, None) if p is None
-            else (Factor.of(p.matrix @ s_even), Factor.of(p.matrix @ s_odd))
+            else _two_sided(p.matrix, _pair_row_reflection(n, r), (s_even, s_odd))
         ),
     )
 

@@ -4,11 +4,11 @@ A sweep walks a strictly monotone grid of one parameter, solves the lowest
 pair at each point, and derives the requested observables into flat records
 emitted in grid order.  Eigensolves are cached on (N, r, g_tilde, b, Omega,
 tol, seed).  The points run one after another, each starting the eigensolver
-from the last successful point's vectors.  This chain is never slower than
-independent points: the 60-point fig2 scan takes 33,347 matvecs and 83 s
-chained against 43,798 and 107 s cold, the 12-point scan 8,388 against 8,829
-matvecs (2 cores, one BLAS thread).  A thread pool over independent points
-gained nothing either, because the ARPACK loop holds the GIL.
+from the last successful point's vectors.  This chain never takes more
+matvecs than independent points: the 60-point fig2 scan takes 33,347 chained
+against 43,798 cold, the 12-point scan 8,388 against 8,829.  A thread pool
+over independent points gained nothing either, because the ARPACK loop holds
+the GIL.
 """
 
 from __future__ import annotations

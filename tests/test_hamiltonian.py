@@ -12,6 +12,7 @@ from ringflow.hamiltonian import (
     build_hamiltonian,
     build_pieces,
     cached_basis,
+    cached_pieces,
     cached_sector_pieces,
     clear_caches,
     kinetic_diagonal,
@@ -132,6 +133,55 @@ def test_rebuild_is_bit_identical():
         assert np.array_equal(f1.matrix.data, f2.matrix.data)
         assert np.array_equal(f1.matrix.indices, f2.matrix.indices)
         assert np.array_equal(f1.matrix.indptr, f2.matrix.indptr)
+    clear_caches()
+    s1 = cached_sector_pieces(3, 6)
+    clear_caches()
+    s2 = cached_sector_pieces(3, 6)
+    assert s1 is not s2
+    for f1, f2 in zip(
+        s1.barrier_factor + s1.interaction_factor, s2.barrier_factor + s2.interaction_factor
+    ):
+        for m1, m2 in ((f1.matrix, f2.matrix), (f1.transpose, f2.transpose)):
+            assert np.array_equal(m1.data, m2.data)
+            assert np.array_equal(m1.indices, m2.indices)
+            assert np.array_equal(m1.indptr, m2.indptr)
+
+
+def _orbit_counts(labels, images):
+    """(even, odd) sector sizes of a row space under an involution, from the
+    row labels and the labels of their images."""
+    fixed = sum(a == b for a, b in zip(labels, images))
+    pairs = (len(labels) - fixed) // 2
+    return fixed + pairs, pairs
+
+
+@pytest.mark.parametrize("n_atoms, n_modes", [(1, 2), (2, 6), (3, 8), (4, 8)])
+def test_two_sided_sector_factors(n_atoms, n_modes):
+    pieces = cached_pieces(n_atoms, n_modes)
+    sector = cached_sector_pieces(n_atoms, n_modes)
+    window = [int(k) for k in pieces.basis.window]
+    # A's rows are (N-1)-atom states; the reflection k -> 1-k reverses them
+    lower = [tuple(o) for o in build_basis(n_atoms - 1, n_modes).occupations]
+    a_rows = _orbit_counts(lower, [o[::-1] for o in lower])
+    factors = [(pieces.barrier_factor, sector.barrier_factor, a_rows)]
+    if n_atoms >= 2:
+        # P's rows are (K, (N-2)-atom state), K the momentum of the removed pair
+        pairs = [tuple(o) for o in build_basis(n_atoms - 2, n_modes).occupations]
+        totals = range(2 * window[0], 2 * window[-1] + 1)
+        labels = [(k, o) for k in totals for o in pairs]
+        p_rows = _orbit_counts(labels, [(2 - k, o[::-1]) for k, o in labels])
+        factors.append((pieces.interaction_factor, sector.interaction_factor, p_rows))
+    else:
+        assert sector.interaction_factor == (None, None)
+    for full, projected, rows in factors:
+        for which, s in enumerate(sector.isometries):
+            column_only = (full.matrix @ s).toarray()
+            factor = projected[which]
+            assert factor.matrix.shape == (rows[which], s.shape[1])
+            gram = (factor.transpose @ factor.matrix).toarray()
+            assert np.max(np.abs(gram - column_only.T @ column_only)) < 1e-13
+    if n_atoms == 1:
+        assert sector.barrier_factor[1].matrix.shape[0] == 0
 
 
 def _ladder_string(ops, occ):

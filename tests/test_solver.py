@@ -67,6 +67,18 @@ def test_parity_path_matches_plain():
     assert np.max(np.abs(parity.eigenvalues - plain.eigenvalues)) < 1e-10
 
 
+@pytest.mark.parametrize("g", [1e-3, 1.0, 100.0])
+def test_parity_path_matches_plain_on_arpack(g):
+    # N=5, r=12: dimension 4,368 and parity sectors of about 2,200, so both
+    # paths run ARPACK on the factored operators
+    params = SystemParams(n_atoms=5, n_modes=12, interaction=g, barrier=0.008, phase=math.pi)
+    parity = solve_lowest(params, m=2)
+    plain = solve_lowest(params, m=2, use_parity=False)
+    assert (parity.method, plain.method) == ("lanczos-parity", "lanczos")
+    gaps = [np.diff(sol.eigenvalues)[0] for sol in (parity, plain)]
+    assert abs(gaps[0] - gaps[1]) <= 1e-11 * parity.eigenvalues[0]
+
+
 def test_wrong_first_sector_is_caught_by_the_certificate(monkeypatch):
     # N = 4: the ground lies in the even sector.  Levels above it: odd 0.0047,
     # even 1.126, odd 1.147, even 1.502.  Starting from the odd sector, m = 2
