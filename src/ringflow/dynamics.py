@@ -26,8 +26,8 @@ from .solver import (
     DEFAULT_TOL,
     QuenchResult,
     _is_crossing_phase,
+    diagonalize,
     dominant_frequency,
-    level_splitting,
     propagate,
     solve_lowest,
 )
@@ -61,7 +61,8 @@ def run_quench(
     state at `phase_initial`.  The trace records P(K=0), the norm, and the
     energy over `periods` oscillation periods of the post-quench splitting.
     The propagation is exact: at Omega = pi each reflection-parity block is
-    diagonalized on its own, elsewhere the whole operator.
+    diagonalized on its own, elsewhere the whole operator, and the splitting
+    is read from the same spectra.
     """
     pieces = cached_pieces(params.n_atoms, params.n_modes)
     coupling = rescale_interaction(params.interaction, params.n_modes)
@@ -76,14 +77,24 @@ def run_quench(
     )
     psi0 = pre.eigenvectors[:, 0]
 
-    post = level_splitting(params, coupling=coupling, pieces=pieces, tol=tol, seed=seed)
-    if post.delta_e <= 0:
+    operator = assemble(pieces, params, coupling)
+    blocks = operator
+    if _is_crossing_phase(params.phase):
+        sector = cached_sector_pieces(params.n_atoms, params.n_modes)
+        blocks = [
+            (assemble_sector(sector, params, coupling, which), sector.isometries[which])
+            for which in (0, 1)
+        ]
+    # one diagonalization gives both the splitting and the propagation
+    spectrum = diagonalize(blocks)
+    e0, e1 = spectrum.lowest(2)
+    delta_e = float(e1 - e0)
+    if delta_e <= 0:
         raise ValueError("post-quench splitting vanishes; no oscillation to track")
-    period = 2.0 * math.pi / post.delta_e
+    period = 2.0 * math.pi / delta_e
     n_samples = int(round(periods * samples_per_period))
     times = np.linspace(0.0, periods * period, n_samples + 1)
 
-    operator = assemble(pieces, params, coupling)
     basis = cached_basis(params.n_atoms, params.n_modes)
     k0_mask = (basis.total_k == 0).astype(float)
     matrix = operator.matrix
@@ -92,14 +103,7 @@ def run_quench(
         "P_K0": lambda psi: float(np.real(np.vdot(psi, k0_mask * psi))),
         "energy": lambda psi: float(np.real(np.vdot(psi, matrix @ psi))),
     }
-    blocks = operator
-    if _is_crossing_phase(params.phase):
-        sector = cached_sector_pieces(params.n_atoms, params.n_modes)
-        blocks = [
-            (assemble_sector(sector, params, coupling, which), sector.isometries[which])
-            for which in (0, 1)
-        ]
-    result = propagate(blocks, psi0, times, observables=observables)
+    result = propagate(spectrum, psi0, times, observables=observables)
 
     peak = dominant_frequency(result.times, result.traces["P_K0"])
     energies = result.traces["energy"]
@@ -107,9 +111,9 @@ def run_quench(
     return QuenchReport(
         params=params,
         phase_initial=float(phase_initial),
-        delta_e=post.delta_e,
+        delta_e=delta_e,
         fft_peak=peak,
-        relative_deviation=abs(peak - post.delta_e) / post.delta_e,
+        relative_deviation=abs(peak - delta_e) / delta_e,
         norm_drift=float(np.max(np.abs(result.norms - 1.0))),
         energy_drift=float(np.max(np.abs(energies - energies[0])) / scale),
         result=result,

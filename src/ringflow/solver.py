@@ -359,6 +359,38 @@ class QuenchResult:
     method: str
 
 
+@dataclass
+class Spectrum:
+    """Dense eigendecomposition of an operator, block by block: for each
+    block the energies E_s, the eigenvectors V_s (columns) and the isometry
+    S_s that embeds the block in the full basis."""
+
+    blocks: list[tuple[np.ndarray, np.ndarray, sp.spmatrix]]
+
+    def lowest(self, m: int) -> np.ndarray:
+        """The m lowest energies over all blocks, ascending."""
+        return np.sort(np.concatenate([energies for energies, _, _ in self.blocks]))[:m]
+
+
+def diagonalize(operator) -> Spectrum:
+    """Dense eigendecomposition of a real symmetric or complex Hermitian
+    operator, or of each H_s in a sequence of (block H_s, isometry S_s) pairs
+    with H = sum_s S_s H_s S_s^T.  Raises DimensionCapError, before any
+    diagonalization, if a block exceeds SPECTRAL_CAP."""
+    if not isinstance(operator, (list, tuple)):
+        operator = [(operator, sp.identity(operator.shape[0], format="csr"))]
+    largest = max(block.shape[0] for block, _ in operator)
+    if largest > SPECTRAL_CAP:
+        raise DimensionCapError(
+            f"propagation block of dimension {largest} exceeds the spectral cap {SPECTRAL_CAP}"
+        )
+    blocks = []
+    for block, isometry in operator:
+        energies, vectors = sla.eigh(_as_matrix(block).toarray())
+        blocks.append((energies, vectors, isometry))
+    return Spectrum(blocks)
+
+
 def propagate(
     operator,
     psi0: np.ndarray,
@@ -368,16 +400,11 @@ def propagate(
     """Unitary propagation of psi0 through the given time grid.
 
     Observables are callables evaluated on the state at every grid time.
-    `operator` is a real symmetric or complex Hermitian operator, or a
-    sequence of (block H_s, isometry S_s) pairs with H = sum_s S_s H_s S_s^T.
-    Each block is diagonalized densely once, H_s = V_s diag(E_s) V_s^H, and
-    the state at time t is sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0;
-    blocks of SPECTRAL_BLOCK sample times keep memory independent of the
-    grid length.  Raises DimensionCapError, before any diagonalization, if a
-    block exceeds SPECTRAL_CAP.
+    `operator` is anything `diagonalize` takes, or its `Spectrum`.  With
+    H_s = V_s diag(E_s) V_s^H per block, the state at time t is
+    sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0; blocks of
+    SPECTRAL_BLOCK sample times keep memory independent of the grid length.
     """
-    if not isinstance(operator, (list, tuple)):
-        operator = [(operator, sp.identity(operator.shape[0], format="csr"))]
     psi = np.asarray(psi0, dtype=complex)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
@@ -386,16 +413,12 @@ def propagate(
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
     observables = dict(observables or {})
-    largest = max(block.shape[0] for block, _ in operator)
-    if largest > SPECTRAL_CAP:
-        raise DimensionCapError(
-            f"propagation block of dimension {largest} exceeds the spectral cap {SPECTRAL_CAP}"
-        )
+    spectrum = operator if isinstance(operator, Spectrum) else diagonalize(operator)
 
-    spectra = []
-    for block, isometry in operator:
-        energies, vectors = sla.eigh(_as_matrix(block).toarray())
-        spectra.append((energies, vectors, vectors.conj().T @ (isometry.T @ psi), isometry))
+    spectra = [
+        (energies, vectors, vectors.conj().T @ (isometry.T @ psi), isometry)
+        for energies, vectors, isometry in spectrum.blocks
+    ]
     elapsed = times - times[0]
     traces: dict[str, list] = {name: [] for name in observables}
     norms: list[float] = []
@@ -415,7 +438,7 @@ def propagate(
         times=times,
         traces={name: np.array(vals) for name, vals in traces.items()},
         norms=np.array(norms),
-        method="spectral" if len(operator) == 1 else "spectral-parity",
+        method="spectral" if len(spectra) == 1 else "spectral-parity",
     )
 
 

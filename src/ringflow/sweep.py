@@ -3,17 +3,20 @@
 A sweep walks a strictly monotone grid of one parameter, solves the lowest
 pair at each point, and derives the requested observables into flat records
 emitted in grid order.  Eigensolves are cached on (N, r, g_tilde, b, Omega,
-tol, seed).  The points run one after another, each starting the eigensolver
-from the last successful point's vectors.  This chain never takes more
-matvecs than independent points: the 60-point fig2 scan takes 33,347 chained
-against 43,798 cold, the 12-point scan 8,388 against 8,829.  A thread pool
-over independent points gained nothing either, because the ARPACK loop holds
-the GIL.
+tol, seed).  The grid is cut into segments of at most `SEGMENT_POINTS`
+consecutive points that share (N, r); within a segment each solve starts from
+the last successful point's vectors.  The segments run in forked worker
+processes, one per usable core and each with one BLAS thread: ARPACK's loop
+holds the GIL, so threads gain nothing.  The segment length does not depend
+on the worker count, so the output (`iters` included) is the same for any
+number of workers.  On fig2 the segments take 8,377 matvecs at 12 points
+against 8,388 for one chain, and 36,335 against 33,384 at 60 points.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -33,6 +36,8 @@ from .params import (
 from .solver import DEFAULT_SEED, DEFAULT_TOL, EigenSolution, solve_lowest
 
 SWEEPABLE = ("interaction", "barrier", "phase", "n_atoms", "n_modes")
+# longest warm-start chain; fixed, so that no result depends on the core count
+SEGMENT_POINTS = 4
 ALL_OUTPUTS = frozenset({"delta_e", "distribution", "quality", "loss"})
 
 
@@ -204,24 +209,143 @@ def _point_record(
         return record, None
 
 
-def run_sweep(spec: SweepSpec, cache: SolveCache | None = None) -> list[SweepRecord]:
-    """Execute a sweep; records come back in grid order.
+def _segments(spec: SweepSpec) -> list[list[float]]:
+    """The grid cut into runs of at most SEGMENT_POINTS consecutive values
+    that share (N, r); a value whose parameters are invalid stands alone."""
+    segments: list[list[float]] = []
+    previous = None
+    for value in spec.grid:
+        try:
+            params = spec.params_at(value)
+            size = (params.n_atoms, params.n_modes)
+        except ValueError:
+            size = None
+        if size is not None and size == previous and len(segments[-1]) < SEGMENT_POINTS:
+            segments[-1].append(float(value))
+        else:
+            segments.append([float(value)])
+        previous = size
+    return segments
 
-    The points run in grid order as one chain: each solve starts from the
-    last successful point's vectors (`solve_lowest` starts cold when the
-    dimensions differ, as in `n_atoms` and `n_modes` sweeps).  On fig2 the
-    chain takes 33,347 matvecs at 60 points against 43,798 cold, and 8,388
-    against 8,829 at 12 points.  Per-point failures are captured in the
-    record's `exception` field without aborting the sweep.
-    """
-    cache = cache if cache is not None else SolveCache()
+
+def _run_segment(spec: SweepSpec, values: list[float], cache: SolveCache) -> list[SweepRecord]:
+    """One warm-start chain: each solve starts from the last successful one."""
     records: list[SweepRecord] = []
     warm: EigenSolution | None = None
-    for value in spec.grid:
+    for value in values:
         record, solution = _point_record(spec, value, cache, warm)
         records.append(record)
         if solution is not None:
             warm = solution
+    return records
+
+
+# A worker's sweep, its inherited copy of the parent's cache, and whether the
+# parent wants the new solutions back; set once per worker process.
+_worker_state: tuple[SweepSpec, SolveCache, bool] | None = None
+
+
+def _adopt(spec: SweepSpec, cache: SolveCache, share: bool) -> None:
+    global _worker_state
+    _worker_state = (spec, cache, share)
+    _one_blas_thread()
+
+
+def _one_blas_thread() -> None:
+    """Ask every OpenBLAS loaded in this process for one thread.  The workers
+    already take every core, and more BLAS threads only compete with them:
+    on two cores the 12-point fig2 sweep took 44-46 s with two OpenBLAS
+    threads per worker against 10 s with one.  The setter names are those
+    of OpenBLAS and the scipy-openblas wheels; other BLAS are left as they
+    are."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:  # no /proc: leave the BLAS as it is
+        return
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in (
+            "openblas_set_num_threads",
+            "openblas_set_num_threads64_",
+            "scipy_openblas_set_num_threads",
+            "scipy_openblas_set_num_threads64_",
+        ):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+
+
+def _segment_task(values: list[float]) -> tuple[list[SweepRecord], dict, int, int]:
+    """A segment in a worker: its records, the solutions it added to the
+    cache (empty unless shared), and its cache hits and misses."""
+    spec, cache, share = _worker_state
+    known, hits, misses = set(cache._store), cache.hits, cache.misses
+    records = _run_segment(spec, values, cache)
+    added = {k: v for k, v in cache._store.items() if k not in known} if share else {}
+    return records, added, cache.hits - hits, cache.misses - misses
+
+
+def _worker_count(segments: int) -> int:
+    """One worker per usable core, at most one per segment.  One, which runs
+    the sweep in this process, without the fork start method: forked workers
+    inherit the built operators and the cache instead of rebuilding them."""
+    import multiprocessing
+
+    if hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods():
+        return min(len(os.sched_getaffinity(0)), segments)
+    return 1
+
+
+def run_sweep(spec: SweepSpec, cache: SolveCache | None = None) -> list[SweepRecord]:
+    """Execute a sweep; records come back in grid order.
+
+    The grid is cut into segments of at most SEGMENT_POINTS consecutive points
+    that share (N, r), so `n_atoms` and `n_modes` sweeps run one point per
+    segment.  Each segment is one warm-start chain.  The segments run in
+    forked worker processes, one per usable core and at most one per segment,
+    each with one BLAS thread; with one worker the segments run in this
+    process.  The workers inherit
+    the built operators and `cache`; when the caller passes `cache`, the
+    solutions they add and their hits and misses are merged into it.  On fig2
+    the segments take 8,377 matvecs at 12 points (one chain: 8,388) and
+    36,335 at 60 points (one chain: 33,384).  Per-point failures are captured
+    in the record's `exception` field without aborting the sweep; a worker
+    that dies raises `BrokenProcessPool`.
+    """
+    share = cache is not None
+    cache = cache if cache is not None else SolveCache()
+    segments = _segments(spec)
+    workers = _worker_count(len(segments))
+    if workers == 1:
+        return [rec for values in segments for rec in _run_segment(spec, values, cache)]
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    records: list[SweepRecord] = []
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        # fork, so that the workers inherit the built operators and the cache;
+        # a thread holding the operator-cache lock at the fork would leave it
+        # held in the workers, and the CLI runs no other threads
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(spec, cache, share),
+    )
+    try:
+        for segment, added, hits, misses in pool.map(_segment_task, segments):
+            records.extend(segment)
+            cache._store.update(added)
+            cache.hits += hits
+            cache.misses += misses
+    finally:
+        # no worker outlives the sweep, also when it raises
+        pool.shutdown(wait=True, cancel_futures=True)
     return records
 
 

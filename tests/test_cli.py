@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ringflow import solver
+from ringflow import solver, sweep
 from ringflow.cli import main
 
 
@@ -328,18 +328,22 @@ def test_dynamics_block_over_the_spectral_cap_exits_4(tmp_path, capsys, monkeypa
     assert "spectral cap 50" in payload["error"]
 
 
-def test_failed_sweep_reraises_point_error(capsys):
+def test_failed_sweep_reraises_point_error(capsys, monkeypatch):
     # every point hits the dimension cap: the sweep re-raises the point's own
-    # exception, so its message carries no doubled type prefix
+    # exception, so its message carries no doubled type prefix; six points are
+    # two segments, which also run in two worker processes
     size = ["--atoms", "30", "--modes", "40"]
-    code, _, sweep_err = run_cli(["--json-errors", "sweep", *size, "--points", "2"], capsys)
-    assert code == 4
     code, _, spectrum_err = run_cli(["--json-errors", "spectrum", *size], capsys)
     assert code == 4
-    sweep_payload, spectrum_payload = json.loads(sweep_err), json.loads(spectrum_err)
-    assert sweep_payload == spectrum_payload
-    assert sweep_payload["type"] == "DimensionCapError"
-    assert not sweep_payload["error"].startswith("DimensionCapError")
+    spectrum_payload = json.loads(spectrum_err)
+    for workers in (1, 2):
+        monkeypatch.setattr(sweep, "_worker_count", lambda segments: min(workers, segments))
+        code, _, sweep_err = run_cli(["--json-errors", "sweep", *size, "--points", "6"], capsys)
+        assert code == 4
+        sweep_payload = json.loads(sweep_err)
+        assert sweep_payload == spectrum_payload
+        assert sweep_payload["type"] == "DimensionCapError"
+        assert not sweep_payload["error"].startswith("DimensionCapError")
 
 
 def test_convergence_exit_code(capsys):

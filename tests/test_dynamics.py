@@ -7,7 +7,7 @@ import pytest
 from ringflow.dynamics import run_quench
 from ringflow.hamiltonian import assemble, cached_basis, cached_pieces
 from ringflow.params import SystemParams, rescale_interaction
-from ringflow.solver import propagate, solve_lowest
+from ringflow.solver import level_splitting, propagate, solve_lowest
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +19,12 @@ def quench_report():
 def test_quench_oscillates_at_the_splitting(quench_report):
     assert quench_report.relative_deviation < 0.02
     assert quench_report.delta_e > 0
+
+
+def test_quench_splitting_equals_level_splitting(quench_report):
+    # run_quench reads the splitting from the spectra it propagates with
+    direct = level_splitting(quench_report.params)
+    assert quench_report.delta_e == pytest.approx(direct.delta_e, rel=1e-12)
 
 
 def test_quench_conserves_norm_and_energy(quench_report):
