@@ -32,7 +32,6 @@ from .single_particle import levels, tg_gap, tg_ground_energy
 from .solver import (
     EigenSolution,
     QuenchResult,
-    level_splitting,
     lowest_eigenpairs,
     propagate,
     solve_lowest,
@@ -59,7 +58,6 @@ __all__ = [
     "build_hamiltonian",
     "chain_elimination",
     "chain_gap_numeric",
-    "level_splitting",
     "levels",
     "lieb_liniger_gamma",
     "loss_operator",

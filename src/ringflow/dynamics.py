@@ -13,21 +13,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import (
-    assemble,
-    assemble_sector,
-    cached_basis,
-    cached_pieces,
-    cached_sector_pieces,
-)
+from .hamiltonian import assemble, cached_basis, cached_pieces
 from .params import SystemParams, rescale_interaction
 from .solver import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     QuenchResult,
-    _is_crossing_phase,
     diagonalize,
     dominant_frequency,
+    hamiltonian_blocks,
     propagate,
     solve_lowest,
 )
@@ -60,33 +54,18 @@ def run_quench(
     `params.phase` is the post-quench phase; the initial state is the ground
     state at `phase_initial`.  The trace records P(K=0), the norm, and the
     energy over `periods` oscillation periods of the post-quench splitting.
-    The propagation is exact: at Omega = pi each reflection-parity block is
-    diagonalized on its own, elsewhere the whole operator, and the splitting
-    is read from the same spectra.
+    The propagation is exact: each block of `hamiltonian_blocks` (the
+    reflection-parity sectors at Omega = pi, elsewhere the whole operator) is
+    diagonalized once, and the splitting is read from the same spectra.
     """
-    pieces = cached_pieces(params.n_atoms, params.n_modes)
     coupling = rescale_interaction(params.interaction, params.n_modes)
-
     pre = solve_lowest(
-        replace(params, phase=float(phase_initial)),
-        m=1,
-        coupling=coupling,
-        pieces=pieces,
-        tol=tol,
-        seed=seed,
+        replace(params, phase=float(phase_initial)), m=1, coupling=coupling, tol=tol, seed=seed
     )
     psi0 = pre.eigenvectors[:, 0]
 
-    operator = assemble(pieces, params, coupling)
-    blocks = operator
-    if _is_crossing_phase(params.phase):
-        sector = cached_sector_pieces(params.n_atoms, params.n_modes)
-        blocks = [
-            (assemble_sector(sector, params, coupling, which), sector.isometries[which])
-            for which in (0, 1)
-        ]
     # one diagonalization gives both the splitting and the propagation
-    spectrum = diagonalize(blocks)
+    spectrum = diagonalize(hamiltonian_blocks(params, coupling))
     e0, e1 = spectrum.lowest(2)
     delta_e = float(e1 - e0)
     if delta_e <= 0:
@@ -95,9 +74,8 @@ def run_quench(
     n_samples = int(round(periods * samples_per_period))
     times = np.linspace(0.0, periods * period, n_samples + 1)
 
-    basis = cached_basis(params.n_atoms, params.n_modes)
-    k0_mask = (basis.total_k == 0).astype(float)
-    matrix = operator.matrix
+    k0_mask = (cached_basis(params.n_atoms, params.n_modes).total_k == 0).astype(float)
+    matrix = assemble(cached_pieces(params.n_atoms, params.n_modes), params, coupling).matrix
 
     observables = {
         "P_K0": lambda psi: float(np.real(np.vdot(psi, k0_mask * psi))),

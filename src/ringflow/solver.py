@@ -1,21 +1,21 @@
-"""Lowest-eigenpair solves and real-time propagation.
+"""Lowest-eigenpair solves and real-time propagation on one block list.
 
-Eigen solves use a Lanczos-type Krylov method (ARPACK) with a deterministic
-seeded start vector and a dense fallback below `DENSE_CUTOFF`.  At the
-crossing point Omega = pi the Hamiltonian commutes with the momentum
-reflection k -> 1-k, and the avoided-crossing pair splits across the two
-parity sectors; solving each sector's ground-state problem separately makes
-splittings far below the spectral width (the NOON regime) cheap to resolve.
-Of m levels, only the sector expected to hold the ground (N mod 2) is asked
-for m; the other is asked for m - 1 and is re-solved for m unless its highest
-computed level certifies that no level of it was missed.
+`hamiltonian_blocks` gives a point's Hamiltonian as pairs (H_s, S_s) with
+H = sum_s S_s H_s S_s^T: at the crossing point Omega = pi, where H commutes
+with the momentum reflection k -> 1-k, the two parity sectors (across which
+the avoided-crossing pair splits); elsewhere the whole operator with the
+identity.  Eigen solves use ARPACK with a deterministic seeded start vector
+and a dense fallback below `DENSE_CUTOFF`.  Solving each sector on its own
+makes splittings far below the spectral width (the NOON regime) cheap to
+resolve.  Of m levels, only the block expected to hold the ground (sector
+N mod 2) is asked for m; the other is asked for m - 1 and is re-solved for m
+unless its highest computed level certifies that no level of it was missed.
 
 Real-time propagation is exact: one dense eigendecomposition
 H_s = V_s diag(E_s) V_s^H per block gives every sample state as
 psi(t) = sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0, formed in blocks
-of sample times.  A plain operator is one block with the identity as S; at
-the crossing the two parity sectors are the blocks, and no block may exceed
-`SPECTRAL_CAP`.
+of sample times; no block may exceed `SPECTRAL_CAP`.  Dense `eigh` calls below
+`SERIAL_EIGH` run on one BLAS thread.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from . import blas
 from .errors import ConvergenceError, DimensionCapError
 from .hamiltonian import (
     FactoredOperator,
-    OperatorPieces,
     assemble,
     assemble_sector,
     cached_pieces,
@@ -48,6 +48,8 @@ SPECTRAL_BLOCK = 256
 # largest block `propagate` diagonalizes densely; at 4,500 its eigenvectors
 # alone take 162 MB (N=4, r=20 has parity blocks of 4,455 and 4,400)
 SPECTRAL_CAP = 4500
+# below this dimension a dense eigh is faster on one BLAS thread than on two
+SERIAL_EIGH = 500
 
 
 @dataclass
@@ -56,6 +58,7 @@ class EigenSolution:
 
     Eigenvalues ascend; eigenvectors are unit-norm columns over the basis.
     `degenerate` flags a lowest gap below DEGENERACY_FACTOR * tol.
+    `sector_vectors` (from `solve_lowest`): each block's lowest vector, a warm start.
     """
 
     eigenvalues: np.ndarray
@@ -73,6 +76,14 @@ def _as_matrix(operator) -> sp.csr_matrix:
     if sp.issparse(operator):
         return operator.tocsr()
     return sp.csr_matrix(np.asarray(operator))
+
+
+def _eigh(matrix: np.ndarray, **kwargs):
+    """`scipy.linalg.eigh`, on one BLAS thread below SERIAL_EIGH."""
+    if matrix.shape[0] >= SERIAL_EIGH:
+        return sla.eigh(matrix, **kwargs)
+    with blas.one_thread():
+        return sla.eigh(matrix, **kwargs)
 
 
 def _start_vector(dim: int, seed: int) -> np.ndarray:
@@ -131,7 +142,7 @@ def lowest_eigenpairs(
     if m > dim:
         raise ValueError(f"requested {m} eigenpairs of a dimension-{dim} operator")
     if dim <= dense_cutoff or m >= dim - 1:
-        vals, vecs = sla.eigh(_as_matrix(operator).toarray(), subset_by_index=(0, m - 1))
+        vals, vecs = _eigh(_as_matrix(operator).toarray(), subset_by_index=(0, m - 1))
         return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, 0, "dense", tol)
 
     matvecs = [0]
@@ -173,19 +184,6 @@ def lowest_eigenpairs(
     )
 
 
-def _one_level_within_tol(operator, sol: EigenSolution, tol: float, **kwargs) -> EigenSolution:
-    """`sol`, or for one level above `tol` that solve once more from its
-    vector at tol / max(1, |theta|): ARPACK stops on |r| <= tol*|theta|."""
-    if sol.eigenvalues.size > 1 or sol.residual_norms[0] <= tol:
-        return sol
-    again = lowest_eigenpairs(
-        operator, 1, tol=tol / max(1.0, abs(float(sol.eigenvalues[0]))),
-        v0=sol.eigenvectors[:, 0], **kwargs,
-    )
-    again.iterations += sol.iterations
-    return again
-
-
 def _is_crossing_phase(phase: float) -> bool:
     return abs(phase - math.pi) <= 1e-12
 
@@ -195,94 +193,96 @@ def _first_sector(n_atoms: int) -> int:
     return n_atoms % 2
 
 
+def hamiltonian_blocks(
+    params: SystemParams, coupling: RescaledCoupling, use_parity: bool = True
+) -> list[tuple[FactoredOperator, sp.csr_matrix]]:
+    """The Hamiltonian at one point as blocks (H_s, S_s), H = sum_s S_s H_s S_s^T.
+
+    At Omega = pi (and `use_parity`) these are the even and odd
+    reflection-parity sectors; elsewhere the whole operator with the identity.
+    """
+    if use_parity and _is_crossing_phase(params.phase):
+        sector = cached_sector_pieces(params.n_atoms, params.n_modes)
+        return [
+            (assemble_sector(sector, params, coupling, which), sector.isometries[which])
+            for which in (0, 1)
+        ]
+    operator = assemble(cached_pieces(params.n_atoms, params.n_modes), params, coupling)
+    return [(operator, sp.identity(operator.dimension, format="csr"))]
+
+
 def solve_lowest(
     params: SystemParams,
     m: int = 2,
     coupling: RescaledCoupling | None = None,
-    pieces: OperatorPieces | None = None,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     warm: EigenSolution | None = None,
     use_parity: bool = True,
-    dense_cutoff: int = DENSE_CUTOFF,
     max_iterations: int | None = None,
 ) -> EigenSolution:
     """Lowest m levels of the full system at one parameter point.
 
-    At Omega = pi (and `use_parity`) the reflection-parity blocks are solved
-    independently and merged, which resolves the avoided-crossing splitting
-    regardless of how small it is.  Sector A = N mod 2 is solved first for m
-    levels at `tol`; the other sector for max(m - 1, 1) levels at
-    tol / max(1, |A's m-th level|), which bounds its residuals by `tol`
-    (H is positive semidefinite, so every level it can contribute lies in
-    [0, A's m-th level]).  The result is exact for any spectrum: a sector
-    that has uncomputed levels and whose highest computed level lies below
-    the m-th merged level is solved again for m levels; a sector of
-    dimension at most k is complete.  A one-level solve asked for `tol` whose
-    residual exceeds it is solved once more at tol / max(1, |theta|).
-    `warm` reuses a previous solution's sector grounds as start vectors
-    (grid sweeps).
+    Each block of `hamiltonian_blocks` is solved on its own, block s from
+    seed + s, and the levels are merged.  The block that holds the ground
+    (sector N mod 2 at the crossing) is solved first for m levels at `tol`;
+    the other for max(m - 1, 1) levels at tol / max(1, |the first's m-th
+    level|), which bounds its residuals by `tol` (H is positive semidefinite,
+    so every level it can contribute lies in [0, the first's m-th level]).
+    The result is exact for any spectrum: a block that has uncomputed levels
+    and whose highest computed level lies below the m-th merged level is
+    solved again for m levels.  A one-level solve whose residual exceeds `tol`
+    is solved once more at tol / max(1, |theta|).  `warm` gives the start
+    vectors (grid sweeps) when its blocks have the same count and sizes.
+    Raises ValueError unless 1 <= m <= the dimension.
     """
     if coupling is None:
         coupling = rescale_interaction(params.interaction, params.n_modes)
-    if pieces is None:
-        pieces = cached_pieces(params.n_atoms, params.n_modes)
-
-    if not (use_parity and _is_crossing_phase(params.phase)):
-        operator = assemble(pieces, params, coupling)
-        v0 = None
-        if warm is not None and warm.sector_vectors is None:
-            if warm.eigenvectors.shape[0] == operator.dimension:
-                v0 = warm.eigenvectors[:, 0]
-        sol = lowest_eigenpairs(
-            operator, m, tol=tol, seed=seed, v0=v0,
-            dense_cutoff=dense_cutoff, max_iterations=max_iterations,
-        )
-        return _one_level_within_tol(
-            operator, sol, tol, dense_cutoff=dense_cutoff, max_iterations=max_iterations
-        )
-
-    sector = cached_sector_pieces(params.n_atoms, params.n_modes)
-    blocks = [assemble_sector(sector, params, coupling, which) for which in (0, 1)]
+    blocks = hamiltonian_blocks(params, coupling, use_parity)
+    dimension = sum(block.dimension for block, _ in blocks)
+    if not 1 <= m <= dimension:
+        raise ValueError(f"requested {m} levels of a dimension-{dimension} system")
+    starts = getattr(warm, "sector_vectors", None) or ()
+    # DENSE_CUTOFF is read at call time, so that tests can lower it
+    options = {"dense_cutoff": DENSE_CUTOFF, "max_iterations": max_iterations}
     sols: dict[int, EigenSolution] = {}
     iterations = 0
 
-    def solve_sector(which: int, k: int, sector_tol: float) -> None:
+    def solve_block(which: int, k: int, block_tol: float) -> EigenSolution:
         nonlocal iterations
+        block = blocks[which][0]
         v0 = None
-        if warm is not None and warm.sector_vectors is not None:
-            prev = warm.sector_vectors[which]
-            if prev.size == blocks[which].shape[0]:
-                v0 = prev
+        if len(starts) == len(blocks) and starts[which].size == block.dimension:
+            v0 = starts[which]
         sol = lowest_eigenpairs(
-            blocks[which], min(k, blocks[which].shape[0]), tol=sector_tol,
-            seed=seed + which, v0=v0, dense_cutoff=dense_cutoff,
-            max_iterations=max_iterations,
+            block, min(k, block.dimension), tol=block_tol, seed=seed + which, v0=v0, **options
         )
-        sols[which] = _one_level_within_tol(
-            blocks[which], sol, tol, dense_cutoff=dense_cutoff, max_iterations=max_iterations
-        )
-        iterations += sols[which].iterations
+        if sol.eigenvalues.size == 1 and sol.residual_norms[0] > tol:
+            # ARPACK stops on |r| <= tol*|theta|: once more from its vector
+            again = lowest_eigenpairs(
+                block, 1, tol=tol / max(1.0, abs(float(sol.eigenvalues[0]))),
+                v0=sol.eigenvectors[:, 0], **options,
+            )
+            again.iterations += sol.iterations
+            sol = again
+        sols[which] = sol
+        iterations += sol.iterations
+        return sol
 
     # Sector N mod 2 held the lower ground at every point checked (N = 2-6,
     # r = 8-20, g = 1e-4..1e3); the certificate below covers any other case.
     # ARPACK stops on |r| <= tol*|theta|, hence the scaled tol.
-    first = _first_sector(params.n_atoms)
-    second = 1 - first
-    top = 0.0
-    if blocks[first].shape[0]:
-        solve_sector(first, m, tol)
-        top = float(sols[first].eigenvalues[-1])
-    second_tol = tol / max(1.0, abs(top))
-    if blocks[second].shape[0]:
-        solve_sector(second, max(m - 1, 1), second_tol)
+    first = _first_sector(params.n_atoms) if len(blocks) == 2 else 0
+    top = float(solve_block(first, m, tol).eigenvalues[-1])
+    if len(blocks) == 2:
+        second, second_tol = 1 - first, tol / max(1.0, abs(top))
+        sol = solve_block(second, max(m - 1, 1), second_tol)
         # certificate: an uncomputed level can lie below the m-th merged
         # level only if the highest computed one does
-        sol = sols[second]
         merged = np.sort(np.concatenate([s.eigenvalues for s in sols.values()]))
         threshold = merged[m - 1] if merged.size >= m else math.inf
-        if sol.eigenvalues.size < blocks[second].shape[0] and sol.eigenvalues[-1] < threshold:
-            solve_sector(second, m, second_tol)
+        if sol.eigenvalues.size < blocks[second][0].dimension and sol.eigenvalues[-1] < threshold:
+            solve_block(second, m, second_tol)
 
     origin = [(w, i) for w, s in sols.items() for i in range(s.eigenvalues.size)]
     vals = np.concatenate([s.eigenvalues for s in sols.values()])
@@ -290,59 +290,12 @@ def solve_lowest(
     keep = np.argsort(vals)[:m]
     # only the kept pairs are lifted to the full basis
     vecs = np.column_stack(
-        [sector.isometries[w] @ sols[w].eigenvectors[:, i] for w, i in (origin[j] for j in keep)]
+        [blocks[w][1] @ sols[w].eigenvectors[:, i] for w, i in (origin[j] for j in keep)]
     )
     return _lowest(
-        vals[keep], vecs, res[keep], m, iterations, "lanczos-parity", tol,
-        sector_vectors=tuple(
-            sols[w].eigenvectors[:, 0].copy() if w in sols else np.zeros(0) for w in (0, 1)
-        ),
-    )
-
-
-@dataclass
-class SplittingResult:
-    """Level splitting at one parameter point, with the pair of states."""
-
-    e0: float
-    e1: float
-    delta_e: float
-    ground: np.ndarray
-    excited: np.ndarray
-    degenerate: bool
-    iterations: int
-    residual: float
-    method: str
-    solution: EigenSolution = field(repr=False)
-
-
-def level_splitting(
-    params: SystemParams,
-    coupling: RescaledCoupling | None = None,
-    pieces: OperatorPieces | None = None,
-    tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-    warm: EigenSolution | None = None,
-    use_parity: bool = True,
-    max_iterations: int | None = None,
-) -> SplittingResult:
-    """Splitting between the ground and first excited level at the given
-    phase (nonnegative; strictly positive for b > 0 at the crossing)."""
-    sol = solve_lowest(
-        params, m=2, coupling=coupling, pieces=pieces, tol=tol, seed=seed,
-        warm=warm, use_parity=use_parity, max_iterations=max_iterations,
-    )
-    return SplittingResult(
-        e0=float(sol.eigenvalues[0]),
-        e1=float(sol.eigenvalues[1]),
-        delta_e=float(sol.eigenvalues[1] - sol.eigenvalues[0]),
-        ground=sol.eigenvectors[:, 0],
-        excited=sol.eigenvectors[:, 1],
-        degenerate=sol.degenerate,
-        iterations=sol.iterations,
-        residual=float(np.max(sol.residual_norms)),
-        method=sol.method,
-        solution=sol,
+        vals[keep], vecs, res[keep], m, iterations,
+        sols[0].method if len(blocks) == 1 else "lanczos-parity", tol,
+        sector_vectors=tuple(sols[w].eigenvectors[:, 0].copy() for w in range(len(blocks))),
     )
 
 
@@ -372,27 +325,24 @@ class Spectrum:
         return np.sort(np.concatenate([energies for energies, _, _ in self.blocks]))[:m]
 
 
-def diagonalize(operator) -> Spectrum:
-    """Dense eigendecomposition of a real symmetric or complex Hermitian
-    operator, or of each H_s in a sequence of (block H_s, isometry S_s) pairs
-    with H = sum_s S_s H_s S_s^T.  Raises DimensionCapError, before any
-    diagonalization, if a block exceeds SPECTRAL_CAP."""
-    if not isinstance(operator, (list, tuple)):
-        operator = [(operator, sp.identity(operator.shape[0], format="csr"))]
-    largest = max(block.shape[0] for block, _ in operator)
+def diagonalize(blocks) -> Spectrum:
+    """Dense eigendecomposition of each real symmetric or complex Hermitian
+    H_s in a sequence of (block H_s, isometry S_s) pairs with
+    H = sum_s S_s H_s S_s^T, such as `hamiltonian_blocks` returns.  Raises
+    DimensionCapError, before any diagonalization, if a block exceeds
+    SPECTRAL_CAP."""
+    largest = max(block.shape[0] for block, _ in blocks)
     if largest > SPECTRAL_CAP:
         raise DimensionCapError(
             f"propagation block of dimension {largest} exceeds the spectral cap {SPECTRAL_CAP}"
         )
-    blocks = []
-    for block, isometry in operator:
-        energies, vectors = sla.eigh(_as_matrix(block).toarray())
-        blocks.append((energies, vectors, isometry))
-    return Spectrum(blocks)
+    return Spectrum(
+        [(*_eigh(_as_matrix(block).toarray()), isometry) for block, isometry in blocks]
+    )
 
 
 def propagate(
-    operator,
+    spectrum: Spectrum,
     psi0: np.ndarray,
     times: np.ndarray,
     observables: Mapping[str, Callable[[np.ndarray], float]] | None = None,
@@ -400,7 +350,7 @@ def propagate(
     """Unitary propagation of psi0 through the given time grid.
 
     Observables are callables evaluated on the state at every grid time.
-    `operator` is anything `diagonalize` takes, or its `Spectrum`.  With
+    `spectrum` is the `diagonalize`d blocks of the operator.  With
     H_s = V_s diag(E_s) V_s^H per block, the state at time t is
     sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0; blocks of
     SPECTRAL_BLOCK sample times keep memory independent of the grid length.
@@ -413,7 +363,6 @@ def propagate(
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
     observables = dict(observables or {})
-    spectrum = operator if isinstance(operator, Spectrum) else diagonalize(operator)
 
     spectra = [
         (energies, vectors, vectors.conj().T @ (isometry.T @ psi), isometry)

@@ -22,6 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import blas
 from .errors import ConvergenceError, DimensionCapError
 from .hamiltonian import cached_basis
 from .observables import angular_momentum_distribution, loss_quality, quality
@@ -137,19 +138,6 @@ class SolveCache:
         self.hits = 0
         self.misses = 0
 
-    def key(
-        self, params: SystemParams, coupling: RescaledCoupling, tol: float, seed: int
-    ) -> tuple:
-        return (
-            params.n_atoms,
-            params.n_modes,
-            coupling.g_tilde,
-            params.barrier,
-            params.phase,
-            tol,
-            seed,
-        )
-
     def solve(
         self,
         params: SystemParams,
@@ -158,16 +146,16 @@ class SolveCache:
         seed: int = DEFAULT_SEED,
         warm: EigenSolution | None = None,
     ) -> EigenSolution:
-        key = self.key(params, coupling, tol, seed)
+        key = (params.n_atoms, params.n_modes, coupling.g_tilde, params.barrier,
+               params.phase, tol, seed)
         if key in self._store:
             self.hits += 1
-            return self._store[key]
-        self.misses += 1
-        solution = solve_lowest(
-            params, m=2, coupling=coupling, tol=tol, seed=seed, warm=warm
-        )
-        self._store[key] = solution
-        return solution
+        else:
+            self.misses += 1
+            self._store[key] = solve_lowest(
+                params, m=2, coupling=coupling, tol=tol, seed=seed, warm=warm
+            )
+        return self._store[key]
 
 
 def _point_record(
@@ -248,36 +236,10 @@ _worker_state: tuple[SweepSpec, SolveCache, bool] | None = None
 def _adopt(spec: SweepSpec, cache: SolveCache, share: bool) -> None:
     global _worker_state
     _worker_state = (spec, cache, share)
-    _one_blas_thread()
-
-
-def _one_blas_thread() -> None:
-    """Ask every OpenBLAS loaded in this process for one thread.  The workers
-    already take every core, and more BLAS threads only compete with them:
-    on two cores the 12-point fig2 sweep took 44-46 s with two OpenBLAS
-    threads per worker against 10 s with one.  The setter names are those
-    of OpenBLAS and the scipy-openblas wheels; other BLAS are left as they
-    are."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
-    except OSError:  # no /proc: leave the BLAS as it is
-        return
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in (
-            "openblas_set_num_threads",
-            "openblas_set_num_threads64_",
-            "scipy_openblas_set_num_threads",
-            "scipy_openblas_set_num_threads64_",
-        ):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
+    # the workers already take every core, and more BLAS threads only compete
+    # with them: on two cores the 12-point fig2 sweep took 44-46 s with two
+    # OpenBLAS threads per worker against 10 s with one
+    blas.set_threads(1)
 
 
 def _segment_task(values: list[float]) -> tuple[list[SweepRecord], dict, int, int]:
@@ -302,20 +264,13 @@ def _worker_count(segments: int) -> int:
 
 
 def run_sweep(spec: SweepSpec, cache: SolveCache | None = None) -> list[SweepRecord]:
-    """Execute a sweep; records come back in grid order.
+    """Execute a sweep as its segments; records come back in grid order.
 
-    The grid is cut into segments of at most SEGMENT_POINTS consecutive points
-    that share (N, r), so `n_atoms` and `n_modes` sweeps run one point per
-    segment.  Each segment is one warm-start chain.  The segments run in
-    forked worker processes, one per usable core and at most one per segment,
-    each with one BLAS thread; with one worker the segments run in this
-    process.  The workers inherit
-    the built operators and `cache`; when the caller passes `cache`, the
-    solutions they add and their hits and misses are merged into it.  On fig2
-    the segments take 8,377 matvecs at 12 points (one chain: 8,388) and
-    36,335 at 60 points (one chain: 33,384).  Per-point failures are captured
-    in the record's `exception` field without aborting the sweep; a worker
-    that dies raises `BrokenProcessPool`.
+    With one worker (`_worker_count`) the segments run in this process.  The
+    workers inherit the built operators and `cache`; when the caller passes
+    `cache`, the solutions they add and their hits and misses are merged into
+    it.  Per-point failures are captured in the record's `exception` field
+    without aborting the sweep; a worker that dies raises `BrokenProcessPool`.
     """
     share = cache is not None
     cache = cache if cache is not None else SolveCache()

@@ -8,10 +8,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import assemble, build_hamiltonian, cached_basis, cached_pieces
+from .hamiltonian import build_hamiltonian, cached_basis
 from .observables import angular_momentum_distribution, total_variation
 from .oracles import bethe_ground_energy, binomial_pk, truncation_validation, two_particle_exact
-from .params import SystemParams, raw_coupling, rescale_interaction
+from .params import SystemParams, raw_coupling
 from .single_particle import weak_barrier_audit
 from .solver import DEFAULT_SEED, DEFAULT_TOL, lowest_eigenpairs, solve_lowest
 
@@ -133,9 +133,7 @@ def _check_symmetries(results: list[CheckResult]) -> None:
 
 def _check_krylov_vs_dense(results: list[CheckResult]) -> None:
     params = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
-    pieces = cached_pieces(4, 12)
-    coupling = rescale_interaction(params.interaction, params.n_modes)
-    op = assemble(pieces, params, coupling)
+    op = build_hamiltonian(cached_basis(4, 12), params)
     dense = lowest_eigenpairs(op, 3)
     iterative = lowest_eigenpairs(op, 3, dense_cutoff=0, tol=1e-12)
     diff = float(np.max(np.abs(dense.eigenvalues - iterative.eigenvalues)))

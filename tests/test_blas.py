@@ -1,0 +1,76 @@
+import os
+import subprocess
+import sys
+
+import pytest
+import scipy.sparse as sp
+
+import ringflow
+from ringflow import blas, solver
+from ringflow.solver import lowest_eigenpairs
+
+
+@pytest.fixture
+def counts():
+    """This process's OpenBLAS thread counts, restored after the test."""
+    before = blas.threads()
+    if not before:
+        pytest.skip("no OpenBLAS in this process")
+    yield before
+    for (_, setter), count in zip(blas._CONTROLS, before):
+        setter(count)
+
+
+def test_one_thread_scope_restores_the_count(counts):
+    blas.set_threads(2)
+    with blas.one_thread():
+        assert blas.threads() == [1] * len(counts)
+    assert blas.threads() == [2] * len(counts)
+    with pytest.raises(RuntimeError):
+        with blas.one_thread():
+            raise RuntimeError
+    assert blas.threads() == [2] * len(counts)
+
+
+def test_small_dense_solves_run_on_one_blas_thread(counts, monkeypatch):
+    seen = []
+    eigh = solver.sla.eigh
+
+    def spy(*args, **kwargs):
+        seen.append(blas.threads())
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(solver.sla, "eigh", spy)
+    monkeypatch.setattr(solver, "SERIAL_EIGH", 10)
+    blas.set_threads(2)
+    for dim in (9, 10):
+        lowest_eigenpairs(sp.diags([float(i) for i in range(dim)]).tocsr(), 2)
+    assert seen == [[1] * len(counts), [2] * len(counts)]
+    assert blas.threads() == [2] * len(counts)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a one-segment sweep runs in the CLI's own process, with its BLAS
+    # threads, on ARPACK (sectors of 2,184); the quench's dense solves (blocks
+    # of 60, pre-quench dimension 120) lie below SERIAL_EIGH.  Larger problems
+    # round differently on two threads: a dense eigh of N=4, r=12's parity
+    # block of 683 moves its eigenvectors by up to 2.5e-11, and ARPACK on
+    # N=5, r=20's sectors moves the splitting by 3.6e-14.
+    src = os.path.dirname(os.path.dirname(ringflow.__file__))
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for args in (
+            ["sweep", "--atoms", "5", "--modes", "12", "--interaction", "0.5",
+             "--barrier", "0.01", "--start", "0.1", "--stop", "10", "--points", "3",
+             "--output", "sweep.csv"],
+            ["dynamics", "--periods", "4", "--output", "trace.csv", "--report", "report.json"],
+        ):
+            subprocess.run([sys.executable, "-m", "ringflow.cli", *args], check=True,
+                           capture_output=True, cwd=out, env=env, timeout=300)
+        outputs[threads] = [(out / name).read_bytes()
+                            for name in ("sweep.csv", "trace.csv", "report.json")]
+    assert outputs["1"] == outputs["2"]

@@ -313,6 +313,21 @@ def test_exit_codes(tmp_path, capsys):
     assert json.loads(err)["exit_code"] == 2
 
 
+@pytest.mark.parametrize("omega", ["1", "0.9"])
+def test_spectrum_more_levels_than_the_dimension_exits_2(omega, tmp_path, capsys):
+    # N=1, r=2 has two states; at the crossing each parity sector holds one
+    output = tmp_path / "levels.csv"
+    code, _, err = run_cli(
+        ["spectrum", "--atoms", "1", "--modes", "2", "--levels", "3",
+         "--omega-start", omega, "--omega-stop", omega, "--omega-points", "1",
+         "--output", str(output)],
+        capsys,
+    )
+    assert code == 2
+    assert "requested 3 levels of a dimension-2 system" in err
+    assert not output.exists()
+
+
 def test_dynamics_block_over_the_spectral_cap_exits_4(tmp_path, capsys, monkeypatch):
     # N=3, r=8 at Omega = pi: parity blocks of 60 and 60
     monkeypatch.setattr(solver, "SPECTRAL_CAP", 50)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ringflow.dynamics import run_quench
-from ringflow.hamiltonian import assemble, cached_basis, cached_pieces
+from ringflow.hamiltonian import cached_basis
 from ringflow.params import SystemParams, rescale_interaction
-from ringflow.solver import level_splitting, propagate, solve_lowest
+from ringflow.solver import diagonalize, hamiltonian_blocks, propagate, solve_lowest
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +23,8 @@ def test_quench_oscillates_at_the_splitting(quench_report):
 
 def test_quench_splitting_equals_level_splitting(quench_report):
     # run_quench reads the splitting from the spectra it propagates with
-    direct = level_splitting(quench_report.params)
-    assert quench_report.delta_e == pytest.approx(direct.delta_e, rel=1e-12)
+    direct = solve_lowest(quench_report.params).eigenvalues
+    assert quench_report.delta_e == pytest.approx(direct[1] - direct[0], rel=1e-12)
 
 
 def test_quench_conserves_norm_and_energy(quench_report):
@@ -41,15 +41,13 @@ def test_parity_blocks_match_single_operator(quench_report):
     # the quench at Omega = pi propagates the two parity blocks; the whole
     # post-quench operator as one block gives the same trace
     params = quench_report.params
-    pieces = cached_pieces(params.n_atoms, params.n_modes)
     coupling = rescale_interaction(params.interaction, params.n_modes)
-    pre = solve_lowest(
-        replace(params, phase=quench_report.phase_initial), m=1, coupling=coupling, pieces=pieces
-    )
+    pre = solve_lowest(replace(params, phase=quench_report.phase_initial), m=1, coupling=coupling)
     k0_mask = (cached_basis(params.n_atoms, params.n_modes).total_k == 0).astype(float)
-    matrix = assemble(pieces, params, coupling).matrix
+    [(whole, identity)] = hamiltonian_blocks(params, coupling, use_parity=False)
+    matrix = whole.matrix
     single = propagate(
-        matrix,
+        diagonalize([(whole, identity)]),
         pre.eigenvectors[:, 0],
         quench_report.result.times,
         observables={

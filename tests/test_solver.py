@@ -14,12 +14,17 @@ from ringflow.params import SystemParams, raw_coupling, rescale_interaction
 from ringflow.solver import (
     DENSE_CUTOFF,
     SPECTRAL_BLOCK,
+    diagonalize,
     dominant_frequency,
-    level_splitting,
+    hamiltonian_blocks,
     lowest_eigenpairs,
     propagate,
     solve_lowest,
 )
+
+
+def _gap(sol):
+    return sol.eigenvalues[1] - sol.eigenvalues[0]
 
 
 def test_dense_path_on_diagonal_matrix():
@@ -31,10 +36,10 @@ def test_dense_path_on_diagonal_matrix():
 
 def test_single_atom_splitting_is_2b():
     params = SystemParams(n_atoms=1, n_modes=2, barrier=0.004, phase=math.pi)
-    result = level_splitting(params)
-    assert result.delta_e == pytest.approx(0.008, rel=1e-12)
-    plain = level_splitting(params, use_parity=False)
-    assert plain.delta_e == pytest.approx(result.delta_e, abs=1e-13)
+    result = solve_lowest(params)
+    assert _gap(result) == pytest.approx(0.008, rel=1e-12)
+    plain = solve_lowest(params, use_parity=False)
+    assert _gap(plain) == pytest.approx(_gap(result), abs=1e-13)
 
 
 def test_iterative_matches_dense():
@@ -57,6 +62,32 @@ def __build(pieces, params, coupling):
     from ringflow.hamiltonian import assemble
 
     return assemble(pieces, params, coupling)
+
+
+@pytest.mark.parametrize("phase", [math.pi, 0.9 * math.pi])
+def test_more_levels_than_the_dimension_raise(phase):
+    # N=1, r=2 has two states; at the crossing each parity sector holds one,
+    # which must not clip the request to the two levels there are
+    params = SystemParams(n_atoms=1, n_modes=2, barrier=0.004, phase=phase)
+    with pytest.raises(ValueError, match="requested 3 levels of a dimension-2 system"):
+        solve_lowest(params, m=3)
+    with pytest.raises(ValueError, match="requested 0 levels"):
+        solve_lowest(params, m=0)
+    assert solve_lowest(params, m=2).eigenvalues.size == 2
+
+
+def test_hamiltonian_blocks_sum_to_the_operator():
+    params = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.008, phase=math.pi)
+    coupling = rescale_interaction(params.interaction, params.n_modes)
+    [(whole, identity)] = hamiltonian_blocks(params, coupling, use_parity=False)
+    assert (identity != sp.identity(whole.dimension)).nnz == 0
+    blocks = hamiltonian_blocks(params, coupling)
+    assert [h.dimension for h, _ in blocks] == [60, 60]
+    total = sum(s @ h.matrix @ s.T for h, s in blocks)
+    assert abs(total - whole.matrix).max() < 1e-12
+    off = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.008, phase=0.9 * math.pi)
+    [(block, _)] = hamiltonian_blocks(off, coupling)
+    assert block.dimension == 120
 
 
 def test_parity_path_matches_plain():
@@ -94,13 +125,14 @@ def test_wrong_first_sector_is_caught_by_the_certificate(monkeypatch):
     monkeypatch.setattr(solver, "lowest_eigenpairs", counting)
     for m in (2, 3):
         plain = solve_lowest(params, m=m, use_parity=False)
-        calls.clear()
-        right = solve_lowest(params, m=m, dense_cutoff=0)
-        assert calls == [m, m - 1]
         with monkeypatch.context() as patch:
+            patch.setattr(solver, "DENSE_CUTOFF", 0)
+            calls.clear()
+            right = solve_lowest(params, m=m)
+            assert calls == [m, m - 1]
             patch.setattr(solver, "_first_sector", lambda n_atoms: 1 - n_atoms % 2)
             calls.clear()
-            wrong = solve_lowest(params, m=m, dense_cutoff=0)
+            wrong = solve_lowest(params, m=m)
         if m == 2:
             assert calls == [2, 1, 2]  # the retry ran
             assert wrong.iterations > right.iterations
@@ -110,37 +142,40 @@ def test_wrong_first_sector_is_caught_by_the_certificate(monkeypatch):
         assert np.max(np.abs(wrong.eigenvalues - right.eigenvalues)) <= 1e-10
 
 
-def test_parity_residuals_within_tol_at_large_coupling():
+def test_parity_residuals_within_tol_at_large_coupling(monkeypatch):
     # |theta| ~ 6: a plain relative stopping test at tol leaves the odd
     # sector's one-level solve with a residual of about 1.9e-10
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", 0)
     params = SystemParams(n_atoms=4, n_modes=12, interaction=100.0, barrier=0.008, phase=math.pi)
     tol = 1e-10
-    sol = solve_lowest(params, m=2, tol=tol, dense_cutoff=0)
+    sol = solve_lowest(params, m=2, tol=tol)
     assert sol.eigenvalues[0] > 5.0
     assert sol.iterations > 0
     assert np.max(sol.residual_norms) <= tol
 
 
-def test_one_level_krylov_residual_within_tol():
+def test_one_level_krylov_residual_within_tol(monkeypatch):
     # E0 ~ 11: ARPACK's relative test at tol alone leaves 1.03e-9 at the
     # crossing (sector N mod 2) and 3.5e-10 at 0.9 pi (plain path); the
     # re-solve at tol / |theta| brings both within tol
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", 0)
     tol = 1e-10
     for phase, method in ((math.pi, "lanczos-parity"), (0.9 * math.pi, "lanczos")):
         params = SystemParams(n_atoms=5, n_modes=12, interaction=100.0, barrier=0.008, phase=phase)
-        sol = solve_lowest(params, m=1, tol=tol, dense_cutoff=0)
+        sol = solve_lowest(params, m=1, tol=tol)
         assert sol.method == method
         assert sol.eigenvalues[0] > 10.0
         assert np.max(sol.residual_norms) <= tol
 
 
-def test_degeneracy_flag_at_zero_barrier():
+def test_degeneracy_flag_at_zero_barrier(monkeypatch):
     # dense sector blocks at N=2; at N=4 the Krylov path, with no barrier term
     for n_atoms, n_modes, dense_cutoff in ((2, 6, DENSE_CUTOFF), (4, 12, 0)):
         params = SystemParams(
             n_atoms=n_atoms, n_modes=n_modes, interaction=0.5, barrier=0.0, phase=math.pi
         )
-        sol = solve_lowest(params, m=2, dense_cutoff=dense_cutoff)
+        monkeypatch.setattr(solver, "DENSE_CUTOFF", dense_cutoff)
+        sol = solve_lowest(params, m=2)
         assert sol.degenerate
         assert sol.eigenvalues[1] - sol.eigenvalues[0] < 1e-10
         assert (sol.iterations > 0) == (dense_cutoff == 0)
@@ -160,7 +195,7 @@ def test_variational_monotonicity_in_window_size():
 def test_splitting_symmetric_about_crossing():
     def gap(phase):
         params = SystemParams(n_atoms=2, n_modes=6, interaction=0.5, barrier=0.01, phase=phase)
-        return level_splitting(params).delta_e
+        return _gap(solve_lowest(params))
 
     center = gap(math.pi)
     for delta in (0.05, 0.1, 0.2):
@@ -193,11 +228,15 @@ def test_crossing_phase_snap():
     outside = solve(math.pi + 2e-12)
     assert inside.method == "lanczos-parity"
     assert outside.method == "dense"  # plain path, below the dense cutoff
-    gap = lambda sol: sol.eigenvalues[1] - sol.eigenvalues[0]
-    assert gap(inside) == pytest.approx(gap(outside), abs=1e-12)
+    assert _gap(inside) == pytest.approx(_gap(outside), abs=1e-12)
 
 
 # ----------------------------------------------------------------- dynamics
+
+
+def _spectrum(h):
+    """The one-block spectrum of a whole operator."""
+    return diagonalize([(h, sp.identity(h.shape[0], format="csr"))])
 
 
 def _two_level():
@@ -211,7 +250,7 @@ def test_propagate_eigenstate_is_stationary():
     psi0 = vecs[:, 0].astype(complex)
     times = np.linspace(0.0, 50.0, 101)
     pop = lambda psi: float(abs(psi[0]) ** 2)
-    out = propagate(h, psi0, times, observables={"p": pop})
+    out = propagate(_spectrum(h), psi0, times, observables={"p": pop})
     assert out.method == "spectral"
     assert np.max(np.abs(out.traces["p"] - out.traces["p"][0])) < 1e-10
     assert np.max(np.abs(out.norms - 1.0)) < 1e-12
@@ -224,7 +263,7 @@ def test_propagate_two_level_frequency():
     period = 2 * math.pi / gap
     times = np.linspace(0.0, 24 * period, 24 * 64 + 1)
     pop = lambda s: float(abs(s[0]) ** 2)
-    out = propagate(h, psi0.astype(complex), times, observables={"p": pop})
+    out = propagate(_spectrum(h), psi0.astype(complex), times, observables={"p": pop})
     assert out.method == "spectral"
     peak = dominant_frequency(out.times, out.traces["p"])
     assert peak == pytest.approx(gap, rel=1e-3)
@@ -243,7 +282,7 @@ def test_propagate_conserves_energy_and_norm():
     h, psi0 = _random_state_on_ring()
     times = np.linspace(0.0, 30.0, 61)
     energy = lambda s: float(np.real(np.vdot(s, h @ s)))
-    out = propagate(h, psi0, times, observables={"E": energy})
+    out = propagate(_spectrum(h), psi0, times, observables={"E": energy})
     assert out.method == "spectral"
     e = out.traces["E"]
     assert np.max(np.abs(e - e[0])) / max(abs(e[0]), 1.0) < 1e-10
@@ -256,7 +295,7 @@ def test_propagate_offset_grid_uses_elapsed_time():
     h, psi0 = _random_state_on_ring()
     times = np.linspace(7.5, 12.5, 21)
     exact = np.array([sla.expm(-1j * (t - times[0]) * h.toarray()) @ psi0 for t in times])
-    out = propagate(h, psi0, times, observables=_components((0,)))
+    out = propagate(_spectrum(h), psi0, times, observables=_components((0,)))
     assert out.traces["re0"][0] == pytest.approx(psi0[0].real, abs=1e-12)
     assert out.traces["im0"][0] == pytest.approx(psi0[0].imag, abs=1e-12)
     assert np.max(np.abs(out.traces["re0"] - exact[:, 0].real)) < 1e-10
@@ -267,9 +306,9 @@ def test_propagate_offset_grid_uses_elapsed_time():
 def test_propagate_rejects_bad_input():
     h, _, _ = _two_level()
     with pytest.raises(ValueError):
-        propagate(h, np.array([2.0, 0.0]), np.linspace(0, 1, 5))
+        propagate(_spectrum(h), np.array([2.0, 0.0]), np.linspace(0, 1, 5))
     with pytest.raises(ValueError):
-        propagate(h, np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+        propagate(_spectrum(h), np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
 
 
 def _components(indices):
@@ -290,7 +329,7 @@ def test_propagate_complex_hermitian():
     psi0 /= np.linalg.norm(psi0)
     times = np.linspace(0.0, 3.0, 13)
     exact = np.array([sla.expm(-1j * t * h) @ psi0 for t in times])
-    out = propagate(h, psi0, times, observables=_components(range(8)))
+    out = propagate(_spectrum(h), psi0, times, observables=_components(range(8)))
     assert out.method == "spectral"
     for i in range(8):
         assert np.max(np.abs(out.traces[f"re{i}"] - exact[:, i].real)) < 1e-10
@@ -305,10 +344,8 @@ def test_propagate_block_over_the_cap_raises_before_any_eigh(monkeypatch):
     calls = []
     monkeypatch.setattr(solver, "SPECTRAL_CAP", 30)
     monkeypatch.setattr(solver.sla, "eigh", lambda *a, **k: calls.append(a) or None)
-    psi0 = np.zeros(56)
-    psi0[0] = 1.0
     with pytest.raises(DimensionCapError, match="36 exceeds the spectral cap 30"):
-        propagate(blocks, psi0, np.linspace(0.0, 1.0, 3))
+        diagonalize(blocks)
     assert calls == []
 
 
@@ -322,7 +359,7 @@ def test_propagate_long_grid_in_blocks():
     for _ in times[1:]:
         exact.append(step @ exact[-1])
     exact = np.array(exact)
-    out = propagate(h, psi0, times, observables=_components((0, 17)))
+    out = propagate(_spectrum(h), psi0, times, observables=_components((0, 17)))
     assert out.method == "spectral"
     for i in (0, 17):
         assert np.max(np.abs(out.traces[f"re{i}"] - exact[:, i].real)) < 1e-10
@@ -335,9 +372,10 @@ def test_propagate_memory_independent_of_grid_length():
     # 3 x 20,000 x 56 x 16 B = 54 MB; blocks of sample times stay far below
     h, psi0 = _random_state_on_ring()
     times = np.linspace(0.0, 200.0, 20_000)
+    pop = lambda s: float(abs(s[0]) ** 2)
     tracemalloc.start()
     try:
-        out = propagate(h, psi0, times, observables={"p": lambda s: float(abs(s[0]) ** 2)})
+        out = propagate(_spectrum(h), psi0, times, observables={"p": pop})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -16,7 +16,7 @@ from ringflow import sweep
 from ringflow.cli import main
 from ringflow.hamiltonian import cached_sector_pieces, clear_caches
 from ringflow.params import SystemParams, lieb_liniger_gamma
-from ringflow.solver import level_splitting, solve_lowest
+from ringflow.solver import solve_lowest
 from ringflow.sweep import (
     SEGMENT_POINTS,
     SolveCache,
@@ -73,8 +73,8 @@ def test_grids():
 def test_single_point_sweep_matches_direct_pipeline():
     spec = _small_spec(grid=np.array([0.5]))
     [record] = run_sweep(spec)
-    direct = level_splitting(spec.base)
-    assert record.delta_e == pytest.approx(direct.delta_e, rel=1e-12)
+    direct = solve_lowest(spec.base).eigenvalues
+    assert record.delta_e == pytest.approx(direct[1] - direct[0], rel=1e-12)
     assert record.gamma == pytest.approx(lieb_liniger_gamma(spec.base), rel=1e-14)
     assert record.error is None
 
@@ -102,11 +102,33 @@ def test_warm_start_does_not_change_results():
         records = run_sweep(spec)
         for rec in records:
             params = spec.params_at(rec.value)
-            direct = level_splitting(params)
-            assert rec.delta_e == pytest.approx(direct.delta_e, abs=1e-11)
+            direct = solve_lowest(params).eigenvalues
+            assert rec.delta_e == pytest.approx(direct[1] - direct[0], abs=1e-11)
             _, _, _, loss = point_report(params)
             assert rec.qbar_loss == pytest.approx(loss.qbar, abs=1e-9)
     assert sum(rec.iterations for rec in records) > 0  # the Krylov path ran
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [np.linspace(math.pi, math.pi + 0.1, 3), np.linspace(math.pi - 0.1, math.pi, 3)],
+    ids=["off-the-crossing", "onto-the-crossing"],
+)
+def test_warm_start_across_the_crossing(grid):
+    # N=5, r=12: the whole operator (4,368) and the parity sectors (2,184)
+    # both go to ARPACK; a chain that steps from two blocks to one, or from
+    # one to two, has no start vector that fits and solves cold
+    base = SystemParams(n_atoms=5, n_modes=12, interaction=0.5, barrier=0.01, phase=math.pi)
+    spec = SweepSpec(parameter="phase", grid=grid, base=base, outputs=frozenset({"delta_e"}))
+    assert math.pi in (grid[0], grid[-1])
+    records = run_sweep(spec)
+    blocks = [2 if value == math.pi else 1 for value in grid]
+    for i, rec in enumerate(records):
+        cold = solve_lowest(spec.params_at(rec.value))
+        assert rec.delta_e == pytest.approx(cold.eigenvalues[1] - cold.eigenvalues[0], abs=1e-11)
+        assert rec.iterations > 0
+        if i and blocks[i] != blocks[i - 1]:
+            assert rec.iterations == cold.iterations  # a cold start
 
 
 def test_threaded_execution_matches_sequential():
