@@ -18,29 +18,30 @@ import numpy as np
 from . import __version__
 from .dynamics import run_quench
 from .errors import ConvergenceError, DimensionCapError
+from .hamiltonian import cached_basis
 from .noon import (
     chain_gap_numeric,
     fig4_interaction,
     noon_gap_closed_form,
     noon_validity,
 )
+from .observables import angular_momentum_distribution, loss_quality
 from .params import (
     ATOMIC_MASS_KG,
     PhysicalRing,
     SystemParams,
     lieb_liniger_gamma,
+    rescale_interaction,
     to_physical,
 )
 from .single_particle import levels, tg_gap, tg_ground_energy, tg_spectrum
 from .solver import DEFAULT_SEED, DEFAULT_TOL, solve_lowest
 from .sweep import (
-    SolveCache,
     SweepSpec,
     fig2_spec,
     fig3a_spec,
     linear_grid,
     log_grid,
-    point_report,
     run_sweep,
 )
 from .validate import run_validation
@@ -369,7 +370,6 @@ NOON_DEFAULTS = {
 
 def handle_noon(opts: dict, gopts: dict) -> int:
     rows = []
-    cache = SolveCache()
     for n in range(opts["atoms_min"], opts["atoms_max"] + 1):
         g = opts["interaction"] or fig4_interaction(n, opts["barrier"])
         closed = noon_gap_closed_form(n, g, opts["barrier"])
@@ -384,9 +384,7 @@ def handle_noon(opts: dict, gopts: dict) -> int:
                 barrier=opts["barrier"],
                 phase=math.pi,
             )
-            solution, _, _, _ = point_report(
-                params, cache=cache, with_loss=False, tol=gopts["tol"], seed=gopts["seed"]
-            )
+            solution = solve_lowest(params, tol=gopts["tol"], seed=gopts["seed"])
             ed = float(solution.eigenvalues[1] - solution.eigenvalues[0])
         rows.append((n, g, closed, chain, chain / closed, ed, validity.ratio_barrier,
                      validity.ratio_interaction, str(validity.condition_met)))
@@ -425,14 +423,17 @@ def _write_distribution(path: str, dist, header: str) -> None:
 
 def handle_loss(opts: dict, gopts: dict) -> int:
     params = _system(opts, opts["phase_over_pi"] * math.pi)
-    cache = SolveCache()
+    if params.n_atoms < 2:
+        raise ValueError(f"the loss of one atom needs n_atoms >= 2, got {params.n_atoms}")
+    coupling = rescale_interaction(params.interaction, params.n_modes)
+    solution = solve_lowest(params, coupling=coupling, tol=gopts["tol"], seed=gopts["seed"])
     keep = bool(opts["distributions_dir"])
-    solution, coupling, dist, loss = point_report(
-        params, cache=cache, tol=gopts["tol"], seed=gopts["seed"], keep_distributions=keep
-    )
-    _, _, _, loss_post = point_report(
-        params, cache=cache, tol=gopts["tol"], seed=gopts["seed"], post_loss_weights=True
-    )
+    ground = solution.eigenvectors[:, 0]
+    basis = cached_basis(params.n_atoms, params.n_modes)
+    basis_nm1 = cached_basis(params.n_atoms - 1, params.n_modes)
+    dist = angular_momentum_distribution(ground, basis)
+    loss = loss_quality(ground, basis, basis_nm1, keep_distributions=keep)
+    loss_post = loss_quality(ground, basis, basis_nm1, post_loss_weights=True)
     payload = {
         "n_atoms": params.n_atoms,
         "n_modes": params.n_modes,

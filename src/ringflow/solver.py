@@ -124,7 +124,6 @@ def lowest_eigenpairs(
     v0: np.ndarray | None = None,
     dense_cutoff: int = DENSE_CUTOFF,
     max_iterations: int | None = None,
-    ncv: int | None = None,
 ) -> EigenSolution:
     """The m lowest eigenpairs of a real symmetric operator.
 
@@ -154,8 +153,6 @@ def lowest_eigenpairs(
     op = LinearOperator(shape=operator.shape, matvec=counted, dtype=float)
     if v0 is None:
         v0 = _start_vector(dim, seed)
-    if ncv is None:
-        ncv = min(dim - 1, max(4 * m + 20, 40))
     try:
         vals, vecs = eigsh(
             op,
@@ -163,7 +160,7 @@ def lowest_eigenpairs(
             which="SA",
             v0=v0,
             tol=tol,
-            ncv=ncv,
+            ncv=min(dim - 1, max(4 * m + 20, 40)),
             maxiter=max_iterations if max_iterations is not None else 2000,
         )
     except ArpackNoConvergence as exc:

@@ -2,14 +2,15 @@
 
 A sweep walks a strictly monotone grid of one parameter, solves the lowest
 pair at each point, and derives the requested observables into flat records
-emitted in grid order.  Eigensolves are cached on (N, r, g_tilde, b, Omega,
-tol, seed).  The grid is cut into segments of at most `SEGMENT_POINTS`
-consecutive points that share (N, r); within a segment each solve starts from
-the last successful point's vectors.  The segments run in forked worker
-processes, one per usable core and each with one BLAS thread: ARPACK's loop
-holds the GIL, so threads gain nothing.  The segment length does not depend
-on the worker count, so the output (`iters` included) is the same for any
-number of workers.  On fig2 the segments take 8,377 matvecs at 12 points
+emitted in grid order.  Each point is one `solve_lowest` call; nothing is
+memoized, so a grid that rounds two values to the same N or r solves both.
+The grid is cut into segments of at most `SEGMENT_POINTS` consecutive points
+that share (N, r); within a segment each solve starts from the last
+successful point's vectors.  The segments run in forked worker processes,
+one per usable core and each with one BLAS thread: ARPACK's loop holds the
+GIL, so threads gain nothing.  The segment length does not depend on the
+worker count, so the output (`iters` included) is the same for any number of
+workers.  On fig2 the segments take 8,377 matvecs at 12 points
 against 8,388 for one chain, and 36,335 against 33,384 at 60 points.
 """
 
@@ -27,7 +28,6 @@ from .errors import ConvergenceError, DimensionCapError
 from .hamiltonian import cached_basis
 from .observables import angular_momentum_distribution, loss_quality, quality
 from .params import (
-    RescaledCoupling,
     SystemParams,
     interaction_for_gamma,
     lieb_liniger_gamma,
@@ -130,39 +130,8 @@ def _without_frames(exc: BaseException) -> BaseException:
     return exc
 
 
-class SolveCache:
-    """Eigensolve memo keyed on the physical point and solver settings."""
-
-    def __init__(self) -> None:
-        self._store: dict[tuple, EigenSolution] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def solve(
-        self,
-        params: SystemParams,
-        coupling: RescaledCoupling,
-        tol: float = DEFAULT_TOL,
-        seed: int = DEFAULT_SEED,
-        warm: EigenSolution | None = None,
-    ) -> EigenSolution:
-        key = (params.n_atoms, params.n_modes, coupling.g_tilde, params.barrier,
-               params.phase, tol, seed)
-        if key in self._store:
-            self.hits += 1
-        else:
-            self.misses += 1
-            self._store[key] = solve_lowest(
-                params, m=2, coupling=coupling, tol=tol, seed=seed, warm=warm
-            )
-        return self._store[key]
-
-
 def _point_record(
-    spec: SweepSpec,
-    value: float,
-    cache: SolveCache,
-    warm: EigenSolution | None,
+    spec: SweepSpec, value: float, warm: EigenSolution | None
 ) -> tuple[SweepRecord, EigenSolution | None]:
     record = SweepRecord(value=float(value))
     try:
@@ -174,7 +143,9 @@ def _point_record(
         )
         record.gamma = lieb_liniger_gamma(params)
         record.g_tilde = coupling.g_tilde
-        solution = cache.solve(params, coupling, tol=spec.tol, seed=spec.seed, warm=warm)
+        solution = solve_lowest(
+            params, m=2, coupling=coupling, tol=spec.tol, seed=spec.seed, warm=warm
+        )
         record.e0 = float(solution.eigenvalues[0])
         record.e1 = float(solution.eigenvalues[1])
         record.delta_e = record.e1 - record.e0
@@ -216,46 +187,28 @@ def _segments(spec: SweepSpec) -> list[list[float]]:
     return segments
 
 
-def _run_segment(spec: SweepSpec, values: list[float], cache: SolveCache) -> list[SweepRecord]:
+def _run_segment(spec: SweepSpec, values: list[float]) -> list[SweepRecord]:
     """One warm-start chain: each solve starts from the last successful one."""
     records: list[SweepRecord] = []
     warm: EigenSolution | None = None
     for value in values:
-        record, solution = _point_record(spec, value, cache, warm)
+        record, solution = _point_record(spec, value, warm)
         records.append(record)
         if solution is not None:
             warm = solution
     return records
 
 
-# A worker's sweep, its inherited copy of the parent's cache, and whether the
-# parent wants the new solutions back; set once per worker process.
-_worker_state: tuple[SweepSpec, SolveCache, bool] | None = None
-
-
-def _adopt(spec: SweepSpec, cache: SolveCache, share: bool) -> None:
-    global _worker_state
-    _worker_state = (spec, cache, share)
-    # the workers already take every core, and more BLAS threads only compete
-    # with them: on two cores the 12-point fig2 sweep took 44-46 s with two
-    # OpenBLAS threads per worker against 10 s with one
-    blas.set_threads(1)
-
-
-def _segment_task(values: list[float]) -> tuple[list[SweepRecord], dict, int, int]:
-    """A segment in a worker: its records, the solutions it added to the
-    cache (empty unless shared), and its cache hits and misses."""
-    spec, cache, share = _worker_state
-    known, hits, misses = set(cache._store), cache.hits, cache.misses
-    records = _run_segment(spec, values, cache)
-    added = {k: v for k, v in cache._store.items() if k not in known} if share else {}
-    return records, added, cache.hits - hits, cache.misses - misses
+def _segment_task(spec: SweepSpec, values: list[float]) -> list[SweepRecord]:
+    # the pool pickles a task by its module-level name; looking `_run_segment`
+    # up at call time lets a replacement of it run in the workers
+    return _run_segment(spec, values)
 
 
 def _worker_count(segments: int) -> int:
     """One worker per usable core, at most one per segment.  One, which runs
     the sweep in this process, without the fork start method: forked workers
-    inherit the built operators and the cache instead of rebuilding them."""
+    inherit the built operators instead of rebuilding them."""
     import multiprocessing
 
     if hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods():
@@ -263,21 +216,18 @@ def _worker_count(segments: int) -> int:
     return 1
 
 
-def run_sweep(spec: SweepSpec, cache: SolveCache | None = None) -> list[SweepRecord]:
+def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Execute a sweep as its segments; records come back in grid order.
 
-    With one worker (`_worker_count`) the segments run in this process.  The
-    workers inherit the built operators and `cache`; when the caller passes
-    `cache`, the solutions they add and their hits and misses are merged into
-    it.  Per-point failures are captured in the record's `exception` field
-    without aborting the sweep; a worker that dies raises `BrokenProcessPool`.
+    With one worker (`_worker_count`) the segments run in this process;
+    otherwise forked workers run them and send back their records.  Per-point
+    failures are captured in the record's `exception` field without aborting
+    the sweep; a worker that dies raises `BrokenProcessPool`.
     """
-    share = cache is not None
-    cache = cache if cache is not None else SolveCache()
     segments = _segments(spec)
     workers = _worker_count(len(segments))
     if workers == 1:
-        return [rec for values in segments for rec in _run_segment(spec, values, cache)]
+        return [rec for values in segments for rec in _run_segment(spec, values)]
 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -285,56 +235,23 @@ def run_sweep(spec: SweepSpec, cache: SolveCache | None = None) -> list[SweepRec
     records: list[SweepRecord] = []
     pool = ProcessPoolExecutor(
         max_workers=workers,
-        # fork, so that the workers inherit the built operators and the cache;
-        # a thread holding the operator-cache lock at the fork would leave it
-        # held in the workers, and the CLI runs no other threads
+        # fork, so that the workers inherit the built operators; a thread
+        # holding the operator-cache lock at the fork would leave it held in
+        # the workers, and the CLI runs no other threads
         mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt,
-        initargs=(spec, cache, share),
+        # the workers already take every core, and more BLAS threads only
+        # compete with them: on two cores the 12-point fig2 sweep took 44-46 s
+        # with two OpenBLAS threads per worker against 10 s with one
+        initializer=blas.set_threads,
+        initargs=(1,),
     )
     try:
-        for segment, added, hits, misses in pool.map(_segment_task, segments):
+        for segment in pool.map(_segment_task, [spec] * len(segments), segments):
             records.extend(segment)
-            cache._store.update(added)
-            cache.hits += hits
-            cache.misses += misses
     finally:
         # no worker outlives the sweep, also when it raises
         pool.shutdown(wait=True, cancel_futures=True)
     return records
-
-
-def point_report(
-    params: SystemParams,
-    cache: SolveCache | None = None,
-    rescale: bool = True,
-    tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-    with_loss: bool = True,
-    post_loss_weights: bool = False,
-    keep_distributions: bool = False,
-):
-    """Full single-point pipeline: solution, P(K), quality, loss report."""
-    cache = cache if cache is not None else SolveCache()
-    coupling = (
-        rescale_interaction(params.interaction, params.n_modes)
-        if rescale
-        else raw_coupling(params.interaction)
-    )
-    solution = cache.solve(params, coupling, tol=tol, seed=seed)
-    basis = cached_basis(params.n_atoms, params.n_modes)
-    ground = solution.eigenvectors[:, 0]
-    dist = angular_momentum_distribution(ground, basis)
-    loss = None
-    if with_loss and params.n_atoms >= 2:
-        loss = loss_quality(
-            ground,
-            basis,
-            cached_basis(params.n_atoms - 1, params.n_modes),
-            post_loss_weights=post_loss_weights,
-            keep_distributions=keep_distributions,
-        )
-    return solution, coupling, dist, loss
 
 
 def fig2_spec(

@@ -3,19 +3,15 @@ import math
 import pytest
 
 from ringflow.params import SystemParams, interaction_for_gamma
-from ringflow.sweep import SolveCache, fig2_spec, run_sweep
+from ringflow.solver import solve_lowest
+from ringflow.sweep import fig2_spec, run_sweep
 
 
 @pytest.fixture(scope="session")
-def solve_cache():
-    return SolveCache()
-
-
-@pytest.fixture(scope="session")
-def fig2_records(solve_cache):
+def fig2_records():
     """The full splitting-vs-interaction scan (N=5, r=20); shared because it
     is the expensive artifact most acceptance criteria read from."""
-    return run_sweep(fig2_spec(), cache=solve_cache)
+    return run_sweep(fig2_spec())
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +24,9 @@ def tg_params():
         barrier=0.008,
         phase=math.pi,
     )
+
+
+@pytest.fixture(scope="session")
+def tg_solution(tg_params):
+    """The lowest pair at `tg_params`, solved once for the tests that read it."""
+    return solve_lowest(tg_params)

@@ -19,19 +19,18 @@ from ringflow.basis import build_basis
 from ringflow.dynamics import run_quench
 from ringflow.hamiltonian import build_hamiltonian, cached_basis
 from ringflow.noon import chain_gap_numeric, fig4_interaction, noon_gap_closed_form
-from ringflow.observables import angular_momentum_distribution, total_variation
+from ringflow.observables import angular_momentum_distribution, loss_quality, total_variation
 from ringflow.oracles import binomial_pk, tg_momentum_distribution, truncation_validation
 from ringflow.params import (
     ATOMIC_MASS_KG,
     PhysicalRing,
     SystemParams,
     raw_coupling,
-    rescale_interaction,
     to_physical,
 )
 from ringflow.single_particle import levels, tg_gap, weak_barrier_audit
 from ringflow.solver import lowest_eigenpairs, solve_lowest
-from ringflow.sweep import SweepSpec, log_grid, point_report, run_sweep
+from ringflow.sweep import SweepSpec, log_grid, run_sweep
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -58,10 +57,10 @@ def test_c01_two_particle_exactness():
     assert elapsed < 1.0
 
 
-def test_c02_tg_regime_accuracy(solve_cache, tg_params):
+def test_c02_tg_regime_accuracy(tg_solution, tg_params):
     oracle = tg_gap(5, 0.008)
-    rescaled = solve_cache.solve(tg_params, rescale_interaction(tg_params.interaction, 20))
-    unscaled = solve_cache.solve(tg_params, raw_coupling(tg_params.interaction))
+    rescaled = tg_solution
+    unscaled = solve_lowest(tg_params, coupling=raw_coupling(tg_params.interaction))
     err = abs((rescaled.eigenvalues[1] - rescaled.eigenvalues[0]) - oracle) / oracle
     err_raw = abs((unscaled.eigenvalues[1] - unscaled.eigenvalues[0]) - oracle) / oracle
     _report(
@@ -73,7 +72,7 @@ def test_c02_tg_regime_accuracy(solve_cache, tg_params):
     assert err_raw >= 5 * err
 
 
-def test_c03_gap_curve_shape(fig2_records, solve_cache, tg_params):
+def test_c03_gap_curve_shape(fig2_records, tg_solution, tg_params):
     gaps = np.array([r.delta_e for r in fig2_records])
     gs = np.array([r.value for r in fig2_records])
     i_min = int(np.argmin(gaps))
@@ -83,9 +82,11 @@ def test_c03_gap_curve_shape(fig2_records, solve_cache, tg_params):
     left_err = abs(gaps[0] - sp_gap) / sp_gap
     right_err = abs(gaps[-1] - oracle) / oracle
 
-    dist_left = point_report(replace(tg_params, interaction=1e-4), cache=solve_cache)[2]
+    basis = cached_basis(5, 20)
+    left = solve_lowest(replace(tg_params, interaction=1e-4))
+    dist_left = angular_momentum_distribution(left.eigenvectors[:, 0], basis)
     tv = total_variation(dist_left, binomial_pk(5))
-    dist_tg = point_report(tg_params, cache=solve_cache)[2]
+    dist_tg = angular_momentum_distribution(tg_solution.eigenvectors[:, 0], basis)
     p0, p5 = dist_tg.p_of(0), dist_tg.p_of(5)
 
     ok = (
@@ -148,7 +149,7 @@ def test_c05ab_noon_gap_scaling():
     assert faster
 
 
-def test_c05c_full_ed_vs_chain(solve_cache):
+def test_c05c_full_ed_vs_chain():
     """Full ED reduces to the two-mode chain at N=5, within a factor of 2.
 
     The chain is the b -> 0 limit of the same Hamiltonian at fixed g/b.  It
@@ -168,7 +169,7 @@ def test_c05c_full_ed_vs_chain(solve_cache):
         params = SystemParams(
             n_atoms=n_atoms, n_modes=modes, interaction=g, barrier=b, phase=math.pi
         )
-        solution, _, _, _ = point_report(params, cache=solve_cache, with_loss=False)
+        solution = solve_lowest(params)
         ed = float(solution.eigenvalues[1] - solution.eigenvalues[0])
         return ed / chain_gap_numeric(n_atoms, g, b)
 
@@ -226,8 +227,11 @@ def test_c06b_noon_window_fragility(fig2_records):
     assert near.qbar_loss <= 0.3
 
 
-def test_c06c_post_loss_binary(solve_cache, tg_params):
-    _, _, _, loss = point_report(tg_params, cache=solve_cache, keep_distributions=True)
+def test_c06c_post_loss_binary(tg_solution):
+    loss = loss_quality(
+        tg_solution.eigenvectors[:, 0], cached_basis(5, 20), cached_basis(4, 20),
+        keep_distributions=True,
+    )
     entry = next(e for e in loss.entries if e.k == 1)
     top2 = float(np.sort(entry.distribution.probabilities)[-2:].sum())
     _report("6c post-loss binary", top2 >= 0.90, f"top-2 probability {top2:.4f}")
@@ -269,7 +273,7 @@ def test_c08_physical_units():
     assert abs(rotation - 0.29) / 0.29 <= 0.02
 
 
-def test_c09_property_suite(tmp_path, solve_cache):
+def test_c09_property_suite(tmp_path):
     from ringflow.cli import write_sweep_csv
 
     # hermiticity: exact

@@ -233,12 +233,32 @@ def test_loss_report(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out.read_text())
+    assert payload["g_tilde"] < payload["interaction"]
     assert 0.0 <= payload["qbar_pre_loss_weights"] <= 1.0
     assert "qbar_post_loss_weights" in payload
     occupations = [m["occupation"] for m in payload["modes"]]
     assert sum(occupations) == pytest.approx(3.0, abs=1e-8)
-    assert (dist_dir / "ground.csv").exists()
+    ground = [l.split(",") for l in (dist_dir / "ground.csv").read_text().splitlines()
+              if not l.startswith("#")]
+    assert sum(float(p) for _, p in ground) == pytest.approx(1.0, abs=1e-12)
     assert (dist_dir / "loss_k1.csv").exists()
+
+
+def test_loss_of_the_only_atom_exits_2(tmp_path, capsys):
+    out = tmp_path / "loss.json"
+    code, _, err = run_cli(["loss", "--atoms", "1", "--output", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "n_atoms >= 2" in err
+    code, _, err = run_cli(
+        ["--json-errors", "loss", "--atoms", "1", "--output", str(out)], capsys
+    )
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "the loss of one atom needs n_atoms >= 2, got 1",
+        "type": "ValueError",
+        "exit_code": 2,
+    }
+    assert not out.exists()
 
 
 def test_spectrum_tg_and_ed(tmp_path, capsys):

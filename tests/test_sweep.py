@@ -12,21 +12,20 @@ import numpy as np
 import pytest
 
 import ringflow
-from ringflow import sweep
+from ringflow import blas, sweep
 from ringflow.cli import main
-from ringflow.hamiltonian import cached_sector_pieces, clear_caches
+from ringflow.hamiltonian import cached_basis, cached_sector_pieces, clear_caches
+from ringflow.observables import loss_quality
 from ringflow.params import SystemParams, lieb_liniger_gamma
 from ringflow.solver import solve_lowest
 from ringflow.sweep import (
     SEGMENT_POINTS,
-    SolveCache,
     SweepRecord,
     SweepSpec,
     fig2_spec,
     fig3a_spec,
     linear_grid,
     log_grid,
-    point_report,
     run_sweep,
 )
 
@@ -102,9 +101,14 @@ def test_warm_start_does_not_change_results():
         records = run_sweep(spec)
         for rec in records:
             params = spec.params_at(rec.value)
-            direct = solve_lowest(params).eigenvalues
-            assert rec.delta_e == pytest.approx(direct[1] - direct[0], abs=1e-11)
-            _, _, _, loss = point_report(params)
+            direct = solve_lowest(params)
+            gap = direct.eigenvalues[1] - direct.eigenvalues[0]
+            assert rec.delta_e == pytest.approx(gap, abs=1e-11)
+            loss = loss_quality(
+                direct.eigenvectors[:, 0],
+                cached_basis(params.n_atoms, params.n_modes),
+                cached_basis(params.n_atoms - 1, params.n_modes),
+            )
             assert rec.qbar_loss == pytest.approx(loss.qbar, abs=1e-9)
     assert sum(rec.iterations for rec in records) > 0  # the Krylov path ran
 
@@ -178,20 +182,14 @@ def test_segments_cut_at_length_and_size_changes():
 def test_same_records_for_any_worker_count(monkeypatch):
     spec = _krylov_spec()
     assert spec.grid.size > SEGMENT_POINTS
-    rows, caches = {}, {}
+    rows = {}
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
-        caches[workers] = SolveCache()
-        records = run_sweep(spec, cache=caches[workers])
+        records = run_sweep(spec)
         assert multiprocessing.active_children() == []
         rows[workers] = [astuple(rec) for rec in records]
     assert rows[1] == rows[2]  # every field bit-identical, iterations included
     assert sum(rec.iterations for rec in records) > 0  # the Krylov path ran
-    # the workers' solutions and counts were merged into the caller's cache
-    cache = caches[2]
-    assert (cache.hits, cache.misses, len(cache._store)) == (0, spec.grid.size, spec.grid.size)
-    assert [astuple(rec) for rec in run_sweep(spec, cache=cache)] == rows[1]
-    assert (cache.hits, cache.misses) == (spec.grid.size, spec.grid.size)
 
 
 def test_sweep_csv_identical_for_any_worker_count(tmp_path, monkeypatch, capsys):
@@ -208,27 +206,11 @@ def test_sweep_csv_identical_for_any_worker_count(tmp_path, monkeypatch, capsys)
     assert texts[0] == texts[1]
 
 
-def _openblas_threads():
-    import ctypes
-
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
-    counts = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_",
-                     "openblas_get_num_threads", "openblas_get_num_threads64_"):
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                counts.append(getter())
-    return counts
-
-
 def test_workers_use_one_blas_thread(monkeypatch):
     # each worker reports its OpenBLAS thread counts in place of a segment;
     # with the default of one thread per core this checks the workers' limit
-    def report(spec, values, cache):
-        return [SweepRecord(value=v, iterations=max(_openblas_threads(), default=1))
+    def report(spec, values):
+        return [SweepRecord(value=v, iterations=max(blas.threads(), default=1))
                 for v in values]
 
     _force_workers(monkeypatch, 2)
@@ -271,16 +253,6 @@ def test_dead_worker_raises_and_leaves_no_process(tmp_path):
     assert not (tmp_path / "dead.csv").exists()
 
 
-def test_cache_hits_across_presets(solve_cache):
-    spec = _small_spec(grid=np.array([0.25, 0.5]))
-    cache = SolveCache()
-    run_sweep(spec, cache=cache)
-    misses = cache.misses
-    run_sweep(spec, cache=cache)
-    assert cache.misses == misses  # all points served from the cache
-    assert cache.hits >= 2
-
-
 def test_pin_gamma_sweep():
     spec = fig3a_spec(atom_numbers=(2, 3), gamma=50.0, n_modes=8, modes_by_atoms=())
     records = run_sweep(spec)
@@ -294,14 +266,6 @@ def test_modes_override_by_atom_number():
     params3 = spec.params_at(3.0)
     assert params3.n_modes == 6
     assert spec.params_at(2.0).n_modes == 8
-
-
-def test_point_report_consistency():
-    params = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.008, phase=math.pi)
-    solution, coupling, dist, loss = point_report(params)
-    assert coupling.g_tilde < params.interaction
-    assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-    assert loss is not None and 0.0 <= loss.qbar <= 1.0
 
 
 def test_fig2_preset_shape():
