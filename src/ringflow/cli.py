@@ -195,7 +195,17 @@ SWEEP_DEFAULTS = {
 }
 
 
+GRIDS = {"log": log_grid, "linear": linear_grid}
+
+
+def _choice(opts: dict, key: str, choices) -> str:
+    if opts[key] not in choices:
+        raise ValueError(f"unknown {key} {opts[key]!r}; expected one of {sorted(choices)}")
+    return opts[key]
+
+
 def _sweep_spec_from(opts: dict, seed: int, tol: float) -> tuple[SweepSpec, str]:
+    grid_fn = GRIDS[_choice(opts, "scale", GRIDS)]
     figure = opts["figure"]
     if figure == "fig4":
         raise ValueError("fig4 is produced by the `noon` subcommand")
@@ -216,7 +226,6 @@ def _sweep_spec_from(opts: dict, seed: int, tol: float) -> tuple[SweepSpec, str]
         raise ValueError(f"unknown figure preset {figure!r}")
     else:
         base = _system(opts, opts["phase_over_pi"] * math.pi)
-        grid_fn = log_grid if opts["scale"] == "log" else linear_grid
         outputs = frozenset(s.strip() for s in opts["outputs"].split(",") if s.strip())
         spec = SweepSpec(
             parameter=opts["param"],
@@ -294,6 +303,9 @@ SPECTRUM_DEFAULTS = {
 
 
 def handle_spectrum(opts: dict, gopts: dict) -> int:
+    _choice(opts, "method", ("ed", "tg"))
+    if opts["omega_points"] < 1:
+        raise ValueError(f"omega_points must be >= 1, got {opts['omega_points']}")
     omegas = np.linspace(opts["omega_start"], opts["omega_stop"], opts["omega_points"])
     m = opts["levels"]
     rows = []
@@ -369,6 +381,10 @@ NOON_DEFAULTS = {
 
 
 def handle_noon(opts: dict, gopts: dict) -> int:
+    if opts["atoms_max"] < opts["atoms_min"]:
+        raise ValueError(
+            f"empty atom range: atoms_max {opts['atoms_max']} < atoms_min {opts['atoms_min']}"
+        )
     rows = []
     for n in range(opts["atoms_min"], opts["atoms_max"] + 1):
         g = opts["interaction"] or fig4_interaction(n, opts["barrier"])

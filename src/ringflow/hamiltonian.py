@@ -16,17 +16,23 @@ coupling terms are Gram products of one annihilator each:
                                                                       (N -> N-2 atoms)
 
 where the pair annihilators P_K, summed over ordered mode pairs, are stacked
-over the total momentum K of the removed pair.  A and P are built once per
-(N, r) from the single-atom loss operators a_k and cached, together with
-their reflection-parity blocks at Omega = pi.  A and P keep parity, so each
-block is projected on both sides, from a sector of the N-atom space onto the
-same sector of the target rows; this halves the rows and nonzeros that a
-sector matvec touches.  A parameter point only sets the prefactors: the
-Hamiltonian is applied as kin*x + b*A^T(Ax) + (g_tilde/2)*P^T(Px) without
-forming the products.  The explicit sparse matrix is built from the factors
-only where its entries are needed (dense solves and propagation).  Matrix
-elements use the bosonic ladder conventions sqrt(n) / sqrt(n+1); explicit
-matrices are exactly symmetric and rebuilding the factors is bit-identical.
+over the total momentum K of the removed pair.
+
+One `Block` type holds the coupling-independent pieces of H on a set of
+columns: the kinetic sums, the factors A and P, and the isometry S from the
+block's columns into the N-atom space.  The whole space is one block with
+S the identity; at Omega = pi the two reflection-parity sectors are two
+blocks, with H = sum_s S_s H_s S_s^T.  A and P keep parity, so a sector's
+factors are projected on both sides, from the sector of the N-atom space
+onto the same sector of the target rows; this halves the rows and nonzeros
+that a sector matvec touches.  Blocks are built once per (N, r) from the
+single-atom loss operators a_k and cached.  A parameter point only sets the
+prefactors: `assemble` applies a block's H_s as kin*x + b*A^T(Ax) +
+(g_tilde/2)*P^T(Px) without forming the products.  The explicit sparse
+matrix is built from the factors only where its entries are needed (dense
+solves and propagation).  Matrix elements use the bosonic ladder conventions
+sqrt(n) / sqrt(n+1); explicit matrices are exactly symmetric and rebuilding
+the factors is bit-identical.
 """
 
 from __future__ import annotations
@@ -42,14 +48,22 @@ import scipy.sparse as sp
 from .basis import FockBasis, build_basis
 from .params import RescaledCoupling, SystemParams, rescale_interaction
 
-_BASIS_CACHE: dict[tuple[int, int], FockBasis] = {}
-_PIECES_CACHE: dict[tuple[int, int], "OperatorPieces"] = {}
-_SECTOR_CACHE: dict[tuple[int, int], "SectorPieces"] = {}
-_LOSS_CACHE: dict[tuple[int, int, int], sp.csr_matrix] = {}
-# one lock for every cache: a miss builds under it, so library callers that
-# solve from several threads never build the same entry twice (builds nest,
-# hence reentrant)
+_CACHE: dict[tuple, object] = {}
+# a miss builds under the lock, so library callers that solve from several
+# threads never build the same entry twice (builds nest, hence reentrant)
 _CACHE_LOCK = threading.RLock()
+
+
+def _cached(key: tuple, build):
+    with _CACHE_LOCK:
+        if key not in _CACHE:
+            _CACHE[key] = build()
+        return _CACHE[key]
+
+
+def clear_caches() -> None:
+    with _CACHE_LOCK:
+        _CACHE.clear()
 
 
 def _symmetrize(matrix: sp.spmatrix) -> sp.csr_matrix:
@@ -106,19 +120,6 @@ class FactoredOperator:
         return _symmetrize(out)
 
 
-def _hamiltonian(
-    kin: np.ndarray,
-    barrier: Factor,
-    interaction: Factor | None,
-    params: SystemParams,
-    coupling: RescaledCoupling,
-) -> FactoredOperator:
-    terms = ((params.barrier, barrier), (0.5 * coupling.g_tilde, interaction))
-    return FactoredOperator(
-        kin, tuple((c, f) for c, f in terms if c != 0.0 and f is not None)
-    )
-
-
 def kinetic_diagonals(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     """Per-state sums (sum_k k*n_k, sum_k k^2*n_k) as float arrays."""
     k1 = (basis.occupations @ basis.window).astype(float)
@@ -137,22 +138,26 @@ def kinetic_diagonal(basis: FockBasis, phase: float) -> np.ndarray:
     return _kinetic(*kinetic_diagonals(basis), basis.n_atoms, phase)
 
 
-@dataclass
-class OperatorPieces:
-    """Coupling-independent building blocks for one (N, r).
+@dataclass(frozen=True)
+class Block:
+    """Coupling-independent pieces of one block H_s of H = sum_s S_s H_s S_s^T.
 
-    `interaction_factor` is None for a single atom, which has no pairs.
+    Every field covers the block's columns only: the kinetic sums
+    sum_k k*n_k and sum_k k^2*n_k per column, the factors of b*A^T A and
+    (g_tilde/2)*P^T P (`interaction_factor` is None for a single atom, which
+    has no pairs), and the isometry S_s from the columns into the N-atom space.
     """
 
-    basis: FockBasis
     kin_k: np.ndarray
     kin_k2: np.ndarray
     barrier_factor: Factor
     interaction_factor: Factor | None
+    isometry: sp.csr_matrix
 
 
-def build_pieces(basis: FockBasis) -> OperatorPieces:
-    """Kinetic sums and the factors A and P, from the cached a_k matrices."""
+def build_pieces(basis: FockBasis) -> Block:
+    """The whole space as one block (S = identity): the kinetic sums and the
+    factors A and P, from the cached a_k matrices."""
     n, r = basis.n_atoms, basis.n_modes
     window = [int(k) for k in basis.window]
     singles = [cached_loss_operator(n, r, k) for k in window]
@@ -167,39 +172,38 @@ def build_pieces(basis: FockBasis) -> OperatorPieces:
         blocks = [[lower.get(total - k2) for k2 in window] for total in totals]
         pair = sp.bmat(blocks, format="csr") @ sp.vstack(singles, format="csr")
     k1, k2 = kinetic_diagonals(basis)
-    return OperatorPieces(
-        basis=basis,
+    return Block(
         kin_k=k1,
         kin_k2=k2,
         barrier_factor=Factor.of(annihilator),
         interaction_factor=None if pair is None else Factor.of(pair),
+        isometry=sp.identity(basis.size, format="csr"),
     )
 
 
 def cached_basis(n_atoms: int, n_modes: int) -> FockBasis:
-    key = (n_atoms, n_modes)
-    with _CACHE_LOCK:
-        if key not in _BASIS_CACHE:
-            _BASIS_CACHE[key] = build_basis(n_atoms, n_modes)
-        return _BASIS_CACHE[key]
+    return _cached(("basis", n_atoms, n_modes), lambda: build_basis(n_atoms, n_modes))
 
 
-def cached_pieces(n_atoms: int, n_modes: int) -> OperatorPieces:
-    """Operator pieces for (N, r), memoized in-process."""
-    key = (n_atoms, n_modes)
-    with _CACHE_LOCK:
-        if key not in _PIECES_CACHE:
-            _PIECES_CACHE[key] = build_pieces(cached_basis(n_atoms, n_modes))
-        return _PIECES_CACHE[key]
+def cached_pieces(n_atoms: int, n_modes: int) -> Block:
+    """The whole-space block for (N, r), memoized in-process."""
+    return _cached(
+        ("pieces", n_atoms, n_modes), lambda: build_pieces(cached_basis(n_atoms, n_modes))
+    )
 
 
-def assemble(
-    pieces: OperatorPieces, params: SystemParams, coupling: RescaledCoupling
-) -> FactoredOperator:
-    """H = kinetic(Omega) + b*A^T A + (g_tilde/2)*P^T P from cached pieces."""
-    kin = _kinetic(pieces.kin_k, pieces.kin_k2, params.n_atoms, params.phase)
-    return _hamiltonian(
-        kin, pieces.barrier_factor, pieces.interaction_factor, params, coupling
+def assemble(block: Block, params: SystemParams, coupling: RescaledCoupling) -> FactoredOperator:
+    """H_s = kinetic(Omega) + b*A_s^T A_s + (g_tilde/2)*P_s^T P_s on one block.
+
+    A parity-sector block is a block of H only at Omega = pi exactly.
+    """
+    kin = _kinetic(block.kin_k, block.kin_k2, params.n_atoms, params.phase)
+    terms = (
+        (params.barrier, block.barrier_factor),
+        (0.5 * coupling.g_tilde, block.interaction_factor),
+    )
+    return FactoredOperator(
+        kin, tuple((c, f) for c, f in terms if c != 0.0 and f is not None)
     )
 
 
@@ -242,18 +246,16 @@ def loss_operator(k: int, basis_n: FockBasis, basis_nm1: FockBasis) -> sp.csr_ma
 
 
 def cached_loss_operator(n_atoms: int, n_modes: int, k: int) -> sp.csr_matrix:
-    key = (n_atoms, n_modes, k)
-    with _CACHE_LOCK:
-        if key not in _LOSS_CACHE:
-            _LOSS_CACHE[key] = loss_operator(
-                k, cached_basis(n_atoms, n_modes), cached_basis(n_atoms - 1, n_modes)
-            )
-        return _LOSS_CACHE[key]
+    return _cached(
+        ("loss", n_atoms, n_modes, k),
+        lambda: loss_operator(
+            k, cached_basis(n_atoms, n_modes), cached_basis(n_atoms - 1, n_modes)
+        ),
+    )
 
 
-@dataclass
-class SectorPieces:
-    """Reflection-parity (k -> 1-k) blocks of the pieces, valid at Omega = pi.
+def cached_sector_pieces(n_atoms: int, n_modes: int) -> tuple[Block, Block]:
+    """The (even, odd) reflection-parity (k -> 1-k) blocks, valid at Omega = pi.
 
     At the crossing point the reflection commutes with every Hamiltonian
     piece, so with S the isometry onto a sector, the sector block of
@@ -265,14 +267,31 @@ class SectorPieces:
     S''^T P S, whose Gram products equal (AS)^T(AS) and (PS)^T(PS) and
     whose rows are the target's parity orbits only: half the rows and half
     the nonzeros of AS and PS (N=5, r=20: 88,550 and 161,700 nonzeros per
-    sector).
+    sector).  The kinetic sums are those of each column's orbit
+    representative; at Omega = pi the kinetic term is reflection-invariant.
     """
+    return _cached(("sectors", n_atoms, n_modes), lambda: _sector_blocks(n_atoms, n_modes))
 
-    basis: FockBasis
-    isometries: tuple[sp.csr_matrix, sp.csr_matrix]
-    kin_pi: tuple[np.ndarray, np.ndarray]
-    barrier_factor: tuple[Factor, Factor]
-    interaction_factor: tuple[Factor | None, Factor | None]
+
+def _sector_blocks(n_atoms: int, n_modes: int) -> tuple[Block, Block]:
+    whole = cached_pieces(n_atoms, n_modes)
+    isometries, reps = _parity_isometries(
+        cached_basis(n_atoms, n_modes).reflection_permutation()
+    )
+    barrier = _two_sided(
+        whole.barrier_factor.matrix,
+        cached_basis(n_atoms - 1, n_modes).reflection_permutation(),
+        isometries,
+    )
+    p = whole.interaction_factor
+    interaction = (
+        (None, None) if p is None
+        else _two_sided(p.matrix, _pair_row_reflection(n_atoms, n_modes), isometries)
+    )
+    return tuple(
+        Block(whole.kin_k[r], whole.kin_k2[r], a, f, s)
+        for r, a, f, s in zip(reps, barrier, interaction, isometries)
+    )
 
 
 def _parity_orbits(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,9 +303,9 @@ def _parity_orbits(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _parity_isometries(
     perm: np.ndarray,
-) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray, np.ndarray]:
+) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], tuple[np.ndarray, np.ndarray]]:
     """Isometries onto the even/odd eigenspaces of an involutive index
-    permutation, plus the orbit representative of each sector column.
+    permutation, and the orbit representative of each sector column.
 
     Fixed points span the even sector alone; each pair (i, perm[i]) gives one
     even column (e_i + e_perm[i])/sqrt(2) and one odd column
@@ -314,7 +333,7 @@ def _parity_isometries(
     cols = np.concatenate([np.arange(pair_lo.size), np.arange(pair_lo.size)])
     vals = np.concatenate([np.full(pair_lo.size, inv), np.full(pair_lo.size, -inv)])
     s_odd = sp.coo_matrix((vals, (rows, cols)), shape=(size, pair_lo.size)).tocsr()
-    return s_even, s_odd, reps_even, pair_lo
+    return (s_even, s_odd), (reps_even, pair_lo)
 
 
 def _pair_row_reflection(n_atoms: int, n_modes: int) -> np.ndarray:
@@ -347,56 +366,3 @@ def _two_sided(
         Factor.of(sp.diags(scale) @ (matrix[rows] @ s))
         for (rows, scale), s in zip(sectors, columns)
     )
-
-
-def cached_sector_pieces(n_atoms: int, n_modes: int) -> SectorPieces:
-    key = (n_atoms, n_modes)
-    with _CACHE_LOCK:
-        if key not in _SECTOR_CACHE:
-            _SECTOR_CACHE[key] = _project_pieces(cached_pieces(n_atoms, n_modes))
-        return _SECTOR_CACHE[key]
-
-
-def _project_pieces(pieces: OperatorPieces) -> SectorPieces:
-    basis = pieces.basis
-    n, r = basis.n_atoms, basis.n_modes
-    s_even, s_odd, reps_even, reps_odd = _parity_isometries(
-        basis.reflection_permutation()
-    )
-    # a = 1/2 exactly at Omega = pi
-    kin_full = _kinetic(pieces.kin_k, pieces.kin_k2, n, math.pi)
-    a, p = pieces.barrier_factor.matrix, pieces.interaction_factor
-    return SectorPieces(
-        basis=basis,
-        isometries=(s_even, s_odd),
-        # the orbit representative carries the (reflection-invariant) diagonal
-        kin_pi=(kin_full[reps_even], kin_full[reps_odd]),
-        barrier_factor=_two_sided(
-            a, cached_basis(n - 1, r).reflection_permutation(), (s_even, s_odd)
-        ),
-        interaction_factor=(
-            (None, None) if p is None
-            else _two_sided(p.matrix, _pair_row_reflection(n, r), (s_even, s_odd))
-        ),
-    )
-
-
-def assemble_sector(
-    sector: SectorPieces, params: SystemParams, coupling: RescaledCoupling, which: int
-) -> FactoredOperator:
-    """Parity block (0 = even, 1 = odd) of the Hamiltonian at Omega = pi."""
-    return _hamiltonian(
-        sector.kin_pi[which],
-        sector.barrier_factor[which],
-        sector.interaction_factor[which],
-        params,
-        coupling,
-    )
-
-
-def clear_caches() -> None:
-    with _CACHE_LOCK:
-        _BASIS_CACHE.clear()
-        _PIECES_CACHE.clear()
-        _SECTOR_CACHE.clear()
-        _LOSS_CACHE.clear()

@@ -21,7 +21,7 @@ of sample times; no block may exceed `SPECTRAL_CAP`.  Dense `eigh` calls below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -31,13 +31,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import blas
 from .errors import ConvergenceError, DimensionCapError
-from .hamiltonian import (
-    FactoredOperator,
-    assemble,
-    assemble_sector,
-    cached_pieces,
-    cached_sector_pieces,
-)
+from .hamiltonian import FactoredOperator, assemble, cached_pieces, cached_sector_pieces
 from .params import RescaledCoupling, SystemParams, rescale_interaction
 
 DEFAULT_SEED = 7
@@ -196,16 +190,15 @@ def hamiltonian_blocks(
     """The Hamiltonian at one point as blocks (H_s, S_s), H = sum_s S_s H_s S_s^T.
 
     At Omega = pi (and `use_parity`) these are the even and odd
-    reflection-parity sectors; elsewhere the whole operator with the identity.
+    reflection-parity sectors, assembled at Omega = pi exactly; elsewhere the
+    whole operator with the identity.
     """
     if use_parity and _is_crossing_phase(params.phase):
-        sector = cached_sector_pieces(params.n_atoms, params.n_modes)
-        return [
-            (assemble_sector(sector, params, coupling, which), sector.isometries[which])
-            for which in (0, 1)
-        ]
-    operator = assemble(cached_pieces(params.n_atoms, params.n_modes), params, coupling)
-    return [(operator, sp.identity(operator.dimension, format="csr"))]
+        blocks = cached_sector_pieces(params.n_atoms, params.n_modes)
+        params = replace(params, phase=math.pi)
+    else:
+        blocks = (cached_pieces(params.n_atoms, params.n_modes),)
+    return [(assemble(b, params, coupling), b.isometry) for b in blocks]
 
 
 def solve_lowest(

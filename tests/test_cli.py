@@ -348,6 +348,39 @@ def test_spectrum_more_levels_than_the_dimension_exits_2(omega, tmp_path, capsys
     assert not output.exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("sweep", "scale", "lgo"), ("spectrum", "method", "foo")],
+)
+def test_unknown_choice_exits_2(command, key, value, tmp_path, capsys):
+    # from a flag and from a config file alike; nothing else is run
+    output = tmp_path / "out.csv"
+    small = ["--atoms", "2", "--modes", "6", "--output", str(output)]
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{command}]\n{key} = {value}\n")
+    for source in (["--" + key, value], ["--config", str(config)]):
+        code, _, err = run_cli([command, *source, *small], capsys)
+        assert code == 2
+        assert err.startswith(f"error: unknown {key} {value!r}")
+        assert not output.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["noon", "--atoms-min", "5", "--atoms-max", "3"],
+        ["spectrum", "--omega-points", "0"],
+    ],
+)
+def test_empty_range_exits_2(args, tmp_path, capsys):
+    output = tmp_path / "out.csv"
+    code, _, err = run_cli([*args, "--output", str(output)], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not output.exists()
+    assert not (tmp_path / "out.csv.manifest.json").exists()
+
+
 def test_dynamics_block_over_the_spectral_cap_exits_4(tmp_path, capsys, monkeypatch):
     # N=3, r=8 at Omega = pi: parity blocks of 60 and 60
     monkeypatch.setattr(solver, "SPECTRAL_CAP", 50)

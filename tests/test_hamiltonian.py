@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ringflow.basis import build_basis
 from ringflow.hamiltonian import (
-    assemble_sector,
+    assemble,
     build_hamiltonian,
     build_pieces,
     cached_basis,
@@ -139,7 +139,8 @@ def test_rebuild_is_bit_identical():
     s2 = cached_sector_pieces(3, 6)
     assert s1 is not s2
     for f1, f2 in zip(
-        s1.barrier_factor + s1.interaction_factor, s2.barrier_factor + s2.interaction_factor
+        [b.barrier_factor for b in s1] + [b.interaction_factor for b in s1],
+        [b.barrier_factor for b in s2] + [b.interaction_factor for b in s2],
     ):
         for m1, m2 in ((f1.matrix, f2.matrix), (f1.transpose, f2.transpose)):
             assert np.array_equal(m1.data, m2.data)
@@ -159,29 +160,30 @@ def _orbit_counts(labels, images):
 def test_two_sided_sector_factors(n_atoms, n_modes):
     pieces = cached_pieces(n_atoms, n_modes)
     sector = cached_sector_pieces(n_atoms, n_modes)
-    window = [int(k) for k in pieces.basis.window]
+    window = [int(k) for k in cached_basis(n_atoms, n_modes).window]
     # A's rows are (N-1)-atom states; the reflection k -> 1-k reverses them
     lower = [tuple(o) for o in build_basis(n_atoms - 1, n_modes).occupations]
     a_rows = _orbit_counts(lower, [o[::-1] for o in lower])
-    factors = [(pieces.barrier_factor, sector.barrier_factor, a_rows)]
+    factors = [(pieces.barrier_factor, [b.barrier_factor for b in sector], a_rows)]
     if n_atoms >= 2:
         # P's rows are (K, (N-2)-atom state), K the momentum of the removed pair
         pairs = [tuple(o) for o in build_basis(n_atoms - 2, n_modes).occupations]
         totals = range(2 * window[0], 2 * window[-1] + 1)
         labels = [(k, o) for k in totals for o in pairs]
         p_rows = _orbit_counts(labels, [(2 - k, o[::-1]) for k, o in labels])
-        factors.append((pieces.interaction_factor, sector.interaction_factor, p_rows))
+        projected = [b.interaction_factor for b in sector]
+        factors.append((pieces.interaction_factor, projected, p_rows))
     else:
-        assert sector.interaction_factor == (None, None)
+        assert [b.interaction_factor for b in sector] == [None, None]
     for full, projected, rows in factors:
-        for which, s in enumerate(sector.isometries):
+        for which, s in enumerate(b.isometry for b in sector):
             column_only = (full.matrix @ s).toarray()
             factor = projected[which]
             assert factor.matrix.shape == (rows[which], s.shape[1])
             gram = (factor.transpose @ factor.matrix).toarray()
             assert np.max(np.abs(gram - column_only.T @ column_only)) < 1e-13
     if n_atoms == 1:
-        assert sector.barrier_factor[1].matrix.shape[0] == 0
+        assert sector[1].barrier_factor.matrix.shape[0] == 0
 
 
 def _ladder_string(ops, occ):
@@ -240,9 +242,8 @@ def test_factored_hamiltonian_matches_term_sums(n_atoms, n_modes, g, b, phase):
     assert np.max(np.abs(op @ x - reference @ x)) < 1e-13
     if phase != math.pi:
         return
-    sector = cached_sector_pieces(n_atoms, n_modes)
-    for which, s in enumerate(sector.isometries):
-        block = assemble_sector(sector, params, coupling, which)
+    for which, pieces in enumerate(cached_sector_pieces(n_atoms, n_modes)):
+        block, s = assemble(pieces, params, coupling), pieces.isometry
         projected = s.T.toarray() @ reference @ s.toarray()
         y = np.random.default_rng(which).standard_normal(s.shape[1])
         assert np.max(np.abs(block @ y - projected @ y)) < 1e-13

@@ -229,6 +229,8 @@ def test_crossing_phase_snap():
     assert inside.method == "lanczos-parity"
     assert outside.method == "dense"  # plain path, below the dense cutoff
     assert _gap(inside) == pytest.approx(_gap(outside), abs=1e-12)
+    # inside the snap the sector blocks are assembled at pi itself
+    assert np.array_equal(inside.eigenvalues, solve(math.pi).eigenvalues)
 
 
 # ----------------------------------------------------------------- dynamics

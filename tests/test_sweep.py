@@ -14,7 +14,13 @@ import pytest
 import ringflow
 from ringflow import blas, sweep
 from ringflow.cli import main
-from ringflow.hamiltonian import cached_basis, cached_sector_pieces, clear_caches
+from ringflow.hamiltonian import (
+    cached_basis,
+    cached_loss_operator,
+    cached_pieces,
+    cached_sector_pieces,
+    clear_caches,
+)
 from ringflow.observables import loss_quality
 from ringflow.params import SystemParams, lieb_liniger_gamma
 from ringflow.solver import solve_lowest
@@ -137,22 +143,30 @@ def test_warm_start_across_the_crossing(grid):
 
 def test_threaded_execution_matches_sequential():
     # concurrent callers race on the cold builders; the cache lock must hand
-    # every thread the same pieces and leave the solves unchanged
+    # every thread the same object from each builder and leave the solves
+    # unchanged
     params = SystemParams(n_atoms=2, n_modes=8, interaction=0.5, barrier=0.01, phase=math.pi)
     reference = solve_lowest(params).eigenvalues
     clear_caches()
     start = threading.Barrier(4)
 
+    def built():
+        return (
+            cached_basis(2, 8),
+            cached_pieces(2, 8),
+            cached_sector_pieces(2, 8),
+            cached_loss_operator(2, 8, 1),
+        )
+
     def worker(_):
         start.wait()
-        pieces = cached_sector_pieces(2, 8)
-        return pieces, solve_lowest(params).eigenvalues
+        return built(), solve_lowest(params).eigenvalues
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(worker, range(4)))
-    shared = cached_sector_pieces(2, 8)
-    for pieces, eigenvalues in results:
-        assert pieces is shared
+    shared = built()
+    for objects, eigenvalues in results:
+        assert all(obj is ref for obj, ref in zip(objects, shared, strict=True))
         assert np.array_equal(eigenvalues, reference)
 
 
