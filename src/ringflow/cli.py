@@ -113,13 +113,15 @@ def load_config(path: str) -> dict[str, dict[str, str]]:
     return {name: dict(parser[name]) for name in parser.sections()}
 
 
-def _coerce(value, reference):
+def _coerce(key: str, value, reference):
     if value is None or reference is None:
         return value
     if isinstance(reference, bool):
-        if isinstance(value, bool):
-            return value
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
+        # the spellings configparser accepts, in any case (str(True) is "True")
+        state = configparser.ConfigParser.BOOLEAN_STATES.get(str(value).strip().lower())
+        if state is None:
+            raise ValueError(f"{key} must be one of 1/yes/true/on or 0/no/false/off, got {value!r}")
+        return state
     if isinstance(reference, int):
         return int(value)
     if isinstance(reference, float):
@@ -134,7 +136,7 @@ def resolve(command: str, defaults: dict, args: argparse.Namespace, config: dict
     for key, default in defaults.items():
         value = getattr(args, key, None)
         if value is None and key in section:
-            value = _coerce(section[key], default)
+            value = _coerce(key, section[key], default)
         if value is None:
             value = default
         resolved[key] = value
@@ -190,7 +192,6 @@ SWEEP_DEFAULTS = {
     "phase_over_pi": 1.0,
     "gamma": 200.0,
     "rescale": True,
-    "outputs": "delta_e,distribution,quality,loss",
     "output": "",
 }
 
@@ -226,12 +227,10 @@ def _sweep_spec_from(opts: dict, seed: int, tol: float) -> tuple[SweepSpec, str]
         raise ValueError(f"unknown figure preset {figure!r}")
     else:
         base = _system(opts, opts["phase_over_pi"] * math.pi)
-        outputs = frozenset(s.strip() for s in opts["outputs"].split(",") if s.strip())
         spec = SweepSpec(
             parameter=opts["param"],
             grid=grid_fn(opts["start"], opts["stop"], opts["points"]),
             base=base,
-            outputs=outputs,
             tol=tol,
             seed=seed,
         )
@@ -261,18 +260,13 @@ def write_sweep_csv(path: str, spec: SweepSpec, records, digest: str) -> None:
     )
 
 
+def check_sweep(opts: dict, gopts: dict) -> dict:
+    spec, output = _sweep_spec_from(opts, gopts["seed"], gopts["tol"])
+    return {"resolved_output": output, "grid_head": [float(v) for v in spec.grid[:3]]}
+
+
 def handle_sweep(opts: dict, gopts: dict) -> int:
     spec, output = _sweep_spec_from(opts, gopts["seed"], gopts["tol"])
-    if gopts["dry_run"]:
-        payload = dict(opts)
-        payload["resolved_output"] = output
-        payload["grid_head"] = [float(v) for v in spec.grid[:3]]
-        _json_report(
-            {"command": "sweep", "parameters": payload,
-             "config_digest": _digest("sweep", opts, gopts["seed"], gopts["tol"])},
-            None,
-        )
-        return EXIT_OK
     records = run_sweep(spec)
     if records and all(rec.error for rec in records):
         # per-point capture is for partial failures; a fully failed sweep
@@ -302,10 +296,15 @@ SPECTRUM_DEFAULTS = {
 }
 
 
-def handle_spectrum(opts: dict, gopts: dict) -> int:
+def check_spectrum(opts: dict, gopts: dict) -> None:
     _choice(opts, "method", ("ed", "tg"))
     if opts["omega_points"] < 1:
         raise ValueError(f"omega_points must be >= 1, got {opts['omega_points']}")
+    if opts["method"] == "ed":
+        _system(opts, opts["omega_start"] * math.pi)
+
+
+def handle_spectrum(opts: dict, gopts: dict) -> int:
     omegas = np.linspace(opts["omega_start"], opts["omega_stop"], opts["omega_points"])
     m = opts["levels"]
     rows = []
@@ -380,11 +379,14 @@ NOON_DEFAULTS = {
 }
 
 
-def handle_noon(opts: dict, gopts: dict) -> int:
+def check_noon(opts: dict, gopts: dict) -> None:
     if opts["atoms_max"] < opts["atoms_min"]:
         raise ValueError(
             f"empty atom range: atoms_max {opts['atoms_max']} < atoms_min {opts['atoms_min']}"
         )
+
+
+def handle_noon(opts: dict, gopts: dict) -> int:
     rows = []
     for n in range(opts["atoms_min"], opts["atoms_max"] + 1):
         g = opts["interaction"] or fig4_interaction(n, opts["barrier"])
@@ -437,10 +439,13 @@ def _write_distribution(path: str, dist, header: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def check_loss(opts: dict, gopts: dict) -> None:
+    if _system(opts, opts["phase_over_pi"] * math.pi).n_atoms < 2:
+        raise ValueError(f"the loss of one atom needs n_atoms >= 2, got {opts['atoms']}")
+
+
 def handle_loss(opts: dict, gopts: dict) -> int:
     params = _system(opts, opts["phase_over_pi"] * math.pi)
-    if params.n_atoms < 2:
-        raise ValueError(f"the loss of one atom needs n_atoms >= 2, got {params.n_atoms}")
     coupling = rescale_interaction(params.interaction, params.n_modes)
     solution = solve_lowest(params, coupling=coupling, tol=gopts["tol"], seed=gopts["seed"])
     keep = bool(opts["distributions_dir"])
@@ -507,6 +512,11 @@ DYNAMICS_DEFAULTS = {
 }
 
 
+def check_dynamics(opts: dict, gopts: dict) -> None:
+    _system(opts, opts["omega_initial_over_pi"] * math.pi)
+    _system(opts, opts["omega_final_over_pi"] * math.pi)
+
+
 def handle_dynamics(opts: dict, gopts: dict) -> int:
     report = run_quench(
         _system(opts, opts["omega_final_over_pi"] * math.pi),
@@ -557,12 +567,21 @@ def _parse_species(spec: str) -> float:
     return value * ATOMIC_MASS_KG if match.group(2) == "u" else value
 
 
-def handle_units(opts: dict, gopts: dict) -> int:
+def _units_inputs(opts: dict) -> tuple[PhysicalRing, SystemParams]:
     mass = opts["mass_kg"] or _parse_species(opts["species"])
     ring = PhysicalRing(atom_mass=mass, ring_radius=opts["radius"])
     params = SystemParams(
         n_atoms=opts["atoms"], n_modes=2, phase=opts["phase_over_pi"] * math.pi
     )
+    return ring, params
+
+
+def check_units(opts: dict, gopts: dict) -> None:
+    _units_inputs(opts)
+
+
+def handle_units(opts: dict, gopts: dict) -> int:
+    ring, params = _units_inputs(opts)
     _json_report(to_physical(params, ring, opts["deltaE"]), opts["output"] or None)
     return EXIT_OK
 
@@ -601,6 +620,17 @@ HANDLERS = {
     "dynamics": handle_dynamics,
     "units": handle_units,
     "validate": handle_validate,
+}
+
+# each command's input checks, passed first by its dry run and its real run
+# alike; a check that returns a dict adds resolved values to the dry run
+CHECKS = {
+    "sweep": check_sweep,
+    "spectrum": check_spectrum,
+    "noon": check_noon,
+    "loss": check_loss,
+    "dynamics": check_dynamics,
+    "units": check_units,
 }
 
 
@@ -668,9 +698,12 @@ def main(argv: list[str] | None = None) -> int:
             "dry_run": bool(getattr(args, "dry_run", False)),
         }
         opts = resolve(args.command, DEFAULTS_BY_COMMAND[args.command], args, config)
-        if gopts["dry_run"] and args.command != "sweep":
-            # the sweep resolves its spec first and reports it in its own dry run
-            _json_report({"command": args.command, "parameters": opts}, None)
+        check = CHECKS.get(args.command)
+        resolved = check(opts, gopts) if check else None
+        if gopts["dry_run"]:
+            digest = _digest(args.command, opts, gopts["seed"], gopts["tol"])
+            payload = {"command": args.command, "parameters": {**opts, **(resolved or {})}}
+            _json_report({**payload, "config_digest": digest}, None)
             return EXIT_OK
         return HANDLERS[args.command](opts, gopts)
     except DimensionCapError as exc:

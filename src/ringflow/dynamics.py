@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import assemble, cached_basis, cached_pieces
+from .hamiltonian import build_hamiltonian, cached_basis
 from .params import SystemParams, rescale_interaction
 from .solver import (
     DEFAULT_SEED,
@@ -75,7 +75,7 @@ def run_quench(
     times = np.linspace(0.0, periods * period, n_samples + 1)
 
     k0_mask = (cached_basis(params.n_atoms, params.n_modes).total_k == 0).astype(float)
-    matrix = assemble(cached_pieces(params.n_atoms, params.n_modes), params, coupling).matrix
+    matrix = build_hamiltonian(params, coupling).matrix
 
     observables = {
         "P_K0": lambda psi: float(np.real(np.vdot(psi, k0_mask * psi))),

@@ -28,11 +28,13 @@ onto the same sector of the target rows; this halves the rows and nonzeros
 that a sector matvec touches.  Blocks are built once per (N, r) from the
 single-atom loss operators a_k and cached.  A parameter point only sets the
 prefactors: `assemble` applies a block's H_s as kin*x + b*A^T(Ax) +
-(g_tilde/2)*P^T(Px) without forming the products.  The explicit sparse
-matrix is built from the factors only where its entries are needed (dense
-solves and propagation).  Matrix elements use the bosonic ladder conventions
-sqrt(n) / sqrt(n+1); explicit matrices are exactly symmetric and rebuilding
-the factors is bit-identical.
+(g_tilde/2)*P^T(Px) without forming the products.  `build_hamiltonian`
+is the whole operator at a point, assembled on the cached whole-space block;
+`solver.hamiltonian_blocks` gives the same point as its block list.  The
+explicit sparse matrix is built from the factors only where its entries are
+needed (dense solves, propagation and energy traces).  Matrix elements use
+the bosonic ladder conventions sqrt(n) / sqrt(n+1); explicit matrices are
+exactly symmetric and rebuilding the factors is bit-identical.
 """
 
 from __future__ import annotations
@@ -97,10 +99,6 @@ class FactoredOperator:
 
     diagonal: np.ndarray
     terms: tuple[tuple[float, Factor], ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.diagonal.size, self.diagonal.size)
 
     @property
     def dimension(self) -> int:
@@ -208,21 +206,16 @@ def assemble(block: Block, params: SystemParams, coupling: RescaledCoupling) -> 
 
 
 def build_hamiltonian(
-    basis: FockBasis, params: SystemParams, coupling: RescaledCoupling | None = None
+    params: SystemParams, coupling: RescaledCoupling | None = None
 ) -> FactoredOperator:
-    """Assemble the full Hamiltonian for one parameter point.
+    """The whole operator at one parameter point, on the cached whole-space block.
 
     `coupling` defaults to the leading-order rescaling of params.interaction;
     pass `raw_coupling(params.interaction)` to disable the rescaling.
     """
-    if basis.n_atoms != params.n_atoms or basis.n_modes != params.n_modes:
-        raise ValueError(
-            f"basis (N={basis.n_atoms}, r={basis.n_modes}) does not match "
-            f"params (N={params.n_atoms}, r={params.n_modes})"
-        )
     if coupling is None:
         coupling = rescale_interaction(params.interaction, params.n_modes)
-    return assemble(build_pieces(basis), params, coupling)
+    return assemble(cached_pieces(params.n_atoms, params.n_modes), params, coupling)
 
 
 def loss_operator(k: int, basis_n: FockBasis, basis_nm1: FockBasis) -> sp.csr_matrix:

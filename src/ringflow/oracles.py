@@ -57,26 +57,20 @@ class TruncationReport:
 
 def truncation_validation(g: float, n_modes: int) -> TruncationReport:
     """Run the diagonalization core at N=2, b=0 with and without rescaling."""
-    from .hamiltonian import assemble, cached_pieces
     from .params import SystemParams, raw_coupling, rescale_interaction
-    from .solver import lowest_eigenpairs
+    from .solver import solve_lowest
 
     params = SystemParams(n_atoms=2, n_modes=n_modes, interaction=g, barrier=0.0, phase=0.0)
-    pieces = cached_pieces(2, n_modes)
-    e_exact = two_particle_exact(g)
-    energies = {}
-    for tag, coupling in (
-        ("rescaled", rescale_interaction(g, n_modes)),
-        ("unscaled", raw_coupling(g)),
-    ):
-        op = assemble(pieces, params, coupling)
-        energies[tag] = float(lowest_eigenpairs(op, 1).eigenvalues[0])
+
+    def ground(coupling) -> float:
+        return float(solve_lowest(params, m=1, coupling=coupling).eigenvalues[0])
+
     return TruncationReport(
         interaction=g,
         n_modes=n_modes,
-        e_exact=e_exact,
-        e_rescaled=energies["rescaled"],
-        e_unscaled=energies["unscaled"],
+        e_exact=two_particle_exact(g),
+        e_rescaled=ground(rescale_interaction(g, n_modes)),
+        e_unscaled=ground(raw_coupling(g)),
     )
 
 

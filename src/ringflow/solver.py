@@ -64,14 +64,6 @@ class EigenSolution:
     sector_vectors: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
 
-def _as_matrix(operator) -> sp.csr_matrix:
-    if isinstance(operator, FactoredOperator):
-        return operator.matrix
-    if sp.issparse(operator):
-        return operator.tocsr()
-    return sp.csr_matrix(np.asarray(operator))
-
-
 def _eigh(matrix: np.ndarray, **kwargs):
     """`scipy.linalg.eigh`, on one BLAS thread below SERIAL_EIGH."""
     if matrix.shape[0] >= SERIAL_EIGH:
@@ -111,7 +103,7 @@ def _lowest(
 
 
 def lowest_eigenpairs(
-    operator,
+    operator: FactoredOperator,
     m: int,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
@@ -119,23 +111,21 @@ def lowest_eigenpairs(
     dense_cutoff: int = DENSE_CUTOFF,
     max_iterations: int | None = None,
 ) -> EigenSolution:
-    """The m lowest eigenpairs of a real symmetric operator.
+    """The m lowest eigenpairs of a factored real symmetric operator.
 
     Dimensions up to `dense_cutoff` are solved densely from the explicit
     matrix; larger problems use the Krylov path with the seeded (or provided)
-    start vector, applying a FactoredOperator factor by factor.  Raises
+    start vector, applying the operator factor by factor.  Raises
     ConvergenceError if the iteration stalls, with the achieved residual of
     the pairs that converged (None when none did).
     """
-    if not isinstance(operator, FactoredOperator):
-        operator = _as_matrix(operator)
-    dim = operator.shape[0]
+    dim = operator.dimension
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m > dim:
         raise ValueError(f"requested {m} eigenpairs of a dimension-{dim} operator")
     if dim <= dense_cutoff or m >= dim - 1:
-        vals, vecs = _eigh(_as_matrix(operator).toarray(), subset_by_index=(0, m - 1))
+        vals, vecs = _eigh(operator.matrix.toarray(), subset_by_index=(0, m - 1))
         return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, 0, "dense", tol)
 
     matvecs = [0]
@@ -144,7 +134,7 @@ def lowest_eigenpairs(
         matvecs[0] += 1
         return operator @ x
 
-    op = LinearOperator(shape=operator.shape, matvec=counted, dtype=float)
+    op = LinearOperator(shape=(dim, dim), matvec=counted, dtype=float)
     if v0 is None:
         v0 = _start_vector(dim, seed)
     try:
@@ -315,19 +305,18 @@ class Spectrum:
         return np.sort(np.concatenate([energies for energies, _, _ in self.blocks]))[:m]
 
 
-def diagonalize(blocks) -> Spectrum:
-    """Dense eigendecomposition of each real symmetric or complex Hermitian
-    H_s in a sequence of (block H_s, isometry S_s) pairs with
-    H = sum_s S_s H_s S_s^T, such as `hamiltonian_blocks` returns.  Raises
-    DimensionCapError, before any diagonalization, if a block exceeds
+def diagonalize(blocks: list[tuple[FactoredOperator, sp.spmatrix]]) -> Spectrum:
+    """Dense eigendecomposition of each block H_s in a list of (H_s, S_s)
+    pairs with H = sum_s S_s H_s S_s^T, as `hamiltonian_blocks` returns.
+    Raises DimensionCapError, before any diagonalization, if a block exceeds
     SPECTRAL_CAP."""
-    largest = max(block.shape[0] for block, _ in blocks)
+    largest = max(block.dimension for block, _ in blocks)
     if largest > SPECTRAL_CAP:
         raise DimensionCapError(
             f"propagation block of dimension {largest} exceeds the spectral cap {SPECTRAL_CAP}"
         )
     return Spectrum(
-        [(*_eigh(_as_matrix(block).toarray()), isometry) for block, isometry in blocks]
+        [(*_eigh(block.matrix.toarray()), isometry) for block, isometry in blocks]
     )
 
 

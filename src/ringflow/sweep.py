@@ -1,7 +1,7 @@
 """Deterministic parameter sweeps over the full pipeline.
 
 A sweep walks a strictly monotone grid of one parameter, solves the lowest
-pair at each point, and derives the requested observables into flat records
+pair at each point, and derives every observable into flat records
 emitted in grid order.  Each point is one `solve_lowest` call; nothing is
 memoized, so a grid that rounds two values to the same N or r solves both.
 The grid is cut into segments of at most `SEGMENT_POINTS` consecutive points
@@ -39,7 +39,6 @@ from .solver import DEFAULT_SEED, DEFAULT_TOL, EigenSolution, solve_lowest
 SWEEPABLE = ("interaction", "barrier", "phase", "n_atoms", "n_modes")
 # longest warm-start chain; fixed, so that no result depends on the core count
 SEGMENT_POINTS = 4
-ALL_OUTPUTS = frozenset({"delta_e", "distribution", "quality", "loss"})
 
 
 def linear_grid(start: float, stop: float, points: int) -> np.ndarray:
@@ -57,7 +56,6 @@ class SweepSpec:
     parameter: str
     grid: np.ndarray
     base: SystemParams
-    outputs: frozenset[str] = ALL_OUTPUTS
     rescale: bool = True
     tol: float = DEFAULT_TOL
     seed: int = DEFAULT_SEED
@@ -73,9 +71,6 @@ class SweepSpec:
         if grid.size > 1 and not (np.all(np.diff(grid) > 0) or np.all(np.diff(grid) < 0)):
             raise ValueError("grid must be strictly monotone")
         object.__setattr__(self, "grid", grid)
-        unknown = set(self.outputs) - ALL_OUTPUTS
-        if unknown:
-            raise ValueError(f"unknown outputs {sorted(unknown)}")
 
     def params_at(self, value: float) -> SystemParams:
         if self.parameter in ("n_atoms", "n_modes"):
@@ -153,13 +148,11 @@ def _point_record(
         record.residual = float(np.max(solution.residual_norms))
         ground = solution.eigenvectors[:, 0]
         basis = cached_basis(params.n_atoms, params.n_modes)
-        if {"distribution", "quality"} & spec.outputs:
-            dist = angular_momentum_distribution(ground, basis)
-            record.p0 = dist.p_of(0)
-            record.pn = dist.p_of(params.n_atoms)
-            if "quality" in spec.outputs:
-                record.quality = quality(dist, 0, params.n_atoms)
-        if "loss" in spec.outputs and params.n_atoms >= 2:
+        dist = angular_momentum_distribution(ground, basis)
+        record.p0 = dist.p_of(0)
+        record.pn = dist.p_of(params.n_atoms)
+        record.quality = quality(dist, 0, params.n_atoms)
+        if params.n_atoms >= 2:
             basis_nm1 = cached_basis(params.n_atoms - 1, params.n_modes)
             record.qbar_loss = loss_quality(ground, basis, basis_nm1).qbar
         return record, solution
@@ -259,7 +252,6 @@ def fig2_spec(
     n_modes: int = 20,
     barrier: float = 0.008,
     points: int = 60,
-    outputs: Iterable[str] = ALL_OUTPUTS,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> SweepSpec:
@@ -271,7 +263,6 @@ def fig2_spec(
         parameter="interaction",
         grid=log_grid(1e-4, 1e3, points),
         base=base,
-        outputs=frozenset(outputs),
         tol=tol,
         seed=seed,
     )
@@ -299,7 +290,6 @@ def fig3a_spec(
         parameter="n_atoms",
         grid=np.array(atoms, dtype=float),
         base=base,
-        outputs=ALL_OUTPUTS,
         pin_gamma=gamma,
         modes_by_atoms=tuple(modes_by_atoms),
         tol=tol,

@@ -80,12 +80,12 @@ def _check_condensate_distribution(results: list[CheckResult]) -> None:
 def _check_symmetries(results: list[CheckResult]) -> None:
     basis = cached_basis(3, 8)
     params = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.02, phase=math.pi)
-    op = build_hamiltonian(basis, params)
+    op = build_hamiltonian(params)
     asym = (op.matrix - op.matrix.T).nnz
     results.append(CheckResult("hermiticity_exact", asym == 0, f"asymmetric entries: {asym}"))
 
     free = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.0, phase=0.0)
-    h_free = build_hamiltonian(basis, free).matrix
+    h_free = build_hamiltonian(free).matrix
     worst = 0.0
     momenta = basis.sector_momenta()
     for ka in momenta:
@@ -102,7 +102,7 @@ def _check_symmetries(results: list[CheckResult]) -> None:
     )
 
     omega = 0.7 * math.pi
-    h_rot = build_hamiltonian(basis, replace(free, phase=omega)).matrix
+    h_rot = build_hamiltonian(replace(free, phase=omega)).matrix
     worst_shift = 0.0
     for k in momenta:
         idx = basis.sector_indices(int(k))
@@ -133,7 +133,7 @@ def _check_symmetries(results: list[CheckResult]) -> None:
 
 def _check_krylov_vs_dense(results: list[CheckResult]) -> None:
     params = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
-    op = build_hamiltonian(cached_basis(4, 12), params)
+    op = build_hamiltonian(params)
     dense = lowest_eigenpairs(op, 3)
     iterative = lowest_eigenpairs(op, 3, dense_cutoff=0, tol=1e-12)
     diff = float(np.max(np.abs(dense.eigenvalues - iterative.eigenvalues)))
@@ -162,7 +162,7 @@ def _check_weak_barrier(results: list[CheckResult]) -> dict:
         details.append(f"{label}: {coeff:.6f}")
     # direct two-mode cross-check: splitting of [[1/4+b, b], [b, 1/4+b]] is 2b
     params = SystemParams(n_atoms=1, n_modes=2, barrier=1e-6, phase=math.pi)
-    op = build_hamiltonian(cached_basis(1, 2), params, raw_coupling(0.0))
+    op = build_hamiltonian(params, raw_coupling(0.0))
     vals = np.linalg.eigvalsh(op.matrix.toarray())
     ed_coeff = (vals[1] - vals[0]) / 1e-6
     audit["two_mode_ed_coefficient"] = float(ed_coeff)

@@ -279,12 +279,12 @@ def test_c09_property_suite(tmp_path):
     # hermiticity: exact
     basis = build_basis(3, 8)
     params = SystemParams(n_atoms=3, n_modes=8, interaction=1.1, barrier=0.03, phase=2.0)
-    op = build_hamiltonian(basis, params)
+    op = build_hamiltonian(params)
     hermitian = (op.matrix - op.matrix.T).nnz == 0
 
     # momentum-block structure at b=0: exact
     free = SystemParams(n_atoms=3, n_modes=8, interaction=1.1, barrier=0.0, phase=0.0)
-    h_free = build_hamiltonian(basis, free).matrix
+    h_free = build_hamiltonian(free).matrix
     cross = 0.0
     momenta = basis.sector_momenta()
     for i, ka in enumerate(momenta):
@@ -297,7 +297,7 @@ def test_c09_property_suite(tmp_path):
 
     # Galilean shift identity at b=0 (sector-wise)
     omega = 0.9
-    h_rot = build_hamiltonian(basis, replace(free, phase=omega)).matrix
+    h_rot = build_hamiltonian(replace(free, phase=omega)).matrix
     worst_shift = 0.0
     for k in momenta:
         idx = basis.sector_indices(int(k))
@@ -315,7 +315,7 @@ def test_c09_property_suite(tmp_path):
 
     # Krylov path matches dense below the cutoff
     p4 = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
-    op4 = build_hamiltonian(build_basis(4, 12), p4)
+    op4 = build_hamiltonian(p4)
     dense = lowest_eigenpairs(op4, 3)
     krylov = lowest_eigenpairs(op4, 3, dense_cutoff=0, tol=1e-12)
     lanczos_diff = float(np.max(np.abs(dense.eigenvalues - krylov.eigenvalues)))

@@ -2,11 +2,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import ringflow
 from ringflow import blas, solver
+from ringflow.hamiltonian import FactoredOperator
 from ringflow.solver import lowest_eigenpairs
 
 
@@ -44,7 +45,7 @@ def test_small_dense_solves_run_on_one_blas_thread(counts, monkeypatch):
     monkeypatch.setattr(solver, "SERIAL_EIGH", 10)
     blas.set_threads(2)
     for dim in (9, 10):
-        lowest_eigenpairs(sp.diags([float(i) for i in range(dim)]).tocsr(), 2)
+        lowest_eigenpairs(FactoredOperator(np.arange(dim, dtype=float), ()), 2)
     assert seen == [[1] * len(counts), [2] * len(counts)]
     assert blas.threads() == [2] * len(counts)
 

@@ -137,8 +137,9 @@ def test_ini_config_with_flag_override(tmp_path, capsys):
 
 
 def test_old_warm_start_and_threads_keys_are_ignored(tmp_path, capsys):
-    # `warm_start` and `threads` are no longer options; configs written
-    # before still load, and the keys are ignored like any other unknown key
+    # `warm_start`, `threads` and `outputs` are no longer options; configs
+    # written before still load, and the keys are ignored like any other
+    # unknown key
     args = [
         "sweep", "--param", "barrier", "--scale", "linear",
         "--start", "0.005", "--stop", "0.02", "--points", "3",
@@ -161,9 +162,9 @@ def test_old_warm_start_and_threads_keys_are_ignored(tmp_path, capsys):
 
     ini = tmp_path / "old.ini"
     ini.write_text(
-        "[global]\nthreads = 2\n\n[sweep]\nwarm_start = false\nparam = barrier\n"
-        "scale = linear\nstart = 0.005\nstop = 0.02\npoints = 3\natoms = 2\n"
-        "modes = 6\ninteraction = 0.4\n"
+        "[global]\nthreads = 2\n\n[sweep]\nwarm_start = false\noutputs = delta_e\n"
+        "param = barrier\nscale = linear\nstart = 0.005\nstop = 0.02\npoints = 3\n"
+        "atoms = 2\nmodes = 6\ninteraction = 0.4\n"
     )
     from_ini = tmp_path / "from_ini.csv"
     code, _, _ = run_cli(["sweep", "--config", str(ini), "--output", str(from_ini)], capsys)
@@ -198,6 +199,55 @@ def test_dry_run_every_command(command, tmp_path, monkeypatch, capsys):
     for key, default in DEFAULTS_BY_COMMAND[command].items():
         assert payload["parameters"][key] == default
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--method", "foo", "--omega-points", "0"],
+        ["spectrum", "--omega-points", "0"],
+        ["noon", "--atoms-min", "5", "--atoms-max", "2"],
+        ["loss", "--atoms", "1"],
+        ["dynamics", "--atoms", "0"],
+        ["units", "--species", "mass=seven"],
+        ["sweep", "--scale", "lgo"],
+    ],
+)
+def test_dry_run_rejects_what_the_run_rejects(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["--dry-run", *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert run_cli(args, capsys)[0] == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value, expected", [("Off", False), ("YES", True), (" 0 ", False)])
+def test_boolean_config_values(value, expected, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[sweep]\nrescale = {value}\n")
+    code, out, _ = run_cli(["--dry-run", "sweep", "--config", str(config)], capsys)
+    assert code == 0
+    assert json.loads(out)["parameters"]["rescale"] is expected
+
+
+def test_misspelt_boolean_config_value_exits_2(tmp_path, capsys):
+    # from an INI file and from a manifest JSON alike
+    ini = tmp_path / "run.ini"
+    ini.write_text("[sweep]\nrescale = flase\n")
+    manifest = tmp_path / "run.manifest.json"
+    manifest.write_text(json.dumps({"command": "sweep", "parameters": {"rescale": "flase"}}))
+    for config in (ini, manifest):
+        for dry in ([], ["--dry-run"]):
+            output = tmp_path / "out.csv"
+            code, out, err = run_cli(
+                [*dry, "sweep", "--config", str(config), "--output", str(output)], capsys
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: rescale must be one of") and "'flase'" in err
+            assert not output.exists()
 
 
 def test_sweep_fig4_redirects_to_noon(capsys):

@@ -22,9 +22,8 @@ from ringflow.params import SystemParams, raw_coupling, rescale_interaction
 
 
 def test_single_atom_two_modes_matrix():
-    basis = build_basis(1, 2)
     params = SystemParams(n_atoms=1, n_modes=2, barrier=0.05, phase=math.pi)
-    op = build_hamiltonian(basis, params, raw_coupling(0.3))  # g irrelevant at N=1
+    op = build_hamiltonian(params, raw_coupling(0.3))  # g irrelevant at N=1
     dense = op.matrix.toarray()
     expected = np.array([[0.25 + 0.05, 0.05], [0.05, 0.25 + 0.05]])
     assert np.allclose(dense, expected, atol=1e-15)
@@ -36,7 +35,7 @@ def test_single_atom_two_modes_matrix():
 def test_free_gas_is_diagonal():
     basis = build_basis(3, 6)
     params = SystemParams(n_atoms=3, n_modes=6, interaction=0.0, barrier=0.0, phase=0.0)
-    op = build_hamiltonian(basis, params)
+    op = build_hamiltonian(params)
     off = op.matrix - sp.diags(op.matrix.diagonal())
     assert abs(off).max() == 0.0
     kin = basis.occupations @ (basis.window**2)
@@ -47,7 +46,7 @@ def test_two_body_diagonal_matrix_elements():
     basis = build_basis(2, 4)
     g = 0.7
     params = SystemParams(n_atoms=2, n_modes=4, interaction=g, barrier=0.0, phase=0.0)
-    h = build_hamiltonian(basis, params, raw_coupling(g)).matrix
+    h = build_hamiltonian(params, raw_coupling(g)).matrix
     double = basis.rank([0, 2, 0, 0])  # both atoms at k=0
     distinct = basis.rank([1, 1, 0, 0])  # atoms at k=-1 and k=0
     assert h[double, double] == pytest.approx(g, rel=1e-14)
@@ -59,7 +58,7 @@ def test_pair_scattering_amplitude():
     basis = build_basis(2, 6)
     g = 1.3
     params = SystemParams(n_atoms=2, n_modes=6, interaction=g, barrier=0.0, phase=0.0)
-    h = build_hamiltonian(basis, params, raw_coupling(g)).matrix
+    h = build_hamiltonian(params, raw_coupling(g)).matrix
     src = basis.rank([0, 0, 2, 0, 0, 0])
     for k in (1, 2):
         occ = np.zeros(6, dtype=int)
@@ -70,16 +69,15 @@ def test_pair_scattering_amplitude():
 
 
 def test_hermiticity_exact():
-    basis = build_basis(3, 8)
     params = SystemParams(n_atoms=3, n_modes=8, interaction=1.7, barrier=0.03, phase=2.1)
-    op = build_hamiltonian(basis, params)
+    op = build_hamiltonian(params)
     assert (op.matrix - op.matrix.T).nnz == 0
 
 
 def test_momentum_block_structure_without_barrier():
     basis = build_basis(3, 6)
     params = SystemParams(n_atoms=3, n_modes=6, interaction=0.9, barrier=0.0, phase=0.4)
-    h = build_hamiltonian(basis, params).matrix
+    h = build_hamiltonian(params).matrix
     for ka in basis.sector_momenta():
         ia = basis.sector_indices(int(ka))
         for kb in basis.sector_momenta():
@@ -92,10 +90,10 @@ def test_momentum_block_structure_without_barrier():
 def test_galilean_shift_sector_identity():
     basis = build_basis(3, 8)
     free = SystemParams(n_atoms=3, n_modes=8, interaction=0.8, barrier=0.0, phase=0.0)
-    h0 = build_hamiltonian(basis, free).matrix
+    h0 = build_hamiltonian(free).matrix
     omega = 1.3
     hw = build_hamiltonian(
-        basis, SystemParams(n_atoms=3, n_modes=8, interaction=0.8, barrier=0.0, phase=omega)
+        SystemParams(n_atoms=3, n_modes=8, interaction=0.8, barrier=0.0, phase=omega)
     ).matrix
     for k in basis.sector_momenta():
         idx = basis.sector_indices(int(k))
@@ -108,7 +106,7 @@ def test_galilean_shift_sector_identity():
 def test_reflection_commutes_at_crossing():
     basis = build_basis(3, 6)
     params = SystemParams(n_atoms=3, n_modes=6, interaction=0.9, barrier=0.05, phase=math.pi)
-    h = build_hamiltonian(basis, params).matrix.toarray()
+    h = build_hamiltonian(params).matrix.toarray()
     perm = basis.reflection_permutation()
     assert np.max(np.abs(h[np.ix_(perm, perm)] - h)) < 1e-12
 
@@ -119,6 +117,24 @@ def test_kinetic_phase_dependence():
     a = 0.6 / (2 * math.pi)
     expected = (basis.occupations @ ((basis.window - a) ** 2)).astype(float)
     assert np.allclose(kin, expected, atol=1e-13)
+
+
+def test_operator_at_a_point_builds_its_pieces_once(monkeypatch):
+    # the whole operator comes from the cached whole-space block, so a second
+    # build of the same point reassembles it without rebuilding A and P
+    from ringflow import hamiltonian
+
+    clear_caches()
+    built = []
+    real = hamiltonian.build_pieces
+    monkeypatch.setattr(
+        hamiltonian, "build_pieces", lambda basis: built.append(basis.size) or real(basis)
+    )
+    params = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.02, phase=math.pi)
+    first = build_hamiltonian(params)
+    second = build_hamiltonian(params)
+    assert built == [120]
+    assert (first.matrix != second.matrix).nnz == 0
 
 
 def test_rebuild_is_bit_identical():
@@ -236,7 +252,7 @@ def test_factored_hamiltonian_matches_term_sums(n_atoms, n_modes, g, b, phase):
     params = SystemParams(n_atoms=n_atoms, n_modes=n_modes, interaction=g, barrier=b, phase=phase)
     coupling = rescale_interaction(g, n_modes)
     reference = _reference_hamiltonian(basis, params, coupling.g_tilde)
-    op = build_hamiltonian(basis, params, coupling)
+    op = build_hamiltonian(params, coupling)
     assert np.max(np.abs(op.matrix.toarray() - reference)) < 1e-13
     x = np.random.default_rng(0).standard_normal(basis.size)
     assert np.max(np.abs(op @ x - reference @ x)) < 1e-13
@@ -248,14 +264,6 @@ def test_factored_hamiltonian_matches_term_sums(n_atoms, n_modes, g, b, phase):
         y = np.random.default_rng(which).standard_normal(s.shape[1])
         assert np.max(np.abs(block @ y - projected @ y)) < 1e-13
         assert np.max(np.abs(block.matrix.toarray() - projected)) < 1e-13
-
-
-def test_basis_params_mismatch_rejected():
-    basis = build_basis(2, 4)
-    with pytest.raises(ValueError):
-        build_hamiltonian(basis, SystemParams(n_atoms=3, n_modes=4))
-    with pytest.raises(ValueError):
-        build_hamiltonian(basis, SystemParams(n_atoms=2, n_modes=6))
 
 
 def test_loss_operator_ladder_rules():

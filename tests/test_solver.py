@@ -9,11 +9,12 @@ import scipy.sparse as sp
 from ringflow import solver
 from ringflow.basis import build_basis
 from ringflow.errors import ConvergenceError, DimensionCapError
-from ringflow.hamiltonian import build_hamiltonian, cached_pieces
+from ringflow.hamiltonian import FactoredOperator, build_hamiltonian
 from ringflow.params import SystemParams, raw_coupling, rescale_interaction
 from ringflow.solver import (
     DENSE_CUTOFF,
     SPECTRAL_BLOCK,
+    Spectrum,
     diagonalize,
     dominant_frequency,
     hamiltonian_blocks,
@@ -28,7 +29,7 @@ def _gap(sol):
 
 
 def test_dense_path_on_diagonal_matrix():
-    sol = lowest_eigenpairs(sp.diags([3.0, 1.0, 2.0]).tocsr(), 2)
+    sol = lowest_eigenpairs(FactoredOperator(np.array([3.0, 1.0, 2.0]), ()), 2)
     assert np.allclose(sol.eigenvalues, [1.0, 2.0])
     assert sol.method == "dense"
     assert np.max(sol.residual_norms) < 1e-12
@@ -43,10 +44,8 @@ def test_single_atom_splitting_is_2b():
 
 
 def test_iterative_matches_dense():
-    pieces = cached_pieces(4, 12)  # dimension 1365
     params = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
-    coupling = rescale_interaction(0.7, 12)
-    op = __build(pieces, params, coupling)
+    op = build_hamiltonian(params, rescale_interaction(0.7, 12))  # dimension 1365
     dense = lowest_eigenpairs(op, 3)
     krylov = lowest_eigenpairs(op, 3, dense_cutoff=0, tol=1e-12)
     assert krylov.method == "lanczos"
@@ -56,12 +55,6 @@ def test_iterative_matches_dense():
     overlaps = krylov.eigenvectors.T @ krylov.eigenvectors
     assert np.max(np.abs(overlaps - np.eye(3))) < 1e-10
     assert np.max(krylov.residual_norms) < 1e-8
-
-
-def __build(pieces, params, coupling):
-    from ringflow.hamiltonian import assemble
-
-    return assemble(pieces, params, coupling)
 
 
 @pytest.mark.parametrize("phase", [math.pi, 0.9 * math.pi])
@@ -206,9 +199,8 @@ def test_splitting_symmetric_about_crossing():
 
 
 def test_convergence_error_reports_residual():
-    pieces = cached_pieces(4, 12)
     params = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
-    op = __build(pieces, params, rescale_interaction(0.7, 12))
+    op = build_hamiltonian(params, rescale_interaction(0.7, 12))
     with pytest.raises(ConvergenceError) as info:
         lowest_eigenpairs(op, 2, dense_cutoff=0, tol=1e-14, max_iterations=1)
     # ARPACK returned no converged pair, so there is no residual to report
@@ -237,8 +229,9 @@ def test_crossing_phase_snap():
 
 
 def _spectrum(h):
-    """The one-block spectrum of a whole operator."""
-    return diagonalize([(h, sp.identity(h.shape[0], format="csr"))])
+    """The one-block spectrum of a whole operator, sparse or dense."""
+    dense = h.toarray() if sp.issparse(h) else np.asarray(h)
+    return Spectrum([(*sla.eigh(dense), sp.identity(dense.shape[0], format="csr"))])
 
 
 def _two_level():
@@ -274,7 +267,7 @@ def test_propagate_two_level_frequency():
 def _random_state_on_ring():
     basis = build_basis(3, 6)
     params = SystemParams(n_atoms=3, n_modes=6, interaction=1.0, barrier=0.05, phase=math.pi)
-    h = build_hamiltonian(basis, params).matrix
+    h = build_hamiltonian(params).matrix
     rng = np.random.default_rng(3)
     psi0 = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     return h, psi0 / np.linalg.norm(psi0)
@@ -340,7 +333,7 @@ def test_propagate_complex_hermitian():
 
 def test_propagate_block_over_the_cap_raises_before_any_eigh(monkeypatch):
     # the small block comes first: checking block by block would diagonalize it
-    small, large = sp.identity(20, format="csr"), sp.identity(36, format="csr")
+    small, large = FactoredOperator(np.ones(20), ()), FactoredOperator(np.ones(36), ())
     blocks = [(small, sp.identity(56, format="csr")[:, :20]),
               (large, sp.identity(56, format="csr")[:, 20:])]
     calls = []
