@@ -3,7 +3,7 @@ states of interacting bosons on a 1D ring with a rotating barrier."""
 
 __version__ = "0.1.0"
 
-from .basis import FockBasis, build_basis, total_momentum
+from .basis import FockBasis, build_basis
 from .errors import ConvergenceError, DimensionCapError
 from .hamiltonian import FactoredOperator, build_hamiltonian, loss_operator
 from .noon import (
@@ -74,7 +74,6 @@ __all__ = [
     "tg_gap",
     "tg_ground_energy",
     "to_physical",
-    "total_momentum",
     "truncation_validation",
     "two_particle_exact",
 ]

@@ -31,12 +31,6 @@ def basis_size(n_atoms: int, n_modes: int) -> int:
     return comb(n_atoms + n_modes - 1, n_atoms)
 
 
-def total_momentum(occupations, window) -> int:
-    """Total angular momentum K = sum_k k*n_k (units hbar)."""
-    occ = np.asarray(occupations, dtype=np.int64)
-    return int(occ @ np.asarray(window, dtype=np.int64))
-
-
 @dataclass
 class FockBasis:
     """Immutable enumeration of the N-atom basis with closed-form ranking."""
@@ -60,9 +54,6 @@ class FockBasis:
         if pos < 0 or pos >= self.n_modes:
             raise ValueError(f"momentum {k} outside window [{self.window[0]}, {self.window[-1]}]")
         return pos
-
-    def state(self, i: int) -> np.ndarray:
-        return self.occupations[i]
 
     def rank(self, occupations) -> int:
         occ = np.asarray(occupations, dtype=np.int64)

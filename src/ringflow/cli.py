@@ -16,7 +16,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .dynamics import run_quench
+from .basis import basis_size
+from .dynamics import quench_samples, run_quench
 from .errors import ConvergenceError, DimensionCapError
 from .hamiltonian import cached_basis
 from .noon import (
@@ -25,7 +26,7 @@ from .noon import (
     noon_gap_closed_form,
     noon_validity,
 )
-from .observables import angular_momentum_distribution, loss_quality
+from .observables import angular_momentum_distribution, loss_quality, quality
 from .params import (
     ATOMIC_MASS_KG,
     PhysicalRing,
@@ -35,7 +36,7 @@ from .params import (
     to_physical,
 )
 from .single_particle import levels, tg_gap, tg_ground_energy, tg_spectrum
-from .solver import DEFAULT_SEED, DEFAULT_TOL, solve_lowest
+from .solver import DEFAULT_SEED, DEFAULT_TOL, check_levels, solve_lowest
 from .sweep import (
     SweepSpec,
     fig2_spec,
@@ -96,14 +97,16 @@ def write_manifest(output_path: str, command: str, parameters: dict, seed: int, 
     return digest
 
 
-def load_config(path: str) -> dict[str, dict[str, str]]:
-    """Load an INI config or a previously written manifest JSON."""
+def load_config(path: str, command: str) -> dict[str, dict[str, str]]:
+    """Load an INI config, or a manifest JSON that `command` wrote."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json") or text.lstrip().startswith("{"):
         manifest = json.loads(text)
-        section = {str(k): v for k, v in manifest.get("parameters", {}).items()}
-        out = {str(manifest.get("command", "")): section}
+        if manifest.get("command") != command:
+            other = manifest.get("command")
+            raise ValueError(f"{path} is a manifest of the {other!r} command, not of {command!r}")
+        out = {command: {str(k): v for k, v in manifest.get("parameters", {}).items()}}
         for key in ("seed", "tol"):
             if key in manifest:
                 out.setdefault("global", {})[key] = manifest[key]
@@ -300,8 +303,13 @@ def check_spectrum(opts: dict, gopts: dict) -> None:
     _choice(opts, "method", ("ed", "tg"))
     if opts["omega_points"] < 1:
         raise ValueError(f"omega_points must be >= 1, got {opts['omega_points']}")
-    if opts["method"] == "ed":
-        _system(opts, opts["omega_start"] * math.pi)
+    m = opts["levels"]
+    for w in (opts["omega_start"], opts["omega_stop"]):  # the grid lies between its ends
+        if opts["method"] == "tg":
+            tg_spectrum(opts["atoms"], opts["barrier"], w * math.pi, m, opts["allow_even"])
+        else:
+            params = _system(opts, w * math.pi)
+            check_levels(m, basis_size(params.n_atoms, params.n_modes))
 
 
 def handle_spectrum(opts: dict, gopts: dict) -> int:
@@ -339,6 +347,13 @@ SP_DEFAULTS = {
     "allow_even": False,
     "output": "",
 }
+
+
+def check_single_particle(opts: dict, gopts: dict) -> None:
+    if opts["tg_atoms"]:
+        tg_gap(opts["tg_atoms"], opts["barrier"], allow_even=opts["allow_even"])
+    else:
+        levels(opts["barrier"], opts["omega_over_pi"] * math.pi, opts["count"])
 
 
 def handle_single_particle(opts: dict, gopts: dict) -> int:
@@ -384,6 +399,13 @@ def check_noon(opts: dict, gopts: dict) -> None:
         raise ValueError(
             f"empty atom range: atoms_max {opts['atoms_max']} < atoms_min {opts['atoms_min']}"
         )
+    # N >= 2 and g > 0 hold on every row if on the first, and ED runs on it if on any
+    n, b = opts["atoms_min"], opts["barrier"]
+    g = opts["interaction"] or fig4_interaction(n, b)
+    noon_gap_closed_form(n, g, b)
+    noon_validity(n, g, b)
+    if opts["with_ed"] and n <= opts["ed_max_atoms"]:
+        SystemParams(n_atoms=n, n_modes=opts["ed_modes"], interaction=g, barrier=b)
 
 
 def handle_noon(opts: dict, gopts: dict) -> int:
@@ -468,7 +490,7 @@ def handle_loss(opts: dict, gopts: dict) -> int:
         "deltaE": float(solution.eigenvalues[1] - solution.eigenvalues[0]),
         "P0": dist.p_of(0),
         "PN": dist.p_of(params.n_atoms),
-        "Q": 4.0 * dist.p_of(0) * dist.p_of(params.n_atoms),
+        "Q": quality(dist, 0, params.n_atoms),
         "qbar_pre_loss_weights": loss.qbar,
         "qbar_post_loss_weights": loss_post.qbar,
         "weighting_note": (
@@ -515,6 +537,7 @@ DYNAMICS_DEFAULTS = {
 def check_dynamics(opts: dict, gopts: dict) -> None:
     _system(opts, opts["omega_initial_over_pi"] * math.pi)
     _system(opts, opts["omega_final_over_pi"] * math.pi)
+    quench_samples(opts["periods"], opts["samples_per_period"])
 
 
 def handle_dynamics(opts: dict, gopts: dict) -> int:
@@ -627,6 +650,7 @@ HANDLERS = {
 CHECKS = {
     "sweep": check_sweep,
     "spectrum": check_spectrum,
+    "single-particle": check_single_particle,
     "noon": check_noon,
     "loss": check_loss,
     "dynamics": check_dynamics,
@@ -688,7 +712,7 @@ def main(argv: list[str] | None = None) -> int:
     json_errors = bool(getattr(args, "json_errors", False))
     try:
         config_path = getattr(args, "config", None)
-        config = load_config(config_path) if config_path else {}
+        config = load_config(config_path, args.command) if config_path else {}
         gsection = config.get("global", {})
         seed = getattr(args, "seed", None)
         tol = getattr(args, "tol", None)

@@ -18,6 +18,7 @@ from .params import SystemParams, rescale_interaction
 from .solver import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    MIN_TRACE_SAMPLES,
     QuenchResult,
     diagonalize,
     dominant_frequency,
@@ -41,6 +42,15 @@ class QuenchReport:
     result: QuenchResult
 
 
+def quench_samples(periods: float, samples_per_period: int) -> int:
+    """Sample intervals round(periods * samples_per_period) of a quench trace;
+    raises ValueError if the trace has fewer samples than `dominant_frequency` needs."""
+    samples = int(round(periods * samples_per_period)) + 1
+    if samples < MIN_TRACE_SAMPLES:
+        raise ValueError(f"the trace has {samples} samples and needs at least {MIN_TRACE_SAMPLES}")
+    return samples - 1
+
+
 def run_quench(
     params: SystemParams,
     phase_initial: float,
@@ -56,8 +66,10 @@ def run_quench(
     energy over `periods` oscillation periods of the post-quench splitting.
     The propagation is exact: each block of `hamiltonian_blocks` (the
     reflection-parity sectors at Omega = pi, elsewhere the whole operator) is
-    diagonalized once, and the splitting is read from the same spectra.
+    diagonalized once, and the splitting is read from the same spectra.  A
+    trace too short for `quench_samples` raises ValueError before any solve.
     """
+    n_samples = quench_samples(periods, samples_per_period)
     coupling = rescale_interaction(params.interaction, params.n_modes)
     pre = solve_lowest(
         replace(params, phase=float(phase_initial)), m=1, coupling=coupling, tol=tol, seed=seed
@@ -71,7 +83,6 @@ def run_quench(
     if delta_e <= 0:
         raise ValueError("post-quench splitting vanishes; no oscillation to track")
     period = 2.0 * math.pi / delta_e
-    n_samples = int(round(periods * samples_per_period))
     times = np.linspace(0.0, periods * period, n_samples + 1)
 
     k0_mask = (cached_basis(params.n_atoms, params.n_modes).total_k == 0).astype(float)

@@ -118,22 +118,10 @@ class FactoredOperator:
         return _symmetrize(out)
 
 
-def kinetic_diagonals(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state sums (sum_k k*n_k, sum_k k^2*n_k) as float arrays."""
-    k1 = (basis.occupations @ basis.window).astype(float)
-    k2 = (basis.occupations @ (basis.window**2)).astype(float)
-    return k1, k2
-
-
 def _kinetic(k1: np.ndarray, k2: np.ndarray, n_atoms: int, phase: float) -> np.ndarray:
     """sum_k (k - a)^2 n_k = k2 - 2a*k1 + N*a^2 with a = Omega/2pi."""
     a = phase / (2.0 * math.pi)
     return k2 - 2.0 * a * k1 + n_atoms * a * a
-
-
-def kinetic_diagonal(basis: FockBasis, phase: float) -> np.ndarray:
-    """Diagonal of sum_k (k - Omega/2pi)^2 n_k."""
-    return _kinetic(*kinetic_diagonals(basis), basis.n_atoms, phase)
 
 
 @dataclass(frozen=True)
@@ -169,10 +157,9 @@ def build_pieces(basis: FockBasis) -> Block:
         totals = range(2 * window[0], 2 * window[-1] + 1)
         blocks = [[lower.get(total - k2) for k2 in window] for total in totals]
         pair = sp.bmat(blocks, format="csr") @ sp.vstack(singles, format="csr")
-    k1, k2 = kinetic_diagonals(basis)
     return Block(
-        kin_k=k1,
-        kin_k2=k2,
+        kin_k=(basis.occupations @ basis.window).astype(float),
+        kin_k2=(basis.occupations @ basis.window**2).astype(float),
         barrier_factor=Factor.of(annihilator),
         interaction_factor=None if pair is None else Factor.of(pair),
         isometry=sp.identity(basis.size, format="csr"),
@@ -210,7 +197,7 @@ def build_hamiltonian(
 ) -> FactoredOperator:
     """The whole operator at one parameter point, on the cached whole-space block.
 
-    `coupling` defaults to the leading-order rescaling of params.interaction;
+    `coupling` defaults to the rescaling of params.interaction;
     pass `raw_coupling(params.interaction)` to disable the rescaling.
     """
     if coupling is None:

@@ -34,7 +34,7 @@ class AngularMomentumDistribution:
 
 
 def angular_momentum_distribution(
-    psi: np.ndarray, basis: FockBasis, norm_tol: float = NORM_TOL
+    psi: np.ndarray, basis: FockBasis
 ) -> AngularMomentumDistribution:
     """P(K) = sum of |coefficient|^2 over basis states with total momentum K."""
     psi = np.asarray(psi)
@@ -42,8 +42,8 @@ def angular_momentum_distribution(
         raise ValueError(f"state has shape {psi.shape}, expected ({basis.size},)")
     weights = np.abs(psi) ** 2
     norm = float(weights.sum())
-    if abs(norm - 1.0) > norm_tol:
-        raise ValueError(f"state norm^2 = {norm} deviates from 1 beyond {norm_tol}")
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm^2 = {norm} deviates from 1 beyond {NORM_TOL}")
     k_min = int(basis.total_k.min())
     counts = np.bincount(basis.total_k - k_min, weights=weights)
     present = np.flatnonzero(counts > 0.0)
@@ -51,14 +51,10 @@ def angular_momentum_distribution(
     return AngularMomentumDistribution(momenta=present + k_min, probabilities=probs)
 
 
-def quality(distribution, k1: int, k2: int) -> float:
+def quality(distribution: AngularMomentumDistribution, k1: int, k2: int) -> float:
     """Superposition quality Q = 4*P(K1)*P(K2); 1 for a balanced pair, 0 for
     a momentum eigenstate."""
-    if isinstance(distribution, AngularMomentumDistribution):
-        p1, p2 = distribution.p_of(k1), distribution.p_of(k2)
-    else:
-        p1, p2 = float(distribution.get(k1, 0.0)), float(distribution.get(k2, 0.0))
-    return 4.0 * p1 * p2
+    return 4.0 * distribution.p_of(k1) * distribution.p_of(k2)
 
 
 def total_variation(
@@ -96,7 +92,6 @@ def loss_quality(
     basis_n: FockBasis,
     basis_nm1: FockBasis,
     post_loss_weights: bool = False,
-    occupation_threshold: float = OCCUPATION_THRESHOLD,
     keep_distributions: bool = False,
 ) -> LossReport:
     """Robustness of a superposition against the loss of one atom.
@@ -120,7 +115,7 @@ def loss_quality(
     for k in [int(v) for v in basis_n.window]:
         pos = basis_n.mode_position(k)
         occupation = float(prob @ basis_n.occupations[:, pos])
-        if occupation <= occupation_threshold:
+        if occupation <= OCCUPATION_THRESHOLD:
             continue
         phi = cached_loss_operator(n, basis_n.n_modes, k) @ psi
         phi /= math.sqrt(occupation)
@@ -147,9 +142,3 @@ def loss_quality(
         qbar=qbar,
         weighting="post-loss" if post_loss_weights else "pre-loss",
     )
-
-
-def mode_occupations(psi: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Expectation values <a+_k a_k> for every window momentum."""
-    prob = np.abs(np.asarray(psi)) ** 2
-    return prob @ basis.occupations

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 from scipy.constants import hbar as HBAR_SI
 from scipy.constants import physical_constants
-from scipy.special import polygamma, psi
+from scipy.special import polygamma
 
 ATOMIC_MASS_KG = physical_constants["atomic mass constant"][0]
 
@@ -59,10 +58,6 @@ class SystemParams:
             raise ValueError(f"phase must be finite, got {self.phase!r}")
         object.__setattr__(self, "phase", float(self.phase))
 
-    def momentum_window(self) -> range:
-        half = self.n_modes // 2
-        return range(-half + 1, half + 1)
-
 
 def lieb_liniger_gamma(params: SystemParams) -> float:
     """Dimensionless interaction parameter gamma = 2*pi^2*g/N (= g*M*L/(hbar^2*N))."""
@@ -81,56 +76,31 @@ class RescaledCoupling:
     g_tilde = g/(1 + g/g_zero) compensates the momentum modes removed by the
     truncation, so that the truncated two-particle problem reproduces exact
     energies.  1/g_zero is the pair-channel weight of the removed modes,
-    sum over |q| >= r/2 of 1/(2 q^2 - E): at zero energy this is the
-    trigamma value psi'(r/2), which the coarse estimate r/2 approximates to
-    about 10% at r = 20; the energy-corrected variant evaluates the sum at a
-    caller-supplied energy.  Order "raw" marks a pass-through coupling for
+    sum over |q| >= r/2 of 1/(2 q^2) at zero pair energy: the trigamma
+    value psi'(r/2), which the coarse estimate r/2 approximates to about 10%
+    at r = 20.  An infinite g_zero marks a pass-through coupling for
     diagnostics with rescaling disabled.
     """
 
     g_tilde: float
     g_zero: float
-    order: Literal["leading", "energy-corrected", "raw"]
 
 
-def truncation_tail(n_modes: int, energy: float = 0.0) -> float:
-    """1/g_zero: pair-channel weight sum over the removed modes |q| >= r/2.
-
-    Equals sum_{q >= r/2} 1/(q^2 - E/2), evaluated in closed form through
-    digamma functions; requires E below the lowest removed pair energy
-    (r^2)/2.
-    """
+def truncation_tail(n_modes: int) -> float:
+    """1/g_zero: pair-channel weight sum_{q >= r/2} 1/q^2 over the removed
+    modes at zero pair energy, the trigamma value psi'(r/2)."""
     if n_modes < 2 or n_modes % 2:
         raise ValueError(f"n_modes must be even and >= 2, got {n_modes}")
-    m = n_modes // 2
-    energy = float(energy)
-    if energy == 0.0:
-        return float(polygamma(1, m))
-    if energy >= 2.0 * m * m:
-        raise ValueError(
-            f"energy hint {energy} is not below the removed-mode threshold {2 * m * m}"
-        )
-    a = complex(energy / 2.0) ** 0.5
-    return float(((psi(m + a) - psi(m - a)) / (2.0 * a)).real)
+    return float(polygamma(1, n_modes // 2))
 
 
-def rescale_interaction(
-    g: float, n_modes: int, energy_hint: float | None = None
-) -> RescaledCoupling:
+def rescale_interaction(g: float, n_modes: int) -> RescaledCoupling:
     """Map the bare coupling g to the truncated-basis coupling g_tilde."""
     g = float(g)
     if not math.isfinite(g) or g < 0:
         raise ValueError(f"interaction must be finite and >= 0, got {g!r}")
-    if n_modes < 2 or n_modes % 2:
-        raise ValueError(f"n_modes must be even and >= 2, got {n_modes}")
-    if energy_hint is None:
-        g_zero = 1.0 / truncation_tail(n_modes)
-        order: Literal["leading", "energy-corrected"] = "leading"
-    else:
-        g_zero = 1.0 / truncation_tail(n_modes, float(energy_hint))
-        order = "energy-corrected"
-    g_tilde = g / (1.0 + g / g_zero)
-    return RescaledCoupling(g_tilde=g_tilde, g_zero=g_zero, order=order)
+    g_zero = 1.0 / truncation_tail(n_modes)
+    return RescaledCoupling(g_tilde=g / (1.0 + g / g_zero), g_zero=g_zero)
 
 
 def raw_coupling(g: float) -> RescaledCoupling:
@@ -138,7 +108,7 @@ def raw_coupling(g: float) -> RescaledCoupling:
     g = float(g)
     if not math.isfinite(g) or g < 0:
         raise ValueError(f"interaction must be finite and >= 0, got {g!r}")
-    return RescaledCoupling(g_tilde=g, g_zero=math.inf, order="raw")
+    return RescaledCoupling(g_tilde=g, g_zero=math.inf)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,8 @@ SPECTRAL_BLOCK = 256
 SPECTRAL_CAP = 4500
 # below this dimension a dense eigh is faster on one BLAS thread than on two
 SERIAL_EIGH = 500
+# fewest samples of a trace that `dominant_frequency` reads a peak from
+MIN_TRACE_SAMPLES = 8
 
 
 @dataclass
@@ -108,18 +110,20 @@ def lowest_eigenpairs(
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     v0: np.ndarray | None = None,
-    dense_cutoff: int = DENSE_CUTOFF,
+    dense_cutoff: int | None = None,
     max_iterations: int | None = None,
 ) -> EigenSolution:
     """The m lowest eigenpairs of a factored real symmetric operator.
 
-    Dimensions up to `dense_cutoff` are solved densely from the explicit
-    matrix; larger problems use the Krylov path with the seeded (or provided)
-    start vector, applying the operator factor by factor.  Raises
-    ConvergenceError if the iteration stalls, with the achieved residual of
-    the pairs that converged (None when none did).
+    Dimensions up to `dense_cutoff` (default: `DENSE_CUTOFF` at call time)
+    are solved densely from the explicit matrix; larger problems use the
+    Krylov path with the seeded (or provided) start vector, applying the
+    operator factor by factor.  Raises ConvergenceError if the iteration
+    stalls, with the achieved residual of the pairs that converged (None
+    when none did).
     """
     dim = operator.dimension
+    dense_cutoff = DENSE_CUTOFF if dense_cutoff is None else dense_cutoff
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m > dim:
@@ -175,20 +179,26 @@ def _first_sector(n_atoms: int) -> int:
 
 
 def hamiltonian_blocks(
-    params: SystemParams, coupling: RescaledCoupling, use_parity: bool = True
+    params: SystemParams, coupling: RescaledCoupling
 ) -> list[tuple[FactoredOperator, sp.csr_matrix]]:
     """The Hamiltonian at one point as blocks (H_s, S_s), H = sum_s S_s H_s S_s^T.
 
-    At Omega = pi (and `use_parity`) these are the even and odd
-    reflection-parity sectors, assembled at Omega = pi exactly; elsewhere the
-    whole operator with the identity.
+    At Omega = pi these are the even and odd reflection-parity sectors,
+    assembled at Omega = pi exactly; elsewhere the whole operator with the
+    identity.
     """
-    if use_parity and _is_crossing_phase(params.phase):
+    if _is_crossing_phase(params.phase):
         blocks = cached_sector_pieces(params.n_atoms, params.n_modes)
         params = replace(params, phase=math.pi)
     else:
         blocks = (cached_pieces(params.n_atoms, params.n_modes),)
     return [(assemble(b, params, coupling), b.isometry) for b in blocks]
+
+
+def check_levels(m: int, dimension: int) -> None:
+    """Raise ValueError unless 1 <= m <= dimension."""
+    if not 1 <= m <= dimension:
+        raise ValueError(f"requested {m} levels of a dimension-{dimension} system")
 
 
 def solve_lowest(
@@ -198,7 +208,6 @@ def solve_lowest(
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     warm: EigenSolution | None = None,
-    use_parity: bool = True,
     max_iterations: int | None = None,
 ) -> EigenSolution:
     """Lowest m levels of the full system at one parameter point.
@@ -218,13 +227,9 @@ def solve_lowest(
     """
     if coupling is None:
         coupling = rescale_interaction(params.interaction, params.n_modes)
-    blocks = hamiltonian_blocks(params, coupling, use_parity)
-    dimension = sum(block.dimension for block, _ in blocks)
-    if not 1 <= m <= dimension:
-        raise ValueError(f"requested {m} levels of a dimension-{dimension} system")
+    blocks = hamiltonian_blocks(params, coupling)
+    check_levels(m, sum(block.dimension for block, _ in blocks))
     starts = getattr(warm, "sector_vectors", None) or ()
-    # DENSE_CUTOFF is read at call time, so that tests can lower it
-    options = {"dense_cutoff": DENSE_CUTOFF, "max_iterations": max_iterations}
     sols: dict[int, EigenSolution] = {}
     iterations = 0
 
@@ -235,13 +240,14 @@ def solve_lowest(
         if len(starts) == len(blocks) and starts[which].size == block.dimension:
             v0 = starts[which]
         sol = lowest_eigenpairs(
-            block, min(k, block.dimension), tol=block_tol, seed=seed + which, v0=v0, **options
+            block, min(k, block.dimension), tol=block_tol, seed=seed + which, v0=v0,
+            max_iterations=max_iterations,
         )
         if sol.eigenvalues.size == 1 and sol.residual_norms[0] > tol:
             # ARPACK stops on |r| <= tol*|theta|: once more from its vector
             again = lowest_eigenpairs(
                 block, 1, tol=tol / max(1.0, abs(float(sol.eigenvalues[0]))),
-                v0=sol.eigenvectors[:, 0], **options,
+                v0=sol.eigenvectors[:, 0], max_iterations=max_iterations,
             )
             again.iterations += sol.iterations
             sol = again
@@ -377,8 +383,8 @@ def dominant_frequency(times: np.ndarray, values: np.ndarray) -> float:
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if times.size != values.size or times.size < 8:
-        raise ValueError("need a uniform trace with at least 8 samples")
+    if times.size != values.size or times.size < MIN_TRACE_SAMPLES:
+        raise ValueError(f"need a uniform trace with at least {MIN_TRACE_SAMPLES} samples")
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-12):
         raise ValueError("time grid must be uniform for the FFT peak")

@@ -141,8 +141,8 @@ def _check_krylov_vs_dense(results: list[CheckResult]) -> None:
         CheckResult("krylov_matches_dense", diff <= 1e-8, f"max |dE| = {diff:.2e}")
     )
 
-    parity = solve_lowest(params, m=2, use_parity=True)
-    plain = solve_lowest(params, m=2, use_parity=False)
+    parity = solve_lowest(params, m=2)
+    plain = lowest_eigenpairs(op, 2)
     gap_diff = abs(
         (parity.eigenvalues[1] - parity.eigenvalues[0])
         - (plain.eigenvalues[1] - plain.eigenvalues[0])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringflow.basis import basis_size, build_basis, total_momentum
+from ringflow.basis import basis_size, build_basis
 from ringflow.errors import DimensionCapError
 
 
@@ -29,7 +29,7 @@ def test_lexicographic_order_and_window():
 @settings(max_examples=20, deadline=None)
 def test_rank_unrank_bijection(n, r):
     b = build_basis(n, r)
-    assert all(b.rank(b.state(i)) == i for i in range(b.size))
+    assert all(b.rank(b.occupations[i]) == i for i in range(b.size))
     assert np.array_equal(b.rank_rows(b.occupations), np.arange(b.size))
 
 
@@ -55,10 +55,10 @@ def test_rank_unknown_state_raises():
 
 def test_total_momentum_examples():
     b = build_basis(3, 4)  # window -1..2
-    assert total_momentum([0, 3, 0, 0], b.window) == 0
-    assert total_momentum([0, 0, 3, 0], b.window) == 3
+    assert b.total_k[b.rank([0, 3, 0, 0])] == 0
+    assert b.total_k[b.rank([0, 0, 3, 0])] == 3
     # one atom each at k=-1, 0, 2
-    assert total_momentum([1, 1, 0, 1], b.window) == 1
+    assert b.total_k[b.rank([1, 1, 0, 1])] == 1
 
 
 def test_total_k_bounds():
@@ -76,7 +76,7 @@ def test_sectors_partition():
     b2 = build_basis(2, 2)
     sector = b2.sector_indices(1)
     assert sector.size == 1
-    assert list(b2.state(sector[0])) == [1, 1]
+    assert list(b2.occupations[sector[0]]) == [1, 1]
     # one-particle case: one state per K
     b1 = build_basis(1, 2)
     assert b1.sector_indices(0).size == 1

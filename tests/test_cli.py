@@ -211,6 +211,15 @@ def test_dry_run_every_command(command, tmp_path, monkeypatch, capsys):
         ["dynamics", "--atoms", "0"],
         ["units", "--species", "mass=seven"],
         ["sweep", "--scale", "lgo"],
+        ["single-particle", "--count", "0"],
+        ["single-particle", "--omega-over-pi", "3"],
+        ["single-particle", "--tg-atoms", "4"],
+        ["single-particle", "--barrier", "-1"],
+        ["spectrum", "--levels", "0"],
+        ["spectrum", "--atoms", "1", "--modes", "2", "--levels", "3"],
+        ["spectrum", "--method", "tg", "--atoms", "4"],
+        ["dynamics", "--periods", "0"],
+        ["noon", "--atoms-min", "1"],
     ],
 )
 def test_dry_run_rejects_what_the_run_rejects(args, tmp_path, monkeypatch, capsys):
@@ -221,6 +230,20 @@ def test_dry_run_rejects_what_the_run_rejects(args, tmp_path, monkeypatch, capsy
     assert err.startswith("error: ")
     assert run_cli(args, capsys)[0] == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_of_another_command_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "dyn.csv.manifest.json"
+    manifest.write_text(json.dumps({"command": "dynamics", "parameters": {"atoms": 3}}))
+    output = tmp_path / "out.csv"
+    for dry in ([], ["--dry-run"]):
+        code, out, err = run_cli(
+            [*dry, "sweep", "--config", str(manifest), "--output", str(output)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "'dynamics'" in err and "'sweep'" in err
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("value, expected", [("Off", False), ("YES", True), (" 0 ", False)])

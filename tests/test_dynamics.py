@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ringflow.dynamics import run_quench
-from ringflow.hamiltonian import cached_basis
+from ringflow.hamiltonian import build_hamiltonian, cached_basis
 from ringflow.params import SystemParams, rescale_interaction
-from ringflow.solver import diagonalize, hamiltonian_blocks, propagate, solve_lowest
+from ringflow.solver import diagonalize, propagate, solve_lowest
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,8 @@ def test_parity_blocks_match_single_operator(quench_report):
     coupling = rescale_interaction(params.interaction, params.n_modes)
     pre = solve_lowest(replace(params, phase=quench_report.phase_initial), m=1, coupling=coupling)
     k0_mask = (cached_basis(params.n_atoms, params.n_modes).total_k == 0).astype(float)
-    [(whole, identity)] = hamiltonian_blocks(params, coupling, use_parity=False)
+    whole = build_hamiltonian(params, coupling)
+    identity = sp.identity(whole.dimension, format="csr")
     matrix = whole.matrix
     single = propagate(
         diagonalize([(whole, identity)]),
@@ -60,3 +62,15 @@ def test_parity_blocks_match_single_operator(quench_report):
     for name in ("P_K0", "energy"):
         assert np.max(np.abs(parity.traces[name] - single.traces[name])) < 1e-10
     assert np.max(np.abs(parity.norms - single.norms)) < 1e-10
+
+
+def test_too_short_a_trace_is_refused_before_any_solve(monkeypatch):
+    from ringflow import dynamics
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the trace length")
+
+    monkeypatch.setattr(dynamics, "solve_lowest", no_solve)
+    params = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.008, phase=math.pi)
+    with pytest.raises(ValueError, match="needs at least 8"):
+        run_quench(params, phase_initial=0.9 * math.pi, periods=0.1, samples_per_period=48)

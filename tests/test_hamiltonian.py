@@ -15,7 +15,6 @@ from ringflow.hamiltonian import (
     cached_pieces,
     cached_sector_pieces,
     clear_caches,
-    kinetic_diagonal,
     loss_operator,
 )
 from ringflow.params import SystemParams, raw_coupling, rescale_interaction
@@ -113,7 +112,8 @@ def test_reflection_commutes_at_crossing():
 
 def test_kinetic_phase_dependence():
     basis = build_basis(2, 4)
-    kin = kinetic_diagonal(basis, 0.6)
+    params = SystemParams(n_atoms=2, n_modes=4, interaction=0.0, barrier=0.0, phase=0.6)
+    kin = build_hamiltonian(params).diagonal
     a = 0.6 / (2 * math.pi)
     expected = (basis.occupations @ ((basis.window - a) ** 2)).astype(float)
     assert np.allclose(kin, expected, atol=1e-13)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from ringflow.basis import build_basis
 from ringflow.hamiltonian import cached_basis
 from ringflow.observables import (
+    AngularMomentumDistribution,
     angular_momentum_distribution,
     loss_quality,
-    mode_occupations,
     quality,
     total_variation,
 )
@@ -36,9 +36,14 @@ def test_norm_check_rejected():
 
 
 def test_quality_arithmetic():
-    assert quality({0: 0.5, 5: 0.5}, 0, 5) == pytest.approx(1.0)
-    assert quality({3: 1.0}, 0, 3) == 0.0
-    assert quality({0: 0.4, 5: 0.6}, 0, 5) == pytest.approx(0.96)
+    def dist(probabilities):
+        return AngularMomentumDistribution(
+            np.array(list(probabilities)), np.array(list(probabilities.values()))
+        )
+
+    assert quality(dist({0: 0.5, 5: 0.5}), 0, 5) == pytest.approx(1.0)
+    assert quality(dist({3: 1.0}), 0, 3) == 0.0
+    assert quality(dist({0: 0.4, 5: 0.6}), 0, 5) == pytest.approx(0.96)
 
 
 @given(st.integers(min_value=0, max_value=1000))
@@ -53,7 +58,7 @@ def test_distribution_properties_random_states(seed):
     assert np.all(dist.probabilities >= 0)
     q = quality(dist, 0, 3)
     assert 0.0 <= q <= 1.0
-    occ = mode_occupations(psi, basis)
+    occ = np.abs(psi) ** 2 @ basis.occupations
     assert occ.sum() == pytest.approx(3.0, abs=1e-10)
 
 

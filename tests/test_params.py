@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ringflow.basis import momentum_window
 from ringflow.params import (
     ATOMIC_MASS_KG,
     PhysicalRing,
@@ -29,7 +30,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SystemParams(n_atoms=2, n_modes=4, barrier=math.inf)
     p = SystemParams(n_atoms=3, n_modes=8)
-    assert list(p.momentum_window()) == [-3, -2, -1, 0, 1, 2, 3, 4]
+    assert list(momentum_window(p.n_modes)) == [-3, -2, -1, 0, 1, 2, 3, 4]
 
 
 def test_gamma_values():
@@ -53,8 +54,6 @@ def test_truncation_tail_against_direct_sum():
     for r in (4, 8, 20):
         direct = sum(1.0 / (2 * q * q) for q in range(r // 2, 200000)) * 2
         assert truncation_tail(r) == pytest.approx(direct, rel=1e-4)
-    # energy dependence: tail grows with the energy of the pair
-    assert truncation_tail(20, 1.0) > truncation_tail(20) > truncation_tail(20, -1.0)
 
 
 def test_rescale_values_r20():
@@ -85,17 +84,9 @@ def test_rescale_formula_and_bounds(g, r):
     assert bigger.g_tilde > coupling.g_tilde
 
 
-def test_energy_corrected_order():
-    lead = rescale_interaction(1.0, 20)
-    corr = rescale_interaction(1.0, 20, energy_hint=0.35)
-    assert lead.order == "leading"
-    assert corr.order == "energy-corrected"
-    assert corr.g_zero < lead.g_zero  # positive pair energy enlarges the tail
-
-
 def test_raw_coupling_passthrough():
     c = raw_coupling(3.5)
-    assert c.g_tilde == 3.5 and c.order == "raw"
+    assert c.g_tilde == 3.5 and math.isinf(c.g_zero)
 
 
 @pytest.fixture

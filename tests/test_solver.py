@@ -39,7 +39,7 @@ def test_single_atom_splitting_is_2b():
     params = SystemParams(n_atoms=1, n_modes=2, barrier=0.004, phase=math.pi)
     result = solve_lowest(params)
     assert _gap(result) == pytest.approx(0.008, rel=1e-12)
-    plain = solve_lowest(params, use_parity=False)
+    plain = lowest_eigenpairs(build_hamiltonian(params), 2)
     assert _gap(plain) == pytest.approx(_gap(result), abs=1e-13)
 
 
@@ -72,21 +72,21 @@ def test_more_levels_than_the_dimension_raise(phase):
 def test_hamiltonian_blocks_sum_to_the_operator():
     params = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.008, phase=math.pi)
     coupling = rescale_interaction(params.interaction, params.n_modes)
-    [(whole, identity)] = hamiltonian_blocks(params, coupling, use_parity=False)
-    assert (identity != sp.identity(whole.dimension)).nnz == 0
+    whole = build_hamiltonian(params, coupling)
     blocks = hamiltonian_blocks(params, coupling)
     assert [h.dimension for h, _ in blocks] == [60, 60]
     total = sum(s @ h.matrix @ s.T for h, s in blocks)
     assert abs(total - whole.matrix).max() < 1e-12
     off = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.008, phase=0.9 * math.pi)
-    [(block, _)] = hamiltonian_blocks(off, coupling)
+    [(block, identity)] = hamiltonian_blocks(off, coupling)
     assert block.dimension == 120
+    assert (identity != sp.identity(block.dimension)).nnz == 0
 
 
 def test_parity_path_matches_plain():
     params = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.008, phase=math.pi)
-    parity = solve_lowest(params, m=2, use_parity=True)
-    plain = solve_lowest(params, m=2, use_parity=False)
+    parity = solve_lowest(params, m=2)
+    plain = lowest_eigenpairs(build_hamiltonian(params), 2)
     assert parity.method == "lanczos-parity"
     assert np.max(np.abs(parity.eigenvalues - plain.eigenvalues)) < 1e-10
 
@@ -97,7 +97,7 @@ def test_parity_path_matches_plain_on_arpack(g):
     # paths run ARPACK on the factored operators
     params = SystemParams(n_atoms=5, n_modes=12, interaction=g, barrier=0.008, phase=math.pi)
     parity = solve_lowest(params, m=2)
-    plain = solve_lowest(params, m=2, use_parity=False)
+    plain = lowest_eigenpairs(build_hamiltonian(params), 2)
     assert (parity.method, plain.method) == ("lanczos-parity", "lanczos")
     gaps = [np.diff(sol.eigenvalues)[0] for sol in (parity, plain)]
     assert abs(gaps[0] - gaps[1]) <= 1e-11 * parity.eigenvalues[0]
@@ -117,7 +117,7 @@ def test_wrong_first_sector_is_caught_by_the_certificate(monkeypatch):
 
     monkeypatch.setattr(solver, "lowest_eigenpairs", counting)
     for m in (2, 3):
-        plain = solve_lowest(params, m=m, use_parity=False)
+        plain = lowest_eigenpairs(build_hamiltonian(params), m)
         with monkeypatch.context() as patch:
             patch.setattr(solver, "DENSE_CUTOFF", 0)
             calls.clear()
