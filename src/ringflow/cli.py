@@ -98,7 +98,8 @@ def write_manifest(output_path: str, command: str, parameters: dict, seed: int, 
 
 
 def load_config(path: str, command: str) -> dict[str, dict[str, str]]:
-    """Load an INI config, or a manifest JSON that `command` wrote."""
+    """Load an INI config with a [command] or [global] section, or a
+    manifest JSON that `command` wrote."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json") or text.lstrip().startswith("{"):
@@ -113,6 +114,8 @@ def load_config(path: str, command: str) -> dict[str, dict[str, str]]:
         return out
     parser = configparser.ConfigParser()
     parser.read_string(text)
+    if not parser.has_section(command) and not parser.has_section("global"):
+        raise ValueError(f"{path} has no [{command}] or [global] section")
     return {name: dict(parser[name]) for name in parser.sections()}
 
 

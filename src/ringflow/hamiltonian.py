@@ -88,6 +88,11 @@ class Factor:
         matrix.sort_indices()
         return cls(matrix, matrix.T.tocsr())
 
+    @cached_property
+    def column_norms2(self) -> np.ndarray:
+        """|F e_j|^2 per column j: the term's contribution to diag(F^T F)."""
+        return np.asarray(self.transpose.multiply(self.transpose).sum(axis=1)).ravel()
+
 
 @dataclass
 class FactoredOperator:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError
 from .observables import AngularMomentumDistribution
@@ -28,6 +27,7 @@ def two_particle_exact(g: float) -> float:
     """
     if not (g > 0 and math.isfinite(g)):
         raise ValueError(f"g must be finite and > 0, got {g!r}")
+    from scipy.optimize import brentq  # here: `import ringflow.cli` need not load it
 
     def f(z: float) -> float:
         return g * math.pi / (2.0 * z * math.tan(math.pi * z)) - 1.0

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 ALPHA_TOL = 1e-12
 _EDGE = 1e-13
@@ -51,6 +50,8 @@ def _plane_wave_roots(phase: float, count: int) -> np.ndarray:
 
 
 def _roots_at_pi(barrier: float, count: int) -> np.ndarray:
+    from scipy.optimize import brentq  # here: `import ringflow.cli` need not load it
+
     roots = []
     nu = 1
     while len(roots) < count:
@@ -84,6 +85,8 @@ def _poles(phase: float, how_many: int) -> np.ndarray:
 
 
 def _roots_general(barrier: float, phase: float, count: int) -> np.ndarray:
+    from scipy.optimize import brentq  # here: `import ringflow.cli` need not load it
+
     poles = _poles(phase, count + 1)
 
     def f(alpha: float) -> float:

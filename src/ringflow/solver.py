@@ -4,8 +4,17 @@
 H = sum_s S_s H_s S_s^T: at the crossing point Omega = pi, where H commutes
 with the momentum reflection k -> 1-k, the two parity sectors (across which
 the avoided-crossing pair splits); elsewhere the whole operator with the
-identity.  Eigen solves use ARPACK with a deterministic seeded start vector
-and a dense fallback below `DENSE_CUTOFF`.  Solving each sector on its own
+identity.  A block of at most `DENSE_CUTOFF` columns is solved densely.  A
+larger block in the weak-coupling regime (every Gram prefactor, b or
+g_tilde/2, at most `LOBPCG_MAX_COUPLING`) is solved by LOBPCG, preconditioned
+exactly on its low-kinetic window and by Jacobi elsewhere and started from
+the window's own eigenvectors; there the avoided-crossing pair sits in a
+cluster of nearly degenerate kinetic levels, which ARPACK resolves slowly.
+Every other block, and any block whose LOBPCG residuals miss `tol`, is solved
+by ARPACK from a deterministic seeded (or warm) start vector.  `iterations`
+counts operator applications to one vector, each column of a block product
+once.  On the 12-point fig2 sweep this takes 3,473 matvecs (8,377 with ARPACK
+alone), on the 60-point one 17,440 (36,335).  Solving each sector on its own
 makes splittings far below the spectral width (the NOON regime) cheap to
 resolve.  Of m levels, only the block expected to hold the ground (sector
 N mod 2) is asked for m; the other is asked for m - 1 and is re-solved for m
@@ -21,13 +30,14 @@ of sample times; no block may exceed `SPECTRAL_CAP`.  Dense `eigh` calls below
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, lobpcg
 
 from . import blas
 from .errors import ConvergenceError, DimensionCapError
@@ -38,6 +48,16 @@ DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 2000
 DEGENERACY_FACTOR = 10.0
+# largest Gram-term prefactor (b or g_tilde/2, in E0) that `lowest_eigenpairs`
+# solves with LOBPCG, set by wall time on fig2 (N=5, r=20, one BLAS thread):
+# at g_tilde = 0.76 LOBPCG took 320 matvecs in 0.56 s against warm ARPACK's
+# 445 in 0.79 s, at g_tilde = 0.97 598 in 1.01 s against 407 in 0.79 s
+LOBPCG_MAX_COUPLING = 0.4
+# the preconditioner's exact window: columns within this kinetic energy (E0)
+# of the lowest
+COARSE_WINDOW = 10.0
+# LOBPCG iterations before the ARPACK fallback takes over
+LOBPCG_MAXITER = 200
 SPECTRAL_BLOCK = 256
 # largest block `propagate` diagonalizes densely; at 4,500 its eigenvectors
 # alone take 162 MB (N=4, r=20 has parity blocks of 4,455 and 4,400)
@@ -86,6 +106,40 @@ def _residuals(operator, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     )
 
 
+def _window_preconditioner(operator: FactoredOperator, k: int):
+    """(M, X0) for LOBPCG on H = diag(kin) + sum_i c_i F_i^T F_i.
+
+    W holds the columns whose kinetic diagonal lies within COARSE_WINDOW of
+    its minimum (at least k of them).  M applies (H_WW - sigma)^-1 on W,
+    with H_WW formed from column slices of the factors, and the Jacobi
+    inverse 1/(diag(H) - sigma) off W; sigma lies 0.05 below both the lowest
+    level of H_WW and the smallest diagonal entry, so M is positive definite.
+    X0 holds the k lowest eigenvectors of H_WW, embedded in the block.
+    """
+    kin = operator.diagonal
+    count = max(int(np.count_nonzero(kin <= kin.min() + COARSE_WINDOW)), k)
+    window = np.sort(np.argsort(kin, kind="stable")[:count])
+    h_ww = np.diag(kin[window])
+    diagonal = kin.copy()
+    for coef, factor in operator.terms:
+        columns = factor.transpose[window]  # F[:, W]^T
+        h_ww += coef * (columns @ columns.T).toarray()
+        diagonal += coef * factor.column_norms2
+    theta, q = sla.eigh(h_ww)
+    sigma = min(theta[0], diagonal.min()) - 0.05
+    off_window = 1.0 / (diagonal - sigma)
+    in_window = (q / (theta - sigma)) @ q.T
+
+    def precondition(x):  # x: a block of columns
+        y = x * off_window[:, None]
+        y[window] = in_window @ x[window]
+        return y
+
+    start = np.zeros((kin.size, k))
+    start[window] = q[:, :k]
+    return precondition, start
+
+
 def _lowest(
     vals, vecs, res, m, iterations, method, tol, sector_vectors=None
 ) -> EigenSolution:
@@ -116,11 +170,14 @@ def lowest_eigenpairs(
     """The m lowest eigenpairs of a factored real symmetric operator.
 
     Dimensions up to `dense_cutoff` (default: `DENSE_CUTOFF` at call time)
-    are solved densely from the explicit matrix; larger problems use the
-    Krylov path with the seeded (or provided) start vector, applying the
-    operator factor by factor.  Raises ConvergenceError if the iteration
-    stalls, with the achieved residual of the pairs that converged (None
-    when none did).
+    are solved densely from the explicit matrix.  Larger problems apply the
+    operator factor by factor: in the weak-coupling regime (every prefactor
+    at most `LOBPCG_MAX_COUPLING`) by LOBPCG (`_lobpcg`), accepted only if
+    every residual is at most `tol`; otherwise, and when LOBPCG misses, by
+    the Krylov path with the seeded (or provided) start vector, or with
+    LOBPCG's best vector after a miss.  `iterations` counts the matvecs of
+    both.  Raises ConvergenceError if the Krylov iteration stalls, with the
+    achieved residual of the pairs that converged (None when none did).
     """
     dim = operator.dimension
     dense_cutoff = DENSE_CUTOFF if dense_cutoff is None else dense_cutoff
@@ -133,6 +190,12 @@ def lowest_eigenpairs(
         return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, 0, "dense", tol)
 
     matvecs = [0]
+    if max((c for c, _ in operator.terms), default=0.0) <= LOBPCG_MAX_COUPLING:
+        sol = _lobpcg(operator, m, tol, max_iterations)
+        if np.all(sol.residual_norms <= tol):
+            return sol
+        # ARPACK from LOBPCG's best vector; `iterations` counts both
+        matvecs[0], v0 = sol.iterations, sol.eigenvectors[:, 0]
 
     def counted(x):
         matvecs[0] += 1
@@ -167,6 +230,36 @@ def lowest_eigenpairs(
     return _lowest(
         vals, vecs, _residuals(operator, vals, vecs), m, matvecs[0], "lanczos", tol
     )
+
+
+def _lobpcg(
+    operator: FactoredOperator, m: int, tol: float, max_iterations: int | None
+) -> EigenSolution:
+    """The m lowest pairs by LOBPCG from `_window_preconditioner`, with m + 2
+    columns; `iterations` counts each column of a block product once.  The
+    caller checks the residuals against `tol`."""
+    matvecs = [0]
+
+    def counted(x):  # x: a block of columns
+        matvecs[0] += x.shape[1]
+        return operator @ x
+
+    precondition, start = _window_preconditioner(operator, m + 2)
+    # one BLAS thread: the block products then round the same in every process
+    with blas.one_thread(), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the caller checks for a miss
+        vals, vecs = lobpcg(
+            counted, start, M=precondition, tol=tol, largest=False,
+            maxiter=max_iterations if max_iterations is not None else LOBPCG_MAXITER,
+        )
+    order = np.argsort(vals)[:m]
+    vals, vecs = vals[order], vecs[:, order]
+    return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, matvecs[0], "lobpcg", tol)
+
+
+def _parity_method(sols) -> str:
+    """"lobpcg-parity" if LOBPCG solved a sector, else "lanczos-parity"."""
+    return "lobpcg-parity" if any(s.method == "lobpcg" for s in sols) else "lanczos-parity"
 
 
 def _is_crossing_phase(phase: float) -> bool:
@@ -280,7 +373,7 @@ def solve_lowest(
     )
     return _lowest(
         vals[keep], vecs, res[keep], m, iterations,
-        sols[0].method if len(blocks) == 1 else "lanczos-parity", tol,
+        sols[0].method if len(blocks) == 1 else _parity_method(sols.values()), tol,
         sector_vectors=tuple(sols[w].eigenvectors[:, 0].copy() for w in range(len(blocks))),
     )
 

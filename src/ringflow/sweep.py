@@ -5,13 +5,14 @@ pair at each point, and derives every observable into flat records
 emitted in grid order.  Each point is one `solve_lowest` call; nothing is
 memoized, so a grid that rounds two values to the same N or r solves both.
 The grid is cut into segments of at most `SEGMENT_POINTS` consecutive points
-that share (N, r); within a segment each solve starts from the last
-successful point's vectors.  The segments run in forked worker processes,
-one per usable core and each with one BLAS thread: ARPACK's loop holds the
-GIL, so threads gain nothing.  The segment length does not depend on the
-worker count, so the output (`iters` included) is the same for any number of
-workers.  On fig2 the segments take 8,377 matvecs at 12 points
-against 8,388 for one chain, and 36,335 against 33,384 at 60 points.
+that share (N, r); within a segment each ARPACK solve starts from the last
+successful point's vectors (LOBPCG, which solves the weak-coupling points,
+starts from each block's low-kinetic window instead).  The segments run in
+forked worker processes, one per usable core and each with one BLAS thread:
+the solvers' loops hold the GIL, so threads gain nothing.  The segment length
+does not depend on the worker count, so the output (`iters` included) is the
+same for any number of workers.  On fig2 the segments take 3,473 matvecs at
+12 points and 17,440 at 60 points (8,377 and 36,335 with ARPACK alone).
 """
 
 from __future__ import annotations

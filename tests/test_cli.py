@@ -255,6 +255,25 @@ def test_boolean_config_values(value, expected, tmp_path, capsys):
     assert json.loads(out)["parameters"]["rescale"] is expected
 
 
+def test_ini_config_without_a_section_for_the_command_exits_2(tmp_path, capsys):
+    # a file of another command's settings would otherwise run the defaults
+    other = tmp_path / "other.ini"
+    other.write_text("[dynamics]\natoms = 7\n")
+    for dry in ([], ["--dry-run"]):
+        output = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            [*dry, "sweep", "--config", str(other), "--output", str(output)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert str(other) in err and "[sweep]" in err
+        assert not output.exists()
+    # several sections, or [global] alone, stay valid
+    for text in ("[dynamics]\natoms = 7\n\n[sweep]\npoints = 3\n", "[global]\nseed = 11\n"):
+        other.write_text(text)
+        assert run_cli(["--dry-run", "sweep", "--config", str(other)], capsys)[0] == 0
+
+
 def test_misspelt_boolean_config_value_exits_2(tmp_path, capsys):
     # from an INI file and from a manifest JSON alike
     ini = tmp_path / "run.ini"

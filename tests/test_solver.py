@@ -48,7 +48,7 @@ def test_iterative_matches_dense():
     op = build_hamiltonian(params, rescale_interaction(0.7, 12))  # dimension 1365
     dense = lowest_eigenpairs(op, 3)
     krylov = lowest_eigenpairs(op, 3, dense_cutoff=0, tol=1e-12)
-    assert krylov.method == "lanczos"
+    assert krylov.method == "lobpcg"
     assert np.max(np.abs(dense.eigenvalues - krylov.eigenvalues)) < 1e-8
     assert krylov.iterations > 0
     # orthogonality and residuals
@@ -94,13 +94,53 @@ def test_parity_path_matches_plain():
 @pytest.mark.parametrize("g", [1e-3, 1.0, 100.0])
 def test_parity_path_matches_plain_on_arpack(g):
     # N=5, r=12: dimension 4,368 and parity sectors of about 2,200, so both
-    # paths run ARPACK on the factored operators
+    # paths run the iterative solvers on the factored operators: LOBPCG at
+    # g = 1e-3, ARPACK above the weak-coupling regime
     params = SystemParams(n_atoms=5, n_modes=12, interaction=g, barrier=0.008, phase=math.pi)
     parity = solve_lowest(params, m=2)
     plain = lowest_eigenpairs(build_hamiltonian(params), 2)
-    assert (parity.method, plain.method) == ("lanczos-parity", "lanczos")
+    method = "lobpcg" if g < 0.01 else "lanczos"
+    assert (parity.method, plain.method) == (f"{method}-parity", method)
     gaps = [np.diff(sol.eigenvalues)[0] for sol in (parity, plain)]
     assert abs(gaps[0] - gaps[1]) <= 1e-11 * parity.eigenvalues[0]
+
+
+def _weak_sector_blocks(g):
+    # N=5, r=12: parity sectors of about 2,200 > DENSE_CUTOFF
+    params = SystemParams(n_atoms=5, n_modes=12, interaction=g, barrier=0.008, phase=math.pi)
+    blocks = [block for block, _ in hamiltonian_blocks(params, rescale_interaction(g, 12))]
+    assert min(block.dimension for block in blocks) > DENSE_CUTOFF
+    return blocks
+
+
+@pytest.mark.parametrize("g", [1e-4, 1e-3, 0.1])
+def test_lobpcg_levels_match_arpack_on_the_sector_blocks(g, monkeypatch):
+    for block in _weak_sector_blocks(g):
+        weak = lowest_eigenpairs(block, 2)
+        assert weak.method == "lobpcg"
+        assert 0 < weak.iterations
+        assert np.max(weak.residual_norms) <= solver.DEFAULT_TOL
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "LOBPCG_MAX_COUPLING", -1.0)
+            arpack = lowest_eigenpairs(block, 2)
+        assert arpack.method == "lanczos"
+        assert np.max(np.abs(weak.eigenvalues - arpack.eigenvalues)) <= 1e-11
+
+
+def test_lobpcg_miss_falls_back_to_arpack_from_its_best_vector(monkeypatch):
+    [block, _] = _weak_sector_blocks(1e-3)
+    converged = lowest_eigenpairs(block, 2)
+    monkeypatch.setattr(solver, "LOBPCG_MAXITER", 1)
+    missed = solver._lobpcg(block, 2, solver.DEFAULT_TOL, None)
+    assert np.max(missed.residual_norms) > solver.DEFAULT_TOL
+    fallback = lowest_eigenpairs(block, 2)
+    assert fallback.method == "lanczos"
+    assert np.max(np.abs(fallback.eigenvalues - converged.eigenvalues)) <= 1e-11
+    # `iterations` counts the matvecs of both solvers
+    monkeypatch.setattr(solver, "LOBPCG_MAX_COUPLING", -1.0)
+    arpack = lowest_eigenpairs(block, 2, v0=missed.eigenvectors[:, 0])
+    assert fallback.iterations == missed.iterations + arpack.iterations
+    assert np.array_equal(fallback.eigenvalues, arpack.eigenvalues)
 
 
 def test_wrong_first_sector_is_caught_by_the_certificate(monkeypatch):

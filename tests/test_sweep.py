@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ringflow
-from ringflow import blas, sweep
+from ringflow import blas, solver, sweep
 from ringflow.cli import main
 from ringflow.hamiltonian import (
     cached_basis,
@@ -22,7 +22,7 @@ from ringflow.hamiltonian import (
     clear_caches,
 )
 from ringflow.observables import loss_quality
-from ringflow.params import SystemParams, lieb_liniger_gamma
+from ringflow.params import SystemParams, lieb_liniger_gamma, rescale_interaction
 from ringflow.solver import solve_lowest
 from ringflow.sweep import (
     SEGMENT_POINTS,
@@ -47,7 +47,8 @@ def _small_spec(**overrides):
 
 
 def _krylov_spec(points=6):
-    # parity sectors of 2,184 > DENSE_CUTOFF: ARPACK runs and the chain feeds it
+    # parity sectors of 2,184 > DENSE_CUTOFF: LOBPCG runs at the weak-coupling
+    # points, ARPACK at the others, where the chain feeds it
     base = SystemParams(n_atoms=5, n_modes=12, interaction=0.5, barrier=0.01, phase=math.pi)
     return SweepSpec(parameter="interaction", grid=log_grid(0.1, 10.0, points), base=base)
 
@@ -121,9 +122,10 @@ def test_warm_start_does_not_change_results():
 )
 def test_warm_start_across_the_crossing(grid):
     # N=5, r=12: the whole operator (4,368) and the parity sectors (2,184)
-    # both go to ARPACK; a chain that steps from two blocks to one, or from
-    # one to two, has no start vector that fits and solves cold
-    base = SystemParams(n_atoms=5, n_modes=12, interaction=0.5, barrier=0.01, phase=math.pi)
+    # both go to ARPACK at g = 2, above LOBPCG's weak-coupling regime; a
+    # chain that steps from two blocks to one, or from one to two, has no
+    # start vector that fits and solves cold
+    base = SystemParams(n_atoms=5, n_modes=12, interaction=2.0, barrier=0.01, phase=math.pi)
     spec = SweepSpec(parameter="phase", grid=grid, base=base)
     assert math.pi in (grid[0], grid[-1])
     records = run_sweep(spec)
@@ -191,6 +193,9 @@ def test_segments_cut_at_length_and_size_changes():
 def test_same_records_for_any_worker_count(monkeypatch):
     spec = _krylov_spec()
     assert spec.grid.size > SEGMENT_POINTS
+    # the grid crosses from LOBPCG's weak-coupling regime into ARPACK's
+    couplings = [0.5 * rescale_interaction(g, 12).g_tilde for g in spec.grid]
+    assert min(couplings) <= solver.LOBPCG_MAX_COUPLING < max(couplings)
     rows = {}
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
