@@ -6,15 +6,16 @@ with the momentum reflection k -> 1-k, the two parity sectors (across which
 the avoided-crossing pair splits); elsewhere the whole operator with the
 identity.  A block of at most `DENSE_CUTOFF` columns is solved densely.  A
 larger block in the weak-coupling regime (every Gram prefactor, b or
-g_tilde/2, at most `LOBPCG_MAX_COUPLING`) is solved by LOBPCG, preconditioned
-exactly on its low-kinetic window and by Jacobi elsewhere and started from
-the window's own eigenvectors; there the avoided-crossing pair sits in a
-cluster of nearly degenerate kinetic levels, which ARPACK resolves slowly.
-Every other block, and any block whose LOBPCG residuals miss `tol`, is solved
-by ARPACK from a deterministic seeded (or warm) start vector.  `iterations`
-counts operator applications to one vector, each column of a block product
-once.  On the 12-point fig2 sweep this takes 3,473 matvecs (8,377 with ARPACK
-alone), on the 60-point one 17,440 (36,335).  Solving each sector on its own
+g_tilde/2, at most `LOBPCG_MAX_COUPLING`) is solved by LOBPCG with one column
+per requested level, preconditioned exactly on its low-kinetic window and by
+Jacobi elsewhere and started from the window's own eigenvectors; there the
+avoided-crossing pair sits in a cluster of nearly degenerate kinetic levels,
+which ARPACK resolves slowly.  Every other block is solved by ARPACK from a
+deterministic seeded start vector, and a block whose LOBPCG residuals miss
+`tol` by ARPACK from LOBPCG's best vector.  `iterations` counts operator
+applications to one vector, each column of a block product once.  On the
+12-point fig2 sweep this takes 3,080 matvecs (8,377 with ARPACK alone), on
+the 60-point one 15,279 (36,335).  Solving each sector on its own
 makes splittings far below the spectral width (the NOON regime) cheap to
 resolve.  Of m levels, only the block expected to hold the ground (sector
 N mod 2) is asked for m; the other is asked for m - 1 and is re-solved for m
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -49,10 +50,12 @@ DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 2000
 DEGENERACY_FACTOR = 10.0
 # largest Gram-term prefactor (b or g_tilde/2, in E0) that `lowest_eigenpairs`
-# solves with LOBPCG, set by wall time on fig2 (N=5, r=20, one BLAS thread):
-# at g_tilde = 0.76 LOBPCG took 320 matvecs in 0.56 s against warm ARPACK's
-# 445 in 0.79 s, at g_tilde = 0.97 598 in 1.01 s against 407 in 0.79 s
-LOBPCG_MAX_COUPLING = 0.4
+# solves with LOBPCG, set by wall time at N=5, r=20 (one BLAS thread, cold
+# ARPACK): at g_tilde/2 = 0.55 LOBPCG took 197 matvecs in 0.51 s against
+# ARPACK's 485 in 0.91 s, at 0.70 240 in 0.64 s against 428 in 0.79 s, at 0.74
+# 685 in 1.57 s against 428 in 0.79 s; N=4, r=20 and N=5, r=16 also lose
+# between 0.65 and 0.75
+LOBPCG_MAX_COUPLING = 0.6
 # the preconditioner's exact window: columns within this kinetic energy (E0)
 # of the lowest
 COARSE_WINDOW = 10.0
@@ -74,7 +77,6 @@ class EigenSolution:
 
     Eigenvalues ascend; eigenvectors are unit-norm columns over the basis.
     `degenerate` flags a lowest gap below DEGENERACY_FACTOR * tol.
-    `sector_vectors` (from `solve_lowest`): each block's lowest vector, a warm start.
     """
 
     eigenvalues: np.ndarray
@@ -83,7 +85,6 @@ class EigenSolution:
     iterations: int
     method: str
     degenerate: bool
-    sector_vectors: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
 
 def _eigh(matrix: np.ndarray, **kwargs):
@@ -107,7 +108,7 @@ def _residuals(operator, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def _window_preconditioner(operator: FactoredOperator, k: int):
-    """(M, X0) for LOBPCG on H = diag(kin) + sum_i c_i F_i^T F_i.
+    """(M, X0) for LOBPCG's k columns on H = diag(kin) + sum_i c_i F_i^T F_i.
 
     W holds the columns whose kinetic diagonal lies within COARSE_WINDOW of
     its minimum (at least k of them).  M applies (H_WW - sigma)^-1 on W,
@@ -140,9 +141,7 @@ def _window_preconditioner(operator: FactoredOperator, k: int):
     return precondition, start
 
 
-def _lowest(
-    vals, vecs, res, m, iterations, method, tol, sector_vectors=None
-) -> EigenSolution:
+def _lowest(vals, vecs, res, m, iterations, method, tol) -> EigenSolution:
     """The m lowest of the given eigenpairs (vector columns), ascending."""
     order = np.argsort(vals)[:m]
     vals = np.asarray(vals, dtype=float)[order]
@@ -154,7 +153,6 @@ def _lowest(
         iterations=iterations,
         method=method,
         degenerate=degenerate,
-        sector_vectors=sector_vectors,
     )
 
 
@@ -235,16 +233,17 @@ def lowest_eigenpairs(
 def _lobpcg(
     operator: FactoredOperator, m: int, tol: float, max_iterations: int | None
 ) -> EigenSolution:
-    """The m lowest pairs by LOBPCG from `_window_preconditioner`, with m + 2
-    columns; `iterations` counts each column of a block product once.  The
-    caller checks the residuals against `tol`."""
+    """The m lowest pairs by LOBPCG from `_window_preconditioner`, one column
+    per returned level, so that no iteration is spent on a level nobody reads;
+    `iterations` counts each column of a block product once.  The caller
+    checks the residuals against `tol`."""
     matvecs = [0]
 
     def counted(x):  # x: a block of columns
         matvecs[0] += x.shape[1]
         return operator @ x
 
-    precondition, start = _window_preconditioner(operator, m + 2)
+    precondition, start = _window_preconditioner(operator, m)
     # one BLAS thread: the block products then round the same in every process
     with blas.one_thread(), warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the caller checks for a miss
@@ -252,8 +251,6 @@ def _lobpcg(
             counted, start, M=precondition, tol=tol, largest=False,
             maxiter=max_iterations if max_iterations is not None else LOBPCG_MAXITER,
         )
-    order = np.argsort(vals)[:m]
-    vals, vecs = vals[order], vecs[:, order]
     return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, matvecs[0], "lobpcg", tol)
 
 
@@ -300,7 +297,6 @@ def solve_lowest(
     coupling: RescaledCoupling | None = None,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
-    warm: EigenSolution | None = None,
     max_iterations: int | None = None,
 ) -> EigenSolution:
     """Lowest m levels of the full system at one parameter point.
@@ -314,26 +310,21 @@ def solve_lowest(
     The result is exact for any spectrum: a block that has uncomputed levels
     and whose highest computed level lies below the m-th merged level is
     solved again for m levels.  A one-level solve whose residual exceeds `tol`
-    is solved once more at tol / max(1, |theta|).  `warm` gives the start
-    vectors (grid sweeps) when its blocks have the same count and sizes.
+    is solved once more at tol / max(1, |theta|).
     Raises ValueError unless 1 <= m <= the dimension.
     """
     if coupling is None:
         coupling = rescale_interaction(params.interaction, params.n_modes)
     blocks = hamiltonian_blocks(params, coupling)
     check_levels(m, sum(block.dimension for block, _ in blocks))
-    starts = getattr(warm, "sector_vectors", None) or ()
     sols: dict[int, EigenSolution] = {}
     iterations = 0
 
     def solve_block(which: int, k: int, block_tol: float) -> EigenSolution:
         nonlocal iterations
         block = blocks[which][0]
-        v0 = None
-        if len(starts) == len(blocks) and starts[which].size == block.dimension:
-            v0 = starts[which]
         sol = lowest_eigenpairs(
-            block, min(k, block.dimension), tol=block_tol, seed=seed + which, v0=v0,
+            block, min(k, block.dimension), tol=block_tol, seed=seed + which,
             max_iterations=max_iterations,
         )
         if sol.eigenvalues.size == 1 and sol.residual_norms[0] > tol:
@@ -374,7 +365,6 @@ def solve_lowest(
     return _lowest(
         vals[keep], vecs, res[keep], m, iterations,
         sols[0].method if len(blocks) == 1 else _parity_method(sols.values()), tol,
-        sector_vectors=tuple(sols[w].eigenvectors[:, 0].copy() for w in range(len(blocks))),
     )
 
 

@@ -2,17 +2,15 @@
 
 A sweep walks a strictly monotone grid of one parameter, solves the lowest
 pair at each point, and derives every observable into flat records
-emitted in grid order.  Each point is one `solve_lowest` call; nothing is
-memoized, so a grid that rounds two values to the same N or r solves both.
-The grid is cut into segments of at most `SEGMENT_POINTS` consecutive points
-that share (N, r); within a segment each ARPACK solve starts from the last
-successful point's vectors (LOBPCG, which solves the weak-coupling points,
-starts from each block's low-kinetic window instead).  The segments run in
-forked worker processes, one per usable core and each with one BLAS thread:
-the solvers' loops hold the GIL, so threads gain nothing.  The segment length
-does not depend on the worker count, so the output (`iters` included) is the
-same for any number of workers.  On fig2 the segments take 3,473 matvecs at
-12 points and 17,440 at 60 points (8,377 and 36,335 with ARPACK alone).
+emitted in grid order.  Each point is one cold `solve_lowest` call and one
+task; nothing is memoized or carried from one point to the next, so a
+point's record depends on that point alone, and a grid that rounds two
+values to the same N or r solves both.  The tasks run in forked worker
+processes, one per usable core and each with one BLAS thread, which take
+them one at a time in grid order: the solvers' loops hold the GIL, so
+threads gain nothing.  The output (`iters` included) is therefore the same
+for any number of workers.  On fig2 the points take 3,080 matvecs at 12
+points and 15,279 at 60.
 """
 
 from __future__ import annotations
@@ -35,11 +33,9 @@ from .params import (
     raw_coupling,
     rescale_interaction,
 )
-from .solver import DEFAULT_SEED, DEFAULT_TOL, EigenSolution, solve_lowest
+from .solver import DEFAULT_SEED, DEFAULT_TOL, solve_lowest
 
 SWEEPABLE = ("interaction", "barrier", "phase", "n_atoms", "n_modes")
-# longest warm-start chain; fixed, so that no result depends on the core count
-SEGMENT_POINTS = 4
 
 
 def linear_grid(start: float, stop: float, points: int) -> np.ndarray:
@@ -126,9 +122,7 @@ def _without_frames(exc: BaseException) -> BaseException:
     return exc
 
 
-def _point_record(
-    spec: SweepSpec, value: float, warm: EigenSolution | None
-) -> tuple[SweepRecord, EigenSolution | None]:
+def _point_record(spec: SweepSpec, value: float) -> SweepRecord:
     record = SweepRecord(value=float(value))
     try:
         params = spec.params_at(value)
@@ -139,9 +133,7 @@ def _point_record(
         )
         record.gamma = lieb_liniger_gamma(params)
         record.g_tilde = coupling.g_tilde
-        solution = solve_lowest(
-            params, m=2, coupling=coupling, tol=spec.tol, seed=spec.seed, warm=warm
-        )
+        solution = solve_lowest(params, m=2, coupling=coupling, tol=spec.tol, seed=spec.seed)
         record.e0 = float(solution.eigenvalues[0])
         record.e1 = float(solution.eigenvalues[1])
         record.delta_e = record.e1 - record.e0
@@ -156,77 +148,45 @@ def _point_record(
         if params.n_atoms >= 2:
             basis_nm1 = cached_basis(params.n_atoms - 1, params.n_modes)
             record.qbar_loss = loss_quality(ground, basis, basis_nm1).qbar
-        return record, solution
     except (ValueError, ConvergenceError, DimensionCapError) as exc:
         record.exception = _without_frames(exc)
-        return record, None
+    return record
 
 
-def _segments(spec: SweepSpec) -> list[list[float]]:
-    """The grid cut into runs of at most SEGMENT_POINTS consecutive values
-    that share (N, r); a value whose parameters are invalid stands alone."""
-    segments: list[list[float]] = []
-    previous = None
-    for value in spec.grid:
-        try:
-            params = spec.params_at(value)
-            size = (params.n_atoms, params.n_modes)
-        except ValueError:
-            size = None
-        if size is not None and size == previous and len(segments[-1]) < SEGMENT_POINTS:
-            segments[-1].append(float(value))
-        else:
-            segments.append([float(value)])
-        previous = size
-    return segments
-
-
-def _run_segment(spec: SweepSpec, values: list[float]) -> list[SweepRecord]:
-    """One warm-start chain: each solve starts from the last successful one."""
-    records: list[SweepRecord] = []
-    warm: EigenSolution | None = None
-    for value in values:
-        record, solution = _point_record(spec, value, warm)
-        records.append(record)
-        if solution is not None:
-            warm = solution
-    return records
-
-
-def _segment_task(spec: SweepSpec, values: list[float]) -> list[SweepRecord]:
-    # the pool pickles a task by its module-level name; looking `_run_segment`
+def _point_task(spec: SweepSpec, value: float) -> SweepRecord:
+    # the pool pickles a task by its module-level name; looking `_point_record`
     # up at call time lets a replacement of it run in the workers
-    return _run_segment(spec, values)
+    return _point_record(spec, value)
 
 
-def _worker_count(segments: int) -> int:
-    """One worker per usable core, at most one per segment.  One, which runs
+def _worker_count(points: int) -> int:
+    """One worker per usable core, at most one per point.  One, which runs
     the sweep in this process, without the fork start method: forked workers
     inherit the built operators instead of rebuilding them."""
     import multiprocessing
 
     if hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods():
-        return min(len(os.sched_getaffinity(0)), segments)
+        return min(len(os.sched_getaffinity(0)), points)
     return 1
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """Execute a sweep as its segments; records come back in grid order.
+    """Execute a sweep point by point; records come back in grid order.
 
-    With one worker (`_worker_count`) the segments run in this process;
-    otherwise forked workers run them and send back their records.  Per-point
-    failures are captured in the record's `exception` field without aborting
-    the sweep; a worker that dies raises `BrokenProcessPool`.
+    With one worker (`_worker_count`) the points run in this process;
+    otherwise forked workers take them one at a time, in grid order, and send
+    back their records.  Per-point failures are captured in the record's
+    `exception` field without aborting the sweep; a worker that dies raises
+    `BrokenProcessPool`.
     """
-    segments = _segments(spec)
-    workers = _worker_count(len(segments))
+    values = [float(value) for value in spec.grid]
+    workers = _worker_count(len(values))
     if workers == 1:
-        return [rec for values in segments for rec in _run_segment(spec, values)]
+        return [_point_task(spec, value) for value in values]
 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    records: list[SweepRecord] = []
     pool = ProcessPoolExecutor(
         max_workers=workers,
         # fork, so that the workers inherit the built operators; a thread
@@ -240,12 +200,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
         initargs=(1,),
     )
     try:
-        for segment in pool.map(_segment_task, [spec] * len(segments), segments):
-            records.extend(segment)
+        return list(pool.map(_point_task, [spec] * len(values), values))
     finally:
         # no worker outlives the sweep, also when it raises
         pool.shutdown(wait=True, cancel_futures=True)
-    return records
 
 
 def fig2_spec(

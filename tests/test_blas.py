@@ -51,8 +51,9 @@ def test_small_dense_solves_run_on_one_blas_thread(counts, monkeypatch):
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # a one-segment sweep runs in the CLI's own process, with its BLAS
-    # threads, on ARPACK (sectors of 2,184); the quench's dense solves (blocks
+    # a one-point sweep runs in the CLI's own process, with its BLAS threads:
+    # at g = 0.1 on LOBPCG, at g = 10 on ARPACK (sectors of 2,184, above the
+    # dense cutoff); the quench's dense solves (blocks
     # of 60, pre-quench dimension 120) lie below SERIAL_EIGH.  Larger problems
     # round differently on two threads: a dense eigh of N=4, r=12's parity
     # block of 683 moves its eigenvectors by up to 2.5e-11, and ARPACK on
@@ -64,14 +65,15 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         out.mkdir()
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        sweep = ["sweep", "--atoms", "5", "--modes", "12", "--interaction", "0.5",
+                 "--barrier", "0.01", "--stop", "100", "--points", "1"]
         for args in (
-            ["sweep", "--atoms", "5", "--modes", "12", "--interaction", "0.5",
-             "--barrier", "0.01", "--start", "0.1", "--stop", "10", "--points", "3",
-             "--output", "sweep.csv"],
+            sweep + ["--start", "0.1", "--output", "weak.csv"],
+            sweep + ["--start", "10", "--output", "strong.csv"],
             ["dynamics", "--periods", "4", "--output", "trace.csv", "--report", "report.json"],
         ):
             subprocess.run([sys.executable, "-m", "ringflow.cli", *args], check=True,
                            capture_output=True, cwd=out, env=env, timeout=300)
         outputs[threads] = [(out / name).read_bytes()
-                            for name in ("sweep.csv", "trace.csv", "report.json")]
+                            for name in ("weak.csv", "strong.csv", "trace.csv", "report.json")]
     assert outputs["1"] == outputs["2"]

@@ -490,14 +490,14 @@ def test_dynamics_block_over_the_spectral_cap_exits_4(tmp_path, capsys, monkeypa
 
 def test_failed_sweep_reraises_point_error(capsys, monkeypatch):
     # every point hits the dimension cap: the sweep re-raises the point's own
-    # exception, so its message carries no doubled type prefix; six points are
-    # two segments, which also run in two worker processes
+    # exception, so its message carries no doubled type prefix; the six points
+    # also run in two worker processes
     size = ["--atoms", "30", "--modes", "40"]
     code, _, spectrum_err = run_cli(["--json-errors", "spectrum", *size], capsys)
     assert code == 4
     spectrum_payload = json.loads(spectrum_err)
     for workers in (1, 2):
-        monkeypatch.setattr(sweep, "_worker_count", lambda segments: min(workers, segments))
+        monkeypatch.setattr(sweep, "_worker_count", lambda points: min(workers, points))
         code, _, sweep_err = run_cli(["--json-errors", "sweep", *size, "--points", "6"], capsys)
         assert code == 4
         sweep_payload = json.loads(sweep_err)

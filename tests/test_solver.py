@@ -10,6 +10,7 @@ from ringflow import solver
 from ringflow.basis import build_basis
 from ringflow.errors import ConvergenceError, DimensionCapError
 from ringflow.hamiltonian import FactoredOperator, build_hamiltonian
+from ringflow.noon import fig4_interaction
 from ringflow.params import SystemParams, raw_coupling, rescale_interaction
 from ringflow.solver import (
     DENSE_CUTOFF,
@@ -94,12 +95,13 @@ def test_parity_path_matches_plain():
 @pytest.mark.parametrize("g", [1e-3, 1.0, 100.0])
 def test_parity_path_matches_plain_on_arpack(g):
     # N=5, r=12: dimension 4,368 and parity sectors of about 2,200, so both
-    # paths run the iterative solvers on the factored operators: LOBPCG at
-    # g = 1e-3, ARPACK above the weak-coupling regime
+    # paths run the iterative solvers on the factored operators: LOBPCG in
+    # the weak-coupling regime, ARPACK above it (g = 100)
     params = SystemParams(n_atoms=5, n_modes=12, interaction=g, barrier=0.008, phase=math.pi)
     parity = solve_lowest(params, m=2)
     plain = lowest_eigenpairs(build_hamiltonian(params), 2)
-    method = "lobpcg" if g < 0.01 else "lanczos"
+    weak = 0.5 * rescale_interaction(g, 12).g_tilde <= solver.LOBPCG_MAX_COUPLING
+    method = "lobpcg" if weak else "lanczos"
     assert (parity.method, plain.method) == (f"{method}-parity", method)
     gaps = [np.diff(sol.eigenvalues)[0] for sol in (parity, plain)]
     assert abs(gaps[0] - gaps[1]) <= 1e-11 * parity.eigenvalues[0]
@@ -125,6 +127,25 @@ def test_lobpcg_levels_match_arpack_on_the_sector_blocks(g, monkeypatch):
             arpack = lowest_eigenpairs(block, 2)
         assert arpack.method == "lanczos"
         assert np.max(np.abs(weak.eigenvalues - arpack.eigenvalues)) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "g, b",
+    [(1e-4, 0.008), (1e-3, 0.008), (0.1, 0.008), (fig4_interaction(5, 2.5e-4), 2.5e-4)],
+    ids=["1e-4", "1e-3", "0.1", "fig4-b2.5e-4"],
+)
+def test_lobpcg_block_of_the_returned_levels_finds_the_lowest(g, b):
+    # LOBPCG iterates one column per returned level, with no guard column
+    # above them; the levels must still be the block's lowest, not a pair
+    # from further up the cluster of nearly degenerate kinetic levels
+    params = SystemParams(n_atoms=5, n_modes=12, interaction=g, barrier=b, phase=math.pi)
+    for block, _ in hamiltonian_blocks(params, rescale_interaction(g, 12)):
+        assert block.dimension > DENSE_CUTOFF
+        exact = sla.eigh(block.matrix.toarray(), subset_by_index=(0, 2), eigvals_only=True)
+        for m in (1, 2):
+            sol = lowest_eigenpairs(block, m)
+            assert sol.method == "lobpcg"
+            assert np.max(np.abs(sol.eigenvalues - exact[:m])) <= 1e-11
 
 
 def test_lobpcg_miss_falls_back_to_arpack_from_its_best_vector(monkeypatch):

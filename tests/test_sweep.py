@@ -25,7 +25,6 @@ from ringflow.observables import loss_quality
 from ringflow.params import SystemParams, lieb_liniger_gamma, rescale_interaction
 from ringflow.solver import solve_lowest
 from ringflow.sweep import (
-    SEGMENT_POINTS,
     SweepRecord,
     SweepSpec,
     fig2_spec,
@@ -48,13 +47,13 @@ def _small_spec(**overrides):
 
 def _krylov_spec(points=6):
     # parity sectors of 2,184 > DENSE_CUTOFF: LOBPCG runs at the weak-coupling
-    # points, ARPACK at the others, where the chain feeds it
+    # points, ARPACK at the others
     base = SystemParams(n_atoms=5, n_modes=12, interaction=0.5, barrier=0.01, phase=math.pi)
     return SweepSpec(parameter="interaction", grid=log_grid(0.1, 10.0, points), base=base)
 
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(sweep, "_worker_count", lambda segments: min(workers, segments))
+    monkeypatch.setattr(sweep, "_worker_count", lambda points: min(workers, points))
 
 
 def test_spec_validation():
@@ -91,51 +90,56 @@ def test_records_in_grid_order_and_complete():
         assert r.residual < 1e-8
 
 
-def test_warm_start_does_not_change_results():
-    # the chained sweep against independent cold solves at every point; the
-    # second spec has parity sectors above the dense cutoff, so the chain
-    # feeds ARPACK's start vectors there
-    krylov = _small_spec(
-        base=SystemParams(n_atoms=5, n_modes=12, interaction=0.5, barrier=0.01, phase=math.pi),
-        grid=log_grid(0.1, 10.0, 3),
-    )
-    for spec in (_small_spec(), krylov):
-        records = run_sweep(spec)
-        for rec in records:
-            params = spec.params_at(rec.value)
-            direct = solve_lowest(params)
-            gap = direct.eigenvalues[1] - direct.eigenvalues[0]
-            assert rec.delta_e == pytest.approx(gap, abs=1e-11)
-            loss = loss_quality(
-                direct.eigenvectors[:, 0],
-                cached_basis(params.n_atoms, params.n_modes),
-                cached_basis(params.n_atoms - 1, params.n_modes),
-            )
-            assert rec.qbar_loss == pytest.approx(loss.qbar, abs=1e-9)
-    assert sum(rec.iterations for rec in records) > 0  # the Krylov path ran
+def _crossing_spec(grid):
+    # N=5, r=12: the whole operator (4,368) and the parity sectors (2,184)
+    # both go to ARPACK at g = 2, above LOBPCG's weak-coupling regime; the
+    # grid steps from two blocks to one, or from one to two
+    base = SystemParams(n_atoms=5, n_modes=12, interaction=2.0, barrier=0.01, phase=math.pi)
+    assert math.pi in (grid[0], grid[-1])
+    return SweepSpec(parameter="phase", grid=grid, base=base)
 
 
 @pytest.mark.parametrize(
-    "grid",
-    [np.linspace(math.pi, math.pi + 0.1, 3), np.linspace(math.pi - 0.1, math.pi, 3)],
-    ids=["off-the-crossing", "onto-the-crossing"],
+    "spec",
+    [
+        _small_spec(),
+        _krylov_spec(points=3),
+        _crossing_spec(np.linspace(math.pi, math.pi + 0.1, 3)),
+        _crossing_spec(np.linspace(math.pi - 0.1, math.pi, 3)),
+    ],
+    ids=["n2-r8", "n5-r12", "off-the-crossing", "onto-the-crossing"],
 )
-def test_warm_start_across_the_crossing(grid):
-    # N=5, r=12: the whole operator (4,368) and the parity sectors (2,184)
-    # both go to ARPACK at g = 2, above LOBPCG's weak-coupling regime; a
-    # chain that steps from two blocks to one, or from one to two, has no
-    # start vector that fits and solves cold
-    base = SystemParams(n_atoms=5, n_modes=12, interaction=2.0, barrier=0.01, phase=math.pi)
-    spec = SweepSpec(parameter="phase", grid=grid, base=base)
-    assert math.pi in (grid[0], grid[-1])
+def test_sweep_records_equal_the_direct_pipeline(spec):
+    # the sweep against a direct solve at every point; the last three specs
+    # have blocks above the dense cutoff, so the iterative solvers run
     records = run_sweep(spec)
-    blocks = [2 if value == math.pi else 1 for value in grid]
-    for i, rec in enumerate(records):
-        cold = solve_lowest(spec.params_at(rec.value))
-        assert rec.delta_e == pytest.approx(cold.eigenvalues[1] - cold.eigenvalues[0], abs=1e-11)
-        assert rec.iterations > 0
-        if i and blocks[i] != blocks[i - 1]:
-            assert rec.iterations == cold.iterations  # a cold start
+    for rec in records:
+        params = spec.params_at(rec.value)
+        direct = solve_lowest(params)
+        gap = direct.eigenvalues[1] - direct.eigenvalues[0]
+        assert rec.delta_e == pytest.approx(gap, abs=1e-11)
+        loss = loss_quality(
+            direct.eigenvectors[:, 0],
+            cached_basis(params.n_atoms, params.n_modes),
+            cached_basis(params.n_atoms - 1, params.n_modes),
+        )
+        assert rec.qbar_loss == pytest.approx(loss.qbar, abs=1e-9)
+    if spec.base.n_atoms == 5:
+        assert all(rec.iterations > 0 for rec in records)  # the iterative path ran
+
+
+def test_point_record_does_not_depend_on_its_neighbours(monkeypatch):
+    # the middle point of a grid that crosses from LOBPCG's weak-coupling
+    # regime into ARPACK's, solved in a worker beside its neighbours, against
+    # a one-point sweep in this process
+    spec = _krylov_spec(points=3)
+    couplings = [0.5 * rescale_interaction(g, 12).g_tilde for g in spec.grid]
+    assert min(couplings) <= solver.LOBPCG_MAX_COUPLING < max(couplings)
+    _force_workers(monkeypatch, 2)
+    middle = run_sweep(spec)[1]
+    [alone] = run_sweep(replace(spec, grid=spec.grid[1:2]))
+    assert astuple(middle) == astuple(alone)  # bit-identical, iterations included
+    assert middle.iterations > 0
 
 
 def test_threaded_execution_matches_sequential():
@@ -170,7 +174,7 @@ def test_threaded_execution_matches_sequential():
 def test_per_point_failure_captured(monkeypatch):
     base = SystemParams(n_atoms=2, n_modes=8, interaction=0.5, barrier=0.01, phase=math.pi)
     spec = SweepSpec(parameter="n_modes", grid=np.array([6.0, 7.0, 8.0]), base=base)
-    for workers in (1, 2):  # three segments: in this process, then in two workers
+    for workers in (1, 2):  # three points: in this process, then in two workers
         _force_workers(monkeypatch, workers)
         records = run_sweep(spec)
         assert records[0].error is None
@@ -181,18 +185,8 @@ def test_per_point_failure_captured(monkeypatch):
         assert records[2].error is None
 
 
-def test_segments_cut_at_length_and_size_changes():
-    lengths = [len(seg) for seg in sweep._segments(fig2_spec(points=12))]
-    assert lengths == [min(SEGMENT_POINTS, 12 - i) for i in range(0, 12, SEGMENT_POINTS)]
-    assert [len(seg) for seg in sweep._segments(fig3a_spec())] == [1] * 5
-    base = SystemParams(n_atoms=2, n_modes=8)
-    spec = SweepSpec(parameter="n_modes", grid=np.array([6.0, 7.0, 8.0]), base=base)
-    assert sweep._segments(spec) == [[6.0], [7.0], [8.0]]
-
-
 def test_same_records_for_any_worker_count(monkeypatch):
     spec = _krylov_spec()
-    assert spec.grid.size > SEGMENT_POINTS
     # the grid crosses from LOBPCG's weak-coupling regime into ARPACK's
     couplings = [0.5 * rescale_interaction(g, 12).g_tilde for g in spec.grid]
     assert min(couplings) <= solver.LOBPCG_MAX_COUPLING < max(couplings)
@@ -221,21 +215,19 @@ def test_sweep_csv_identical_for_any_worker_count(tmp_path, monkeypatch, capsys)
 
 
 def test_workers_use_one_blas_thread(monkeypatch):
-    # each worker reports its OpenBLAS thread counts in place of a segment;
+    # each worker reports its OpenBLAS thread counts in place of a point;
     # with the default of one thread per core this checks the workers' limit
-    def report(spec, values):
-        return [SweepRecord(value=v, iterations=max(blas.threads(), default=1))
-                for v in values]
+    def report(spec, value):
+        return SweepRecord(value=value, iterations=max(blas.threads(), default=1))
 
     _force_workers(monkeypatch, 2)
-    monkeypatch.setattr(sweep, "_run_segment", report)
+    monkeypatch.setattr(sweep, "_point_record", report)
     records = run_sweep(_small_spec())
-    assert len(records) > SEGMENT_POINTS
     assert [rec.iterations for rec in records] == [1] * len(records)
 
 
 def test_dead_worker_raises_and_leaves_no_process(tmp_path):
-    # a worker killed mid-segment: run_sweep raises instead of waiting on it,
+    # a worker killed mid-sweep: run_sweep raises instead of waiting on it,
     # no worker outlives the sweep, and the CLI exits non-zero
     script = textwrap.dedent(f"""
         import multiprocessing, os, sys
@@ -243,7 +235,7 @@ def test_dead_worker_raises_and_leaves_no_process(tmp_path):
         from ringflow import sweep
         from ringflow.cli import main
 
-        sweep._worker_count = lambda segments: min(2, segments)
+        sweep._worker_count = lambda points: min(2, points)
         sweep._point_record = lambda *args: os._exit(9)
         spec = sweep.fig2_spec(n_atoms=2, n_modes=8, points=6)
         try:
