@@ -10,16 +10,21 @@ g_tilde/2, at most `LOBPCG_MAX_COUPLING`) is solved by LOBPCG with one column
 per requested level, preconditioned exactly on its low-kinetic window and by
 Jacobi elsewhere and started from the window's own eigenvectors; there the
 avoided-crossing pair sits in a cluster of nearly degenerate kinetic levels,
-which ARPACK resolves slowly.  Every other block is solved by ARPACK from a
-deterministic seeded start vector, and a block whose LOBPCG residuals miss
-`tol` by ARPACK from LOBPCG's best vector.  `iterations` counts operator
+which Krylov methods resolve slowly.  Every other block is solved by the
+plain Lanczos recurrence (no reorthogonalization, no restart) from a
+deterministic seeded start vector, accepted only if its Ritz pairs pass
+ARPACK's stopping rule, are distinct and have explicit residuals within it
+(`_lanczos`).
+ARPACK is the checked fallback: a block that either solver misses is solved
+by ARPACK from that solver's best vector.  `iterations` counts operator
 applications to one vector, each column of a block product once.  On the
-12-point fig2 sweep this takes 3,080 matvecs (8,377 with ARPACK alone), on
-the 60-point one 15,279 (36,335).  Solving each sector on its own
-makes splittings far below the spectral width (the NOON regime) cheap to
-resolve.  Of m levels, only the block expected to hold the ground (sector
-N mod 2) is asked for m; the other is asked for m - 1 and is re-solved for m
-unless its highest computed level certifies that no level of it was missed.
+12-point fig2 sweep this takes 2,361 matvecs, on the 60-point one 11,854
+(3,080 and 15,279 with cold ARPACK above a LOBPCG threshold of 0.6; 8,377
+and 36,335 with ARPACK alone).  Solving each sector on its own makes
+splittings far below the spectral width (the NOON regime) cheap to resolve.
+Of m levels, only the block expected to hold the ground (sector N mod 2) is
+asked for m; the other is asked for m - 1 and is re-solved for m unless its
+highest computed level certifies that no level of it was missed.
 
 Real-time propagation is exact: one dense eigendecomposition
 H_s = V_s diag(E_s) V_s^H per block gives every sample state as
@@ -50,17 +55,28 @@ DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 2000
 DEGENERACY_FACTOR = 10.0
 # largest Gram-term prefactor (b or g_tilde/2, in E0) that `lowest_eigenpairs`
-# solves with LOBPCG, set by wall time at N=5, r=20 (one BLAS thread, cold
-# ARPACK): at g_tilde/2 = 0.55 LOBPCG took 197 matvecs in 0.51 s against
-# ARPACK's 485 in 0.91 s, at 0.70 240 in 0.64 s against 428 in 0.79 s, at 0.74
-# 685 in 1.57 s against 428 in 0.79 s; N=4, r=20 and N=5, r=16 also lose
-# between 0.65 and 0.75
-LOBPCG_MAX_COUPLING = 0.6
+# solves with LOBPCG, set by wall time against the Lanczos loop (one BLAS
+# thread, one m = 2 point, both sectors, median of 5): at N=5, r=20 LOBPCG
+# took 130 matvecs in 0.39 s against 370 in 0.43 s at g_tilde/2 = 0.30, 140 in
+# 0.40 s against 360 in 0.39 s at 0.40, and 150 in 0.42 s against 350 in
+# 0.36 s at 0.45; N=4, r=20 and N=5, r=16 lose from 0.30 on (0.11 s against
+# 0.07 s, 0.17 s against 0.13 s)
+LOBPCG_MAX_COUPLING = 0.4
 # the preconditioner's exact window: columns within this kinetic energy (E0)
 # of the lowest
 COARSE_WINDOW = 10.0
 # LOBPCG iterations before the ARPACK fallback takes over
 LOBPCG_MAXITER = 200
+# Lanczos steps before the ARPACK fallback takes over, and the steps between
+# two convergence tests of the Ritz values
+LANCZOS_MAX_STEPS = 600
+LANCZOS_CHECK = 10
+# largest weight on the start vector (first component of its eigenvector of
+# the Lanczos tridiagonal) of an unconverged Ritz value taken for a ghost
+# still forming (sqrt(eps)): over the Lanczos solves of N=4, r=20, N=5,
+# r=12 and r=16 and N=6, r=14 at m = 1-4, unconverged Ritz values carried at
+# most 3.4e-9 or 2.0e-7 (ghosts) and at least 2.6e-4 (levels)
+SPURIOUS_WEIGHT = 1.5e-8
 SPECTRAL_BLOCK = 256
 # largest block `propagate` diagonalizes densely; at 4,500 its eigenvectors
 # alone take 162 MB (N=4, r=20 has parity blocks of 4,455 and 4,400)
@@ -171,10 +187,12 @@ def lowest_eigenpairs(
     are solved densely from the explicit matrix.  Larger problems apply the
     operator factor by factor: in the weak-coupling regime (every prefactor
     at most `LOBPCG_MAX_COUPLING`) by LOBPCG (`_lobpcg`), accepted only if
-    every residual is at most `tol`; otherwise, and when LOBPCG misses, by
-    the Krylov path with the seeded (or provided) start vector, or with
-    LOBPCG's best vector after a miss.  `iterations` counts the matvecs of
-    both.  Raises ConvergenceError if the Krylov iteration stalls, with the
+    every residual is at most `tol`; otherwise by the Lanczos loop
+    (`_lanczos`) from the seeded (or provided) start vector.  When either
+    misses, ARPACK (`_arpack`) takes over from its best vector, and
+    `iterations` counts the matvecs of both.  `max_iterations` bounds
+    LOBPCG's iterations and ARPACK's restarts; the Lanczos loop stops at
+    `LANCZOS_MAX_STEPS`.  Raises ConvergenceError if ARPACK stalls, with the
     achieved residual of the pairs that converged (None when none did).
     """
     dim = operator.dimension
@@ -187,21 +205,129 @@ def lowest_eigenpairs(
         vals, vecs = _eigh(operator.matrix.toarray(), subset_by_index=(0, m - 1))
         return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, 0, "dense", tol)
 
-    matvecs = [0]
     if max((c for c, _ in operator.terms), default=0.0) <= LOBPCG_MAX_COUPLING:
         sol = _lobpcg(operator, m, tol, max_iterations)
         if np.all(sol.residual_norms <= tol):
             return sol
-        # ARPACK from LOBPCG's best vector; `iterations` counts both
-        matvecs[0], v0 = sol.iterations, sol.eigenvectors[:, 0]
+        start, done = sol.eigenvectors[:, 0], sol.iterations
+    else:
+        sol, start, done = _lanczos(
+            operator, m, tol, _start_vector(dim, seed) if v0 is None else v0
+        )
+        if sol is not None:
+            return sol
+    # ARPACK from the first solver's best vector; `iterations` counts both
+    return _arpack(operator, m, tol, start, max_iterations, done)
+
+
+def _lanczos(
+    operator: FactoredOperator, m: int, tol: float, v0: np.ndarray
+) -> tuple[EigenSolution | None, np.ndarray, int]:
+    """The m lowest pairs by the plain Lanczos recurrence from v0, with no
+    reorthogonalization and no restart: (the pairs, or None on a miss; the
+    lowest Ritz vector; the steps taken, one matvec each).
+
+    Every `LANCZOS_CHECK` steps the m lowest levels of `_ritz_levels` are
+    tested with their bounds, ARPACK's rule |beta_j s_ji| <= tol *
+    max(eps^(2/3), |theta_i|) and at most tol below the m-th level.  The
+    pairs are returned once all m pass, no two of them coincide (a copy is
+    a ghost of a converged level or a double level, which the recurrence
+    cannot tell apart) and every explicit residual ||Hx - theta x|| meets
+    its bound.  A copy, a residual miss, a breakdown (beta_j <= eps
+    |alpha_j|) or `LANCZOS_MAX_STEPS` steps are a miss.  Converged Ritz
+    pairs stay accurate without reorthogonalization (Paige 1980); lost
+    orthogonality shows only as ghosts, spurious while they form and copies
+    once they converge.  The rows live in one preallocated array, never
+    copied, and the loop runs on one BLAS thread, so that its dot products
+    round the same in every process.
+    """
+    dim = operator.dimension
+    steps = min(LANCZOS_MAX_STEPS, dim)
+    rows = np.empty((steps, dim))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    rows[0] = v0 / np.linalg.norm(v0)
+    eps = np.finfo(float).eps
+    with blas.one_thread():
+        for j in range(steps):
+            w = operator @ rows[j]
+            if j:
+                w -= beta[j - 1] * rows[j - 1]
+            alpha[j] = w @ rows[j]
+            w -= alpha[j] * rows[j]
+            beta[j] = np.linalg.norm(w)
+            done = j + 1
+            # a breakdown or the step cap
+            last = beta[j] <= eps * abs(alpha[j]) or done == steps
+            if last or done % LANCZOS_CHECK == 0:
+                theta, s, bound, converged, copy = _ritz_levels(
+                    alpha[:done], beta[:done], m, tol
+                )
+                if theta.size == m and converged.all() and not last:
+                    x = rows[:done].T @ s
+                    x /= np.linalg.norm(x, axis=0)
+                    if not copy:
+                        res = _residuals(operator, theta, x)
+                        if np.all(res <= bound):
+                            return _lowest(theta, x, res, m, done, "lanczos", tol), x[:, 0], done
+                    return None, x[:, 0], done
+                if last:  # the last step always returns
+                    x = rows[:done].T @ s[:, 0] if theta.size else rows[0]
+                    return None, x / np.linalg.norm(x), done
+            np.divide(w, beta[j], out=rows[j + 1])
+
+
+def _ritz_levels(
+    alpha: np.ndarray, beta: np.ndarray, m: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+    """(theta, s, bound, converged, copy) for the m lowest levels among the
+    Ritz pairs of the Lanczos tridiagonal T after j steps (diagonal alpha,
+    off-diagonal beta[:-1], next coefficient beta_j = beta[-1]): the Ritz
+    values, ascending; their eigenvectors of T; their stopping bounds; whether
+    |beta_j s_ji| meets them; and whether two of the levels coincide, within
+    DEGENERACY_FACTOR times ARPACK's bound tol * max(eps^(2/3), |theta|).
+    Fewer than m levels when more than m of T's 2m lowest are spurious.
+
+    A Ritz value is spurious when it has neither met ARPACK's bound nor a
+    coinciding neighbour and its eigenvector of T has no weight on the start
+    vector (|s_1i| <= SPURIOUS_WEIGHT): a ghost still forming, not a level
+    (Cullum and Willoughby 1985).  Once a ghost converges it coincides with
+    its level, stays, and the caller sees a copy.  A forming ghost erodes
+    the vector of the level it copies; a level below the m-th converged
+    before it, so its bound is also capped at tol.
+    """
+    k = min(2 * m, alpha.size)
+    theta, s = sla.eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(0, k - 1))
+    bound = tol * np.maximum(np.finfo(float).eps ** (2.0 / 3.0), np.abs(theta))
+    converged = np.abs(beta[-1] * s[-1]) <= bound
+    close = np.diff(theta) <= DEGENERACY_FACTOR * bound[1:]
+    near = np.append(close, False) | np.append(False, close)
+    keep = np.flatnonzero(converged | near | (np.abs(s[0]) > SPURIOUS_WEIGHT))[:m]
+    copy = bool(np.any(np.diff(theta[keep]) <= DEGENERACY_FACTOR * bound[keep][1:]))
+    theta, s, bound = theta[keep], s[:, keep], bound[keep]
+    bound[:-1] = np.minimum(bound[:-1], tol)
+    return theta, s, bound, np.abs(beta[-1] * s[-1]) <= bound, copy
+
+
+def _arpack(
+    operator: FactoredOperator,
+    m: int,
+    tol: float,
+    v0: np.ndarray,
+    max_iterations: int | None,
+    done: int = 0,
+) -> EigenSolution:
+    """The m lowest pairs by ARPACK from v0; `iterations` adds its matvecs to
+    `done`, the matvecs of the solver that missed before it.  Raises
+    ConvergenceError if it stalls, with the achieved residual of the pairs
+    that converged (None when none did)."""
+    dim = operator.dimension
+    matvecs = [done]
 
     def counted(x):
         matvecs[0] += 1
         return operator @ x
 
     op = LinearOperator(shape=(dim, dim), matvec=counted, dtype=float)
-    if v0 is None:
-        v0 = _start_vector(dim, seed)
     try:
         vals, vecs = eigsh(
             op,
@@ -225,9 +351,7 @@ def lowest_eigenpairs(
             f"achieved residual {achieved:.3e})",
             residual=achieved,
         ) from exc
-    return _lowest(
-        vals, vecs, _residuals(operator, vals, vecs), m, matvecs[0], "lanczos", tol
-    )
+    return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, matvecs[0], "arpack", tol)
 
 
 def _lobpcg(

@@ -9,8 +9,8 @@ values to the same N or r solves both.  The tasks run in forked worker
 processes, one per usable core and each with one BLAS thread, which take
 them one at a time in grid order: the solvers' loops hold the GIL, so
 threads gain nothing.  The output (`iters` included) is therefore the same
-for any number of workers.  On fig2 the points take 3,080 matvecs at 12
-points and 15,279 at 60.
+for any number of workers.  On fig2 the points take 2,361 matvecs at 12
+points and 11,854 at 60.
 """
 
 from __future__ import annotations

@@ -52,12 +52,11 @@ def test_small_dense_solves_run_on_one_blas_thread(counts, monkeypatch):
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a one-point sweep runs in the CLI's own process, with its BLAS threads:
-    # at g = 0.1 on LOBPCG, at g = 10 on ARPACK (sectors of 2,184, above the
-    # dense cutoff); the quench's dense solves (blocks
-    # of 60, pre-quench dimension 120) lie below SERIAL_EIGH.  Larger problems
-    # round differently on two threads: a dense eigh of N=4, r=12's parity
-    # block of 683 moves its eigenvectors by up to 2.5e-11, and ARPACK on
-    # N=5, r=20's sectors moves the splitting by 3.6e-14.
+    # at g = 0.1 on LOBPCG, at g = 10 on the Lanczos loop (sectors of 2,184,
+    # above the dense cutoff); the quench's dense solves (blocks of 60,
+    # pre-quench dimension 120) lie below SERIAL_EIGH.  Larger dense solves
+    # round differently on two threads: an eigh of N=4, r=12's parity block
+    # of 683 moves its eigenvectors by up to 2.5e-11.
     src = os.path.dirname(os.path.dirname(ringflow.__file__))
     outputs = {}
     for threads in ("1", "2"):
@@ -77,3 +76,30 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         outputs[threads] = [(out / name).read_bytes()
                             for name in ("weak.csv", "strong.csv", "trace.csv", "report.json")]
     assert outputs["1"] == outputs["2"]
+
+
+def test_fig2_point_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # a strong-coupling fig2 point (N=5, r=20, g = 10) in the CLI's own
+    # process: the Lanczos loop runs on one BLAS thread, so the levels and
+    # every column derived from the eigenvectors match at 1 and 2 threads.
+    # Qbar_loss is left out: `observables.loss_quality` takes float-int64 dot
+    # products at the process's thread count.
+    src = os.path.dirname(os.path.dirname(ringflow.__file__))
+    rows = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-m", "ringflow.cli", "sweep", "--atoms", "5", "--modes", "20",
+             "--interaction", "0.5", "--barrier", "0.008", "--start", "10", "--stop", "100",
+             "--points", "1", "--output", "point.csv"],
+            check=True, capture_output=True, cwd=out, env=env, timeout=300,
+        )
+        lines = (out / "point.csv").read_text().splitlines()
+        header = next(line for line in lines if line.startswith("# param,"))[2:].split(",")
+        rows[threads] = dict(zip(header, lines[-1].split(",")))
+    assert solver.LOBPCG_MAX_COUPLING < 0.5 * float(rows["1"]["g_tilde"])
+    columns = ["E0_level", "E1_level", "deltaE", "P0", "PN", "Q", "iters", "residual"]
+    assert [rows["1"][c] for c in columns] == [rows["2"][c] for c in columns]

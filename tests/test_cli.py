@@ -524,6 +524,36 @@ def test_convergence_exit_code(capsys):
     assert "nan" not in payload["error"]
 
 
+def test_strong_coupling_convergence_exit_code(tmp_path, capsys, monkeypatch):
+    # g = 10 lies above LOBPCG's regime, so each sector goes to the Lanczos
+    # loop first; at machine tolerance it misses and ARPACK takes over, whose
+    # one-restart budget fails too
+    misses = []
+
+    def spy(*args):
+        result = lanczos(*args)
+        misses.append(result[0] is None)
+        return result
+
+    lanczos = solver._lanczos
+    monkeypatch.setattr(solver, "_lanczos", spy)
+    args = ["--tol", "1e-14", "spectrum", "--method", "ed", "--atoms", "5", "--modes", "12",
+            "--interaction", "10", "--barrier", "0.01", "--levels", "2",
+            "--omega-start", "1.0", "--omega-stop", "1.0", "--omega-points", "1",
+            "--output", str(tmp_path / "spectrum.csv"), "--json-errors"]
+    code, _, err = run_cli([*args, "--max-iterations", "1"], capsys)
+    assert code == 3
+    assert misses == [True]
+    payload = json.loads(err)
+    assert payload["type"] == "ConvergenceError"
+    assert payload["exit_code"] == 3
+    assert "achieved residual" in payload["error"]
+    assert "nan" not in payload["error"]
+    # with ARPACK's default budget the same solve converges
+    code, _, _ = run_cli(args, capsys)
+    assert code == 0
+
+
 def test_validate_runs_clean(tmp_path, capsys):
     out = tmp_path / "validate.json"
     code, stdout, _ = run_cli(["validate", "--output", str(out)], capsys)

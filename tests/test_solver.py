@@ -96,7 +96,7 @@ def test_parity_path_matches_plain():
 def test_parity_path_matches_plain_on_arpack(g):
     # N=5, r=12: dimension 4,368 and parity sectors of about 2,200, so both
     # paths run the iterative solvers on the factored operators: LOBPCG in
-    # the weak-coupling regime, ARPACK above it (g = 100)
+    # the weak-coupling regime, the Lanczos loop above it (g = 100)
     params = SystemParams(n_atoms=5, n_modes=12, interaction=g, barrier=0.008, phase=math.pi)
     parity = solve_lowest(params, m=2)
     plain = lowest_eigenpairs(build_hamiltonian(params), 2)
@@ -107,7 +107,7 @@ def test_parity_path_matches_plain_on_arpack(g):
     assert abs(gaps[0] - gaps[1]) <= 1e-11 * parity.eigenvalues[0]
 
 
-def _weak_sector_blocks(g):
+def _sector_blocks(g):
     # N=5, r=12: parity sectors of about 2,200 > DENSE_CUTOFF
     params = SystemParams(n_atoms=5, n_modes=12, interaction=g, barrier=0.008, phase=math.pi)
     blocks = [block for block, _ in hamiltonian_blocks(params, rescale_interaction(g, 12))]
@@ -116,16 +116,15 @@ def _weak_sector_blocks(g):
 
 
 @pytest.mark.parametrize("g", [1e-4, 1e-3, 0.1])
-def test_lobpcg_levels_match_arpack_on_the_sector_blocks(g, monkeypatch):
-    for block in _weak_sector_blocks(g):
+def test_lobpcg_levels_match_arpack_on_the_sector_blocks(g):
+    for block in _sector_blocks(g):
         weak = lowest_eigenpairs(block, 2)
         assert weak.method == "lobpcg"
         assert 0 < weak.iterations
         assert np.max(weak.residual_norms) <= solver.DEFAULT_TOL
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "LOBPCG_MAX_COUPLING", -1.0)
-            arpack = lowest_eigenpairs(block, 2)
-        assert arpack.method == "lanczos"
+        start = solver._start_vector(block.dimension, solver.DEFAULT_SEED)
+        arpack = solver._arpack(block, 2, solver.DEFAULT_TOL, start, None)
+        assert arpack.method == "arpack"
         assert np.max(np.abs(weak.eigenvalues - arpack.eigenvalues)) <= 1e-11
 
 
@@ -149,19 +148,128 @@ def test_lobpcg_block_of_the_returned_levels_finds_the_lowest(g, b):
 
 
 def test_lobpcg_miss_falls_back_to_arpack_from_its_best_vector(monkeypatch):
-    [block, _] = _weak_sector_blocks(1e-3)
+    [block, _] = _sector_blocks(1e-3)
     converged = lowest_eigenpairs(block, 2)
     monkeypatch.setattr(solver, "LOBPCG_MAXITER", 1)
     missed = solver._lobpcg(block, 2, solver.DEFAULT_TOL, None)
     assert np.max(missed.residual_norms) > solver.DEFAULT_TOL
     fallback = lowest_eigenpairs(block, 2)
-    assert fallback.method == "lanczos"
+    assert fallback.method == "arpack"
     assert np.max(np.abs(fallback.eigenvalues - converged.eigenvalues)) <= 1e-11
     # `iterations` counts the matvecs of both solvers
-    monkeypatch.setattr(solver, "LOBPCG_MAX_COUPLING", -1.0)
-    arpack = lowest_eigenpairs(block, 2, v0=missed.eigenvectors[:, 0])
+    arpack = solver._arpack(block, 2, solver.DEFAULT_TOL, missed.eigenvectors[:, 0], None)
     assert fallback.iterations == missed.iterations + arpack.iterations
     assert np.array_equal(fallback.eigenvalues, arpack.eigenvalues)
+
+
+@pytest.mark.parametrize("g", [10.0, 1000.0])
+def test_lanczos_levels_match_dense_on_the_sector_blocks(g):
+    # above LOBPCG's regime, so the Lanczos loop runs first
+    assert 0.5 * rescale_interaction(g, 12).g_tilde > solver.LOBPCG_MAX_COUPLING
+    tol = solver.DEFAULT_TOL
+    for block in _sector_blocks(g):
+        exact = sla.eigh(block.matrix.toarray(), subset_by_index=(0, 1), eigvals_only=True)
+        for m in (1, 2):
+            sol = lowest_eigenpairs(block, m)
+            # one level has no copy to miss on; two may meet one, and then
+            # ARPACK takes over (see the copy test below)
+            assert sol.method in (("lanczos",) if m == 1 else ("lanczos", "arpack"))
+            assert np.max(np.abs(sol.eigenvalues - exact[:m])) <= 1e-11
+            assert np.all(sol.residual_norms <= tol * np.abs(sol.eigenvalues))
+
+
+def test_lanczos_step_cap_falls_back_to_arpack_from_its_best_vector(monkeypatch):
+    block = _sector_blocks(10.0)[1]
+    converged = lowest_eigenpairs(block, 2)
+    assert converged.method == "lanczos"
+    monkeypatch.setattr(solver, "LANCZOS_MAX_STEPS", 30)
+    start = solver._start_vector(block.dimension, solver.DEFAULT_SEED)
+    missed, best, steps = solver._lanczos(block, 2, solver.DEFAULT_TOL, start)
+    assert missed is None and steps == 30
+    fallback = lowest_eigenpairs(block, 2)
+    assert fallback.method == "arpack"
+    assert np.max(np.abs(fallback.eigenvalues - converged.eigenvalues)) <= 1e-11
+    # `iterations` counts the matvecs of both solvers
+    arpack = solver._arpack(block, 2, solver.DEFAULT_TOL, best, None)
+    assert fallback.iterations == steps + arpack.iterations
+    assert np.array_equal(fallback.eigenvalues, arpack.eigenvalues)
+
+
+def test_lanczos_breakdown_falls_back_to_arpack(monkeypatch):
+    # a start vector that is an eigenvector spans an invariant subspace at
+    # the first step, which cannot hold two levels
+    monkeypatch.setattr(solver, "LOBPCG_MAX_COUPLING", -1.0)
+    block = FactoredOperator(np.arange(1.0, 101.0), ())
+    start = np.zeros(100)
+    start[0] = 1.0
+    missed, best, steps = solver._lanczos(block, 2, solver.DEFAULT_TOL, start)
+    assert missed is None and steps == 1
+    sol = lowest_eigenpairs(block, 2, v0=start, dense_cutoff=0)
+    assert sol.method == "arpack"
+    assert np.allclose(sol.eigenvalues, [1.0, 2.0], rtol=0, atol=1e-12)
+    arpack = solver._arpack(block, 2, solver.DEFAULT_TOL, best, None)
+    assert sol.iterations == steps + arpack.iterations
+
+
+def test_lanczos_drops_a_forming_ghost(monkeypatch):
+    # even sector at g = 10, two levels: when the second level converges, a
+    # ghost of the first, not yet converged, lies between the two; it has no
+    # weight on the start vector and is not taken for a level
+    block = _sector_blocks(10.0)[0]
+    seen = []
+    ritz_levels = solver._ritz_levels
+
+    def spy(alpha, beta, m, tol):
+        seen.append(sla.eigh_tridiagonal(alpha, beta[:-1], eigvals_only=True, select="i",
+                                         select_range=(0, 2)))
+        return ritz_levels(alpha, beta, m, tol)
+
+    monkeypatch.setattr(solver, "_ritz_levels", spy)
+    sol = lowest_eigenpairs(block, 2)
+    assert sol.method == "lanczos"
+    raw = seen[-1]
+    assert sol.eigenvalues[0] < raw[1] < sol.eigenvalues[1]
+    assert raw[2] == pytest.approx(sol.eigenvalues[1], abs=1e-11)
+    exact = sla.eigh(block.matrix.toarray(), subset_by_index=(0, 1), eigvals_only=True)
+    assert np.max(np.abs(sol.eigenvalues - exact)) <= 1e-11
+
+
+def test_lanczos_holds_the_levels_below_the_last_to_tol():
+    # even sector at g = 10 from seed 11: when the second level converges, a
+    # forming ghost of the ground has eroded the ground's vector to a residual
+    # of 1.9e-10, within tol * |theta| but above tol; the loop keeps going,
+    # meets the ghost's copy, and ARPACK takes over
+    block = _sector_blocks(10.0)[0]
+    sol = lowest_eigenpairs(block, 2, seed=11)
+    assert sol.method == "arpack"
+    assert sol.residual_norms[0] <= solver.DEFAULT_TOL
+
+
+def test_lanczos_copy_of_a_converged_level_falls_back_to_arpack(monkeypatch):
+    # even sector at g = 10, four levels: a ghost of a converged level
+    # converges before the fourth level does, well before the step cap
+    block = _sector_blocks(10.0)[0]
+    seen = []
+    ritz_levels = solver._ritz_levels
+
+    def spy(*args):
+        levels = ritz_levels(*args)
+        seen.append(levels)
+        return levels
+
+    monkeypatch.setattr(solver, "_ritz_levels", spy)
+    start = solver._start_vector(block.dimension, solver.DEFAULT_SEED)
+    missed, _, steps = solver._lanczos(block, 4, solver.DEFAULT_TOL, start)
+    assert missed is None and steps < solver.LANCZOS_MAX_STEPS
+    # the last test saw one converged level twice
+    _, _, _, converged, copy = seen[-1]
+    assert copy and converged.all()
+    sol = lowest_eigenpairs(block, 4)
+    assert sol.method == "arpack"
+    assert sol.iterations > steps
+    exact = sla.eigh(block.matrix.toarray(), subset_by_index=(0, 3), eigvals_only=True)
+    assert np.max(np.abs(sol.eigenvalues - exact)) <= 1e-11
+    assert np.min(np.diff(exact)) > 0.1
 
 
 def test_wrong_first_sector_is_caught_by_the_certificate(monkeypatch):
@@ -209,9 +317,10 @@ def test_parity_residuals_within_tol_at_large_coupling(monkeypatch):
 
 
 def test_one_level_krylov_residual_within_tol(monkeypatch):
-    # E0 ~ 11: ARPACK's relative test at tol alone leaves 1.03e-9 at the
-    # crossing (sector N mod 2) and 3.5e-10 at 0.9 pi (plain path); the
-    # re-solve at tol / |theta| brings both within tol
+    # E0 ~ 11: the relative test |r| <= tol*|theta| (ARPACK's, which the
+    # Lanczos loop applies to its highest requested level) at tol alone
+    # leaves 5.3e-10 at the crossing (sector N mod 2) and 1.1e-10 at 0.9 pi
+    # (plain path); the re-solve at tol / |theta| brings both within tol
     monkeypatch.setattr(solver, "DENSE_CUTOFF", 0)
     tol = 1e-10
     for phase, method in ((math.pi, "lanczos-parity"), (0.9 * math.pi, "lanczos")):

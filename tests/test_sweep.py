@@ -47,7 +47,7 @@ def _small_spec(**overrides):
 
 def _krylov_spec(points=6):
     # parity sectors of 2,184 > DENSE_CUTOFF: LOBPCG runs at the weak-coupling
-    # points, ARPACK at the others
+    # points, the Lanczos loop at the others
     base = SystemParams(n_atoms=5, n_modes=12, interaction=0.5, barrier=0.01, phase=math.pi)
     return SweepSpec(parameter="interaction", grid=log_grid(0.1, 10.0, points), base=base)
 
@@ -92,8 +92,8 @@ def test_records_in_grid_order_and_complete():
 
 def _crossing_spec(grid):
     # N=5, r=12: the whole operator (4,368) and the parity sectors (2,184)
-    # both go to ARPACK at g = 2, above LOBPCG's weak-coupling regime; the
-    # grid steps from two blocks to one, or from one to two
+    # both go to the Lanczos loop at g = 2, above LOBPCG's weak-coupling
+    # regime; the grid steps from two blocks to one, or from one to two
     base = SystemParams(n_atoms=5, n_modes=12, interaction=2.0, barrier=0.01, phase=math.pi)
     assert math.pi in (grid[0], grid[-1])
     return SweepSpec(parameter="phase", grid=grid, base=base)
@@ -130,8 +130,8 @@ def test_sweep_records_equal_the_direct_pipeline(spec):
 
 def test_point_record_does_not_depend_on_its_neighbours(monkeypatch):
     # the middle point of a grid that crosses from LOBPCG's weak-coupling
-    # regime into ARPACK's, solved in a worker beside its neighbours, against
-    # a one-point sweep in this process
+    # regime into the Lanczos loop's, solved in a worker beside its
+    # neighbours, against a one-point sweep in this process
     spec = _krylov_spec(points=3)
     couplings = [0.5 * rescale_interaction(g, 12).g_tilde for g in spec.grid]
     assert min(couplings) <= solver.LOBPCG_MAX_COUPLING < max(couplings)
@@ -187,7 +187,8 @@ def test_per_point_failure_captured(monkeypatch):
 
 def test_same_records_for_any_worker_count(monkeypatch):
     spec = _krylov_spec()
-    # the grid crosses from LOBPCG's weak-coupling regime into ARPACK's
+    # the grid crosses from LOBPCG's weak-coupling regime into the Lanczos
+    # loop's
     couplings = [0.5 * rescale_interaction(g, 12).g_tilde for g in spec.grid]
     assert min(couplings) <= solver.LOBPCG_MAX_COUPLING < max(couplings)
     rows = {}
