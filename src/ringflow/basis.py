@@ -5,6 +5,8 @@ k in {-r/2+1, ..., r/2}, enumerated in ascending lexicographic order of the
 occupation tuple read from the most negative momentum.  A state's index is
 its closed-form combinatorial rank, computed from a small binomial table and
 vectorized over many states by `rank_rows`; no per-state lookup is stored.
+`hamiltonian.loss_operators` relies on rank order being enumeration order
+(guarded by `tests/test_basis.py::test_rank_unrank_bijection`).
 """
 
 from __future__ import annotations
@@ -66,14 +68,14 @@ class FockBasis:
         """Closed-form lexicographic ranks of many occupation rows at once."""
         occ = np.asarray(occ2d, dtype=np.int64)
         r = self.n_modes
-        # remaining[:, j] = atoms left to place at position j (before placing n_j)
-        remaining = self.n_atoms - np.concatenate(
-            [np.zeros((occ.shape[0], 1), dtype=np.int64), np.cumsum(occ, axis=1)], axis=1
-        )
+        # atoms left to place at position j (before placing n_j), per row
+        remaining = np.full(occ.shape[0], self.n_atoms, dtype=np.int64)
         ranks = np.zeros(occ.shape[0], dtype=np.int64)
         for j in range(r - 1):
             p = r - 1 - j
-            ranks += self._binom[remaining[:, j] + p, p] - self._binom[remaining[:, j + 1] + p, p]
+            after = remaining - occ[:, j]
+            ranks += self._binom[remaining + p, p] - self._binom[after + p, p]
+            remaining = after
         return ranks
 
     def sector_indices(self, total_k: int) -> np.ndarray:

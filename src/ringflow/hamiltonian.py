@@ -26,9 +26,11 @@ blocks, with H = sum_s S_s H_s S_s^T.  A and P keep parity, so a sector's
 factors are projected on both sides, from the sector of the N-atom space
 onto the same sector of the target rows; this halves the rows and nonzeros
 that a sector matvec touches.  Blocks are built once per (N, r) from the
-single-atom loss operators a_k and cached.  A parameter point only sets the
-prefactors: `assemble` applies a block's H_s as kin*x + b*A^T(Ax) +
-(g_tilde/2)*P^T(Px) without forming the products.  `build_hamiltonian`
+single-atom loss operators a_k, all of one (N, r) in one pass without
+ranking (`loss_operators`); A, the stacked a_k and the matrix M with
+P = M @ [a_k]_k are each one COO assembly of offset a_k.  A parameter point
+only sets the prefactors: `assemble` applies a block's H_s as kin*x +
+b*A^T(Ax) + (g_tilde/2)*P^T(Px) without forming the products.  `build_hamiltonian`
 is the whole operator at a point, assembled on the cached whole-space block;
 `solver.hamiltonian_blocks` gives the same point as its block list.  The
 explicit sparse matrix is built from the factors only where its entries are
@@ -146,22 +148,43 @@ class Block:
     isometry: sp.csr_matrix
 
 
+def _stack(parts: list, shape: tuple[int, int]) -> sp.csr_matrix:
+    """One CSR matrix from (row offset, column offset, COO block) parts."""
+    # scipy's index type for the shape, which every index lies below
+    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    nnz = sum(b.nnz for _, _, b in parts)
+    row, col, data = np.empty(nnz, index), np.empty(nnz, index), np.empty(nnz)
+    end = 0
+    for r0, c0, b in parts:
+        start, end = end, end + b.nnz
+        np.add(b.row, r0, out=row[start:end], dtype=index)
+        np.add(b.col, c0, out=col[start:end], dtype=index)
+        data[start:end] = b.data
+    return sp.coo_matrix((data, (row, col)), shape=shape).tocsr()
+
+
 def build_pieces(basis: FockBasis) -> Block:
     """The whole space as one block (S = identity): the kinetic sums and the
     factors A and P, from the cached a_k matrices."""
     n, r = basis.n_atoms, basis.n_modes
-    window = [int(k) for k in basis.window]
-    singles = [cached_loss_operator(n, r, k) for k in window]
+    singles = [cached_loss_operator(n, r, int(k)).tocoo() for k in basis.window]
+    rows = singles[0].shape[0]
     # the a_k have disjoint supports, so their sum is exact
-    annihilator = sum(singles[1:], singles[0])
+    annihilator = _stack([(0, 0, a) for a in singles], (rows, basis.size))
     pair = None
     if n >= 2:
         # P = M @ [a_k2]_k2 with block (K, k2) of M equal to the (N-1)-atom
-        # a_{K-k2}, so block row K of P is sum_{k1+k2=K} a_{k1} a_{k2}
-        lower = {k: cached_loss_operator(n - 1, r, k) for k in window}
-        totals = range(2 * window[0], 2 * window[-1] + 1)
-        blocks = [[lower.get(total - k2) for k2 in window] for total in totals]
-        pair = sp.bmat(blocks, format="csr") @ sp.vstack(singles, format="csr")
+        # a_{K-k2}, so block row K of P is sum_{k1+k2=K} a_{k1} a_{k2}; for
+        # K = 2*k_min + t and k2 = k_min + c, K - k2 is window position t - c
+        lower = [cached_loss_operator(n - 1, r, int(k)).tocoo() for k in basis.window]
+        pair_rows = lower[0].shape[0]
+        mixer = [(t * pair_rows, c * rows, lower[t - c])
+                 for t in range(2 * r - 1) for c in range(r) if 0 <= t - c < r]
+        stacked = [(i * rows, 0, a) for i, a in enumerate(singles)]
+        # M and V die with the product, before the factors' transposes (peak memory)
+        pair = _stack(mixer, ((2 * r - 1) * pair_rows, r * rows)) @ _stack(
+            stacked, (r * rows, basis.size)
+        )
     return Block(
         kin_k=(basis.occupations @ basis.window).astype(float),
         kin_k2=(basis.occupations @ basis.window**2).astype(float),
@@ -210,33 +233,37 @@ def build_hamiltonian(
     return assemble(cached_pieces(params.n_atoms, params.n_modes), params, coupling)
 
 
-def loss_operator(k: int, basis_n: FockBasis, basis_nm1: FockBasis) -> sp.csr_matrix:
-    """Annihilation operator a_k mapping N-atom to (N-1)-atom coefficients."""
+def loss_operators(basis_n: FockBasis, basis_nm1: FockBasis) -> tuple[sp.csr_matrix, ...]:
+    """Every a_k of the window, in window order, mapping N-atom to (N-1)-atom
+    coefficients.  Removing an atom from mode k maps the states with n_k > 0
+    one to one onto the (N-1)-atom states, in the same lexicographic order
+    both bases are enumerated in: source i goes to row i, with no ranking."""
     if basis_nm1.n_atoms != basis_n.n_atoms - 1:
         raise ValueError("target basis must hold one atom fewer")
     if basis_nm1.n_modes != basis_n.n_modes:
         raise ValueError("bases must share the momentum window")
-    pos = basis_n.mode_position(k)  # raises for k outside the window
-    occ = basis_n.occupations
-    src = np.flatnonzero(occ[:, pos] > 0)
-    amp = np.sqrt(occ[src, pos].astype(float))
-    new = occ[src].copy()
-    new[:, pos] -= 1
-    rows = basis_nm1.rank_rows(new)
-    matrix = sp.coo_matrix(
-        (amp, (rows, src)), shape=(basis_nm1.size, basis_n.size)
-    ).tocsr()
-    matrix.sort_indices()
-    return matrix
+    indptr = np.arange(basis_nm1.size + 1)
+    ops = []
+    for column in basis_n.occupations.T:
+        src = np.flatnonzero(column)
+        amp = np.sqrt(column[src].astype(float))
+        ops.append(sp.csr_matrix((amp, src, indptr), shape=(basis_nm1.size, basis_n.size)))
+    return tuple(ops)
+
+
+def loss_operator(k: int, basis_n: FockBasis, basis_nm1: FockBasis) -> sp.csr_matrix:
+    """The a_k entry of `loss_operators`; raises for k outside the window."""
+    return loss_operators(basis_n, basis_nm1)[basis_n.mode_position(k)]
 
 
 def cached_loss_operator(n_atoms: int, n_modes: int, k: int) -> sp.csr_matrix:
-    return _cached(
-        ("loss", n_atoms, n_modes, k),
-        lambda: loss_operator(
-            k, cached_basis(n_atoms, n_modes), cached_basis(n_atoms - 1, n_modes)
-        ),
+    """a_k for (N, r); a miss builds and caches every a_k of (N, r) at once."""
+    basis_n = cached_basis(n_atoms, n_modes)
+    ops = _cached(
+        ("loss", n_atoms, n_modes),
+        lambda: loss_operators(basis_n, cached_basis(n_atoms - 1, n_modes)),
     )
+    return ops[basis_n.mode_position(k)]
 
 
 def cached_sector_pieces(n_atoms: int, n_modes: int) -> tuple[Block, Block]:

@@ -112,9 +112,9 @@ def loss_quality(
     prob = psi**2
     entries = []
     qbar = 0.0
-    for k in [int(v) for v in basis_n.window]:
-        pos = basis_n.mode_position(k)
-        occupation = float(prob @ basis_n.occupations[:, pos])
+    for pos, k in enumerate(int(v) for v in basis_n.window):
+        # numpy's own sum, not a BLAS dot: it rounds alike at any thread count
+        occupation = float(np.add.reduce(prob * basis_n.occupations[:, pos]))
         if occupation <= OCCUPATION_THRESHOLD:
             continue
         phi = cached_loss_operator(n, basis_n.n_modes, k) @ psi
@@ -122,7 +122,7 @@ def loss_quality(
         dist = angular_momentum_distribution(phi, basis_nm1)
         q_k = quality(dist, -k, n - k)
         if post_loss_weights:
-            post_occ = float((phi**2) @ basis_nm1.occupations[:, pos])
+            post_occ = float(np.add.reduce(phi**2 * basis_nm1.occupations[:, pos]))
             weight = post_occ / n
         else:
             weight = occupation / n

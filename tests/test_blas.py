@@ -82,8 +82,6 @@ def test_fig2_point_does_not_depend_on_the_blas_thread_count(tmp_path):
     # a strong-coupling fig2 point (N=5, r=20, g = 10) in the CLI's own
     # process: the Lanczos loop runs on one BLAS thread, so the levels and
     # every column derived from the eigenvectors match at 1 and 2 threads.
-    # Qbar_loss is left out: `observables.loss_quality` takes float-int64 dot
-    # products at the process's thread count.
     src = os.path.dirname(os.path.dirname(ringflow.__file__))
     rows = {}
     for threads in ("1", "2"):
@@ -101,5 +99,6 @@ def test_fig2_point_does_not_depend_on_the_blas_thread_count(tmp_path):
         header = next(line for line in lines if line.startswith("# param,"))[2:].split(",")
         rows[threads] = dict(zip(header, lines[-1].split(",")))
     assert solver.LOBPCG_MAX_COUPLING < 0.5 * float(rows["1"]["g_tilde"])
-    columns = ["E0_level", "E1_level", "deltaE", "P0", "PN", "Q", "iters", "residual"]
+    columns = ["E0_level", "E1_level", "deltaE", "P0", "PN", "Q", "Qbar_loss", "iters",
+               "residual"]
     assert [rows["1"][c] for c in columns] == [rows["2"][c] for c in columns]

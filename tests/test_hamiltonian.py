@@ -14,8 +14,10 @@ from ringflow.hamiltonian import (
     cached_basis,
     cached_pieces,
     cached_sector_pieces,
+    cached_loss_operator,
     clear_caches,
     loss_operator,
+    loss_operators,
 )
 from ringflow.params import SystemParams, raw_coupling, rescale_interaction
 
@@ -283,6 +285,87 @@ def test_loss_operator_ladder_rules():
         loss_operator(5, b3, b2)  # outside the window
     with pytest.raises(ValueError):
         loss_operator(0, b3, build_basis(1, 4))
+
+
+def _ranked_loss_operator(pos, basis_n, basis_nm1):
+    """a_k built state by state, each target found by `FockBasis.rank`."""
+    src = [j for j, occ in enumerate(basis_n.occupations) if occ[pos] > 0]
+    rows, amps = [], []
+    for j in src:
+        occ = basis_n.occupations[j].copy()
+        amps.append(math.sqrt(occ[pos]))
+        occ[pos] -= 1
+        rows.append(basis_nm1.rank(occ))
+    return sp.coo_matrix(
+        (amps, (rows, src)), shape=(basis_nm1.size, basis_n.size)
+    ).tocsr()
+
+
+def _assert_same_csr(m1, m2):
+    assert m1.shape == m2.shape
+    assert np.array_equal(m1.data, m2.data)
+    assert np.array_equal(m1.indices, m2.indices)
+    assert np.array_equal(m1.indptr, m2.indptr)
+
+
+@pytest.mark.parametrize("n_atoms, n_modes", [(1, 2), (1, 6), (2, 4), (3, 6), (4, 8), (5, 6)])
+def test_loss_operators_match_per_state_ranking(n_atoms, n_modes, monkeypatch):
+    # every mode, the first and last of the window included; N=1 maps onto
+    # the one-state vacuum.  The pass ranks no state at all.
+    basis_n, basis_nm1 = build_basis(n_atoms, n_modes), build_basis(n_atoms - 1, n_modes)
+    with monkeypatch.context() as m:
+        m.setattr(type(basis_n), "rank_rows", lambda *_: pytest.fail("the pass ranked"))
+        ops = loss_operators(basis_n, basis_nm1)
+    assert len(ops) == n_modes
+    for pos, op in enumerate(ops):
+        _assert_same_csr(op, _ranked_loss_operator(pos, basis_n, basis_nm1))
+    for k, op in zip((basis_n.window[0], basis_n.window[-1]), (ops[0], ops[-1])):
+        _assert_same_csr(loss_operator(int(k), basis_n, basis_nm1), op)
+
+
+def _sparse_sum(terms):
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("n_atoms, n_modes", [(2, 6), (3, 8), (4, 8)])
+def test_whole_space_factors_equal_explicit_products(n_atoms, n_modes):
+    window = [int(k) for k in cached_basis(n_atoms, n_modes).window]
+    upper = {k: cached_loss_operator(n_atoms, n_modes, k) for k in window}
+    lower = {k: cached_loss_operator(n_atoms - 1, n_modes, k) for k in window}
+    annihilator = _sparse_sum([upper[k] for k in window])
+    pair = sp.vstack(
+        [
+            _sparse_sum([lower[total - k2] @ upper[k2] for k2 in window if total - k2 in lower])
+            for total in range(2 * window[0], 2 * window[-1] + 1)
+        ],
+        format="csr",
+    )
+    pair.sort_indices()
+    pieces = cached_pieces(n_atoms, n_modes)
+    _assert_same_csr(pieces.barrier_factor.matrix, annihilator)
+    _assert_same_csr(pieces.interaction_factor.matrix, pair)
+
+
+def test_one_pass_builds_every_loss_operator_of_a_system(monkeypatch):
+    from ringflow import hamiltonian
+
+    clear_caches()
+    built = []
+    real = hamiltonian.loss_operators
+    monkeypatch.setattr(
+        hamiltonian,
+        "loss_operators",
+        lambda basis_n, basis_nm1: built.append(basis_n.n_atoms) or real(basis_n, basis_nm1),
+    )
+    ops = [cached_loss_operator(3, 8, k) for k in range(-3, 5)]
+    assert built == [3]
+    assert [cached_loss_operator(3, 8, k) for k in range(-3, 5)] == ops
+    with pytest.raises(ValueError):
+        cached_loss_operator(3, 8, 5)  # outside the window
+    assert built == [3]
 
 
 @given(st.integers(min_value=0, max_value=10_000))
