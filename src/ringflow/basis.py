@@ -2,8 +2,10 @@
 
 States are weak compositions (n_k) of N atoms over the integer momenta
 k in {-r/2+1, ..., r/2}, enumerated in ascending lexicographic order of the
-occupation tuple read from the most negative momentum.  A state's index is
-its closed-form combinatorial rank, computed from a small binomial table and
+occupation tuple read from the most negative momentum, into a read-only table
+of the smallest signed integer type that holds N (int8 up to N = 127), which
+is read one mode column at a time and never cast as a whole.  A state's index
+is its closed-form combinatorial rank, computed from a small binomial table and
 vectorized over many states by `rank_rows`; no per-state lookup is stored.
 `hamiltonian.loss_operators` relies on rank order being enumeration order
 (guarded by `tests/test_basis.py::test_rank_unrank_bijection`).
@@ -12,7 +14,6 @@ vectorized over many states by `rank_rows`; no per-state lookup is stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -31,6 +32,14 @@ def momentum_window(n_modes: int) -> np.ndarray:
 
 def basis_size(n_atoms: int, n_modes: int) -> int:
     return comb(n_atoms + n_modes - 1, n_atoms)
+
+
+def mode_sum(occupations: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * n_k per state, exact in int64, one mode column at a time."""
+    out = np.zeros(occupations.shape[0], dtype=np.int64)
+    for column, weight in zip(occupations.T, weights):
+        out += np.multiply(column, weight, dtype=np.int64)
+    return out
 
 
 @dataclass
@@ -65,8 +74,8 @@ class FockBasis:
         return int(self.rank_rows(occ[None, :])[0])
 
     def rank_rows(self, occ2d: np.ndarray) -> np.ndarray:
-        """Closed-form lexicographic ranks of many occupation rows at once."""
-        occ = np.asarray(occ2d, dtype=np.int64)
+        """Closed-form lexicographic ranks of many occupation rows, column by column."""
+        occ = np.asarray(occ2d)
         r = self.n_modes
         # atoms left to place at position j (before placing n_j), per row
         remaining = np.full(occ.shape[0], self.n_atoms, dtype=np.int64)
@@ -101,8 +110,10 @@ def build_basis(
 ) -> FockBasis:
     """Enumerate the full N-atom basis in ascending lexicographic order.
 
-    N = 0 gives the one-state vacuum, the target of the two-atom pair
-    annihilator.
+    Built from the last mode backwards, holding two widths at a time: the
+    a-atom states of the last w modes are, for n = 0..a, n atoms in the first
+    of them followed by the (a-n)-atom states of the other w-1.  N = 0 gives
+    the one-state vacuum, the target of the two-atom pair annihilator.
     """
     if n_atoms < 0:
         raise ValueError(f"n_atoms must be >= 0, got {n_atoms}")
@@ -113,24 +124,19 @@ def build_basis(
             f"basis size C({n_atoms + n_modes - 1},{n_atoms}) = {size} "
             f"exceeds the dimension cap {dimension_cap}"
         )
-    # stars-and-bars: ascending lex order on bar positions is ascending lex
-    # order on occupation tuples
-    n_bars = n_modes - 1
-    slots = n_atoms + n_bars
-    bars = np.fromiter(
-        chain.from_iterable(combinations(range(slots), n_bars)),
-        dtype=np.int64,
-        count=size * n_bars,
-    ).reshape(size, n_bars)
-    padded = np.concatenate(
-        [
-            np.full((size, 1), -1, dtype=np.int64),
-            bars,
-            np.full((size, 1), slots, dtype=np.int64),
-        ],
-        axis=1,
-    )
-    occupations = np.diff(padded, axis=1) - 1
+    dtype = np.min_scalar_type(-n_atoms - 1)  # signed, and its maximum is at least N
+    tables = [np.full((1, 1), a, dtype=dtype) for a in range(n_atoms + 1)]
+    for width in range(2, n_modes + 1):
+        wider = []  # the full width needs the N-atom table alone
+        for a in range(n_atoms if width == n_modes else 0, n_atoms + 1):
+            tails = tables[a::-1]  # after n = 0..a atoms in the new first mode
+            lengths = [len(t) for t in tails]
+            table = np.empty((sum(lengths), width), dtype=dtype)
+            table[:, 0] = np.repeat(np.arange(a + 1, dtype=dtype), lengths)
+            np.concatenate(tails, out=table[:, 1:])
+            wider.append(table)
+        tables = wider
+    occupations = tables[-1]
     occupations.setflags(write=False)
 
     a_max = n_atoms + n_modes
@@ -138,11 +144,10 @@ def build_basis(
     for a in range(a_max + 1):
         for b in range(min(a, n_modes) + 1):
             binom[a, b] = comb(a, b)
-    total_k = occupations @ window
     return FockBasis(
         n_atoms=n_atoms,
         window=window,
         occupations=occupations,
         _binom=binom,
-        total_k=total_k,
+        total_k=mode_sum(occupations, window),
     )

@@ -30,13 +30,16 @@ single-atom loss operators a_k, all of one (N, r) in one pass without
 ranking (`loss_operators`); A, the stacked a_k and the matrix M with
 P = M @ [a_k]_k are each one COO assembly of offset a_k.  A parameter point
 only sets the prefactors: `assemble` applies a block's H_s as kin*x +
-b*A^T(Ax) + (g_tilde/2)*P^T(Px) without forming the products.  `build_hamiltonian`
-is the whole operator at a point, assembled on the cached whole-space block;
-`solver.hamiltonian_blocks` gives the same point as its block list.  The
-explicit sparse matrix is built from the factors only where its entries are
-needed (dense solves, propagation and energy traces).  Matrix elements use
-the bosonic ladder conventions sqrt(n) / sqrt(n+1); explicit matrices are
-exactly symmetric and rebuilding the factors is bit-identical.
+b*A^T(Ax) + (g_tilde/2)*P^T(Px) without forming the products.  Sector factors
+build F^T as CSR for those matvecs with their block; whole-space factors only
+on the first off-crossing use (phase sweeps, quench, `spectrum`).
+`build_hamiltonian` is the whole operator at a point, assembled on the
+cached whole-space block; `solver.hamiltonian_blocks` gives the same point
+as its block list.  The explicit sparse matrix is built from the factors
+only where its entries are needed (dense solves, propagation and energy
+traces).  Matrix elements use the bosonic ladder conventions sqrt(n) /
+sqrt(n+1); explicit matrices are exactly symmetric and rebuilding the
+factors is bit-identical.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import FockBasis, build_basis
+from .basis import FockBasis, build_basis, mode_sum
 from .params import RescaledCoupling, SystemParams, rescale_interaction
 
 _CACHE: dict[tuple, object] = {}
@@ -79,16 +82,24 @@ def _symmetrize(matrix: sp.spmatrix) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class Factor:
-    """Sparse factor F of a Gram term F^T F, with F^T kept as CSR for matvecs."""
+    """Sparse factor F of a Gram term F^T F.  F^T, CSR for matvecs, is built
+    once on first use: with the block for a sector factor, at the first
+    off-crossing matvec or dense build for a whole-space one."""
 
     matrix: sp.csr_matrix
-    transpose: sp.csr_matrix
 
     @classmethod
     def of(cls, matrix: sp.spmatrix) -> "Factor":
         matrix = matrix.tocsr()
         matrix.sort_indices()
-        return cls(matrix, matrix.T.tocsr())
+        return cls(matrix)
+
+    @property
+    def transpose(self) -> sp.csr_matrix:
+        with _CACHE_LOCK:  # threads that race on a cold factor share one build
+            if "_transpose" not in vars(self):
+                object.__setattr__(self, "_transpose", self.matrix.T.tocsr())
+            return self._transpose
 
     @cached_property
     def column_norms2(self) -> np.ndarray:
@@ -181,13 +192,13 @@ def build_pieces(basis: FockBasis) -> Block:
         mixer = [(t * pair_rows, c * rows, lower[t - c])
                  for t in range(2 * r - 1) for c in range(r) if 0 <= t - c < r]
         stacked = [(i * rows, 0, a) for i, a in enumerate(singles)]
-        # M and V die with the product, before the factors' transposes (peak memory)
+        # M and V are temporaries of the product (peak memory)
         pair = _stack(mixer, ((2 * r - 1) * pair_rows, r * rows)) @ _stack(
             stacked, (r * rows, basis.size)
         )
     return Block(
-        kin_k=(basis.occupations @ basis.window).astype(float),
-        kin_k2=(basis.occupations @ basis.window**2).astype(float),
+        kin_k=basis.total_k.astype(float),
+        kin_k2=mode_sum(basis.occupations, basis.window**2).astype(float),
         barrier_factor=Factor.of(annihilator),
         interaction_factor=None if pair is None else Factor.of(pair),
         isometry=sp.identity(basis.size, format="csr"),
@@ -237,15 +248,16 @@ def loss_operators(basis_n: FockBasis, basis_nm1: FockBasis) -> tuple[sp.csr_mat
     """Every a_k of the window, in window order, mapping N-atom to (N-1)-atom
     coefficients.  Removing an atom from mode k maps the states with n_k > 0
     one to one onto the (N-1)-atom states, in the same lexicographic order
-    both bases are enumerated in: source i goes to row i, with no ranking."""
+    both bases are enumerated in: source i goes to row i, with no ranking.
+    The operators share one int32 index pointer."""
     if basis_nm1.n_atoms != basis_n.n_atoms - 1:
         raise ValueError("target basis must hold one atom fewer")
     if basis_nm1.n_modes != basis_n.n_modes:
         raise ValueError("bases must share the momentum window")
-    indptr = np.arange(basis_nm1.size + 1)
+    indptr = np.arange(basis_nm1.size + 1, dtype=np.int32)
     ops = []
     for column in basis_n.occupations.T:
-        src = np.flatnonzero(column)
+        src = np.flatnonzero(column).astype(np.int32)
         amp = np.sqrt(column[src].astype(float))
         ops.append(sp.csr_matrix((amp, src, indptr), shape=(basis_nm1.size, basis_n.size)))
     return tuple(ops)
@@ -374,7 +386,10 @@ def _two_sided(
         (np.concatenate([fixed, pair_lo]), np.concatenate([np.ones(fixed.size), root2])),
         (pair_lo, root2),
     )
-    return tuple(
+    factors = tuple(
         Factor.of(sp.diags(scale) @ (matrix[rows] @ s))
         for (rows, scale), s in zip(sectors, columns)
     )
+    for factor in factors:
+        factor.transpose  # every sector matvec reads F^T: build it with the block
+    return factors

@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,45 @@ def test_lexicographic_order_and_window():
     assert occ == sorted(occ)
     assert occ[0] == (0, 0, 0, 2)
     assert occ[-1] == (2, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "n_atoms, n_modes", [(0, 20), (1, 2), (2, 20), (3, 8), (4, 8), (5, 20)]
+)
+def test_table_equals_sorted_multisets(n_atoms, n_modes):
+    # independent reference: each multiset of N modes as its occupation tuple
+    reference = []
+    for modes in combinations_with_replacement(range(n_modes), n_atoms):
+        occ = [0] * n_modes
+        for m in modes:
+            occ[m] += 1
+        reference.append(tuple(occ))
+    b = build_basis(n_atoms, n_modes)
+    assert b.occupations.dtype == np.int8
+    assert [tuple(row) for row in b.occupations.tolist()] == sorted(reference)
+    assert not b.occupations.flags.writeable
+
+
+def test_table_type_follows_the_atom_number():
+    b = build_basis(200, 2)  # 201 states, each entry up to 200 > int8's 127
+    assert b.size == 201
+    assert b.occupations.dtype == np.int16
+    assert np.all(b.occupations.sum(axis=1) == 200)
+    assert all(b.rank(b.occupations[i]) == i for i in range(b.size))
+    assert np.array_equal(b.rank_rows(b.occupations), np.arange(b.size))
+    assert np.array_equal(b.total_k, b.occupations[:, 1])  # window {0, 1}
+
+
+def test_build_holds_no_wide_table():
+    # the int8 table of N=5, r=20 is 0.85 MB; a build through (size x r)
+    # int64 arrays peaked at 19.8 MB
+    tracemalloc.start()
+    try:
+        build_basis(5, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @given(

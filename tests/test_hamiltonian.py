@@ -20,6 +20,7 @@ from ringflow.hamiltonian import (
     loss_operators,
 )
 from ringflow.params import SystemParams, raw_coupling, rescale_interaction
+from ringflow.solver import solve_lowest
 
 
 def test_single_atom_two_modes_matrix():
@@ -164,6 +165,26 @@ def test_rebuild_is_bit_identical():
             assert np.array_equal(m1.data, m2.data)
             assert np.array_equal(m1.indices, m2.indices)
             assert np.array_equal(m1.indptr, m2.indptr)
+
+
+def test_whole_space_transposes_are_built_on_first_use():
+    clear_caches()
+    sectors = cached_sector_pieces(5, 20)
+    pieces = cached_pieces(5, 20)
+    whole = (pieces.barrier_factor, pieces.interaction_factor)
+    for block in sectors:
+        for factor in (block.barrier_factor, block.interaction_factor):
+            assert "_transpose" in vars(factor)
+    assert not any("_transpose" in vars(factor) for factor in whole)
+    params = SystemParams(n_atoms=5, n_modes=20, interaction=0.01, barrier=0.008,
+                          phase=0.9 * math.pi)
+    solve_lowest(params)
+    assert all("_transpose" in vars(factor) for factor in whole)
+    built = [factor.transpose for factor in whole]
+    for factor, transpose in zip(whole, built):
+        _assert_same_csr(transpose, factor.matrix.T.tocsr())
+    solve_lowest(params)
+    assert all(factor.transpose is t for factor, t in zip(whole, built))
 
 
 def _orbit_counts(labels, images):
@@ -362,6 +383,9 @@ def test_one_pass_builds_every_loss_operator_of_a_system(monkeypatch):
     )
     ops = [cached_loss_operator(3, 8, k) for k in range(-3, 5)]
     assert built == [3]
+    # one int32 index pointer for all a_k of the system
+    assert all(op.indptr.dtype == op.indices.dtype == np.int32 for op in ops)
+    assert all(np.shares_memory(op.indptr, ops[0].indptr) for op in ops)
     assert [cached_loss_operator(3, 8, k) for k in range(-3, 5)] == ops
     with pytest.raises(ValueError):
         cached_loss_operator(3, 8, 5)  # outside the window

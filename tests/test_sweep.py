@@ -144,10 +144,12 @@ def test_point_record_does_not_depend_on_its_neighbours(monkeypatch):
 
 def test_threaded_execution_matches_sequential():
     # concurrent callers race on the cold builders; the cache lock must hand
-    # every thread the same object from each builder and leave the solves
-    # unchanged
+    # every thread the same object from each builder, the lazily built
+    # whole-space transposes of an off-crossing point included, and leave the
+    # solves unchanged
     params = SystemParams(n_atoms=2, n_modes=8, interaction=0.5, barrier=0.01, phase=math.pi)
-    reference = solve_lowest(params).eigenvalues
+    off = replace(params, phase=0.9 * math.pi)
+    reference = [solve_lowest(p).eigenvalues for p in (params, off)]
     clear_caches()
     start = threading.Barrier(4)
 
@@ -159,16 +161,29 @@ def test_threaded_execution_matches_sequential():
             cached_loss_operator(2, 8, 1),
         )
 
+    def transposes():
+        pieces = cached_pieces(2, 8)
+        return (pieces.barrier_factor.transpose, pieces.interaction_factor.transpose)
+
     def worker(_):
         start.wait()
-        return built(), solve_lowest(params).eigenvalues
+        objects = built()
+        start.wait()  # then race on the whole-space transposes, built on first use
+        objects += transposes()
+        return objects, [solve_lowest(p).eigenvalues for p in (params, off)]
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(worker, range(4)))
-    shared = built()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often inside the builders
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(worker, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    shared = built() + transposes()
     for objects, eigenvalues in results:
         assert all(obj is ref for obj, ref in zip(objects, shared, strict=True))
-        assert np.array_equal(eigenvalues, reference)
+        for got, want in zip(eigenvalues, reference, strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_per_point_failure_captured(monkeypatch):
