@@ -20,12 +20,6 @@ from .basis import basis_size
 from .dynamics import quench_samples, run_quench
 from .errors import ConvergenceError, DimensionCapError
 from .hamiltonian import cached_basis
-from .noon import (
-    chain_gap_numeric,
-    fig4_interaction,
-    noon_gap_closed_form,
-    noon_validity,
-)
 from .observables import angular_momentum_distribution, loss_quality, quality
 from .params import (
     ATOMIC_MASS_KG,
@@ -35,7 +29,6 @@ from .params import (
     rescale_interaction,
     to_physical,
 )
-from .single_particle import levels, tg_gap, tg_ground_energy, tg_spectrum
 from .solver import DEFAULT_SEED, DEFAULT_TOL, check_levels, solve_lowest
 from .sweep import (
     SweepSpec,
@@ -45,7 +38,9 @@ from .sweep import (
     log_grid,
     run_sweep,
 )
-from .validate import run_validation
+
+# noon, single_particle and validate are imported by the handlers and checks
+# that call them: no sweep or dynamics run reads them
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -303,6 +298,8 @@ SPECTRUM_DEFAULTS = {
 
 
 def check_spectrum(opts: dict, gopts: dict) -> None:
+    from .single_particle import tg_spectrum
+
     _choice(opts, "method", ("ed", "tg"))
     if opts["omega_points"] < 1:
         raise ValueError(f"omega_points must be >= 1, got {opts['omega_points']}")
@@ -316,6 +313,8 @@ def check_spectrum(opts: dict, gopts: dict) -> None:
 
 
 def handle_spectrum(opts: dict, gopts: dict) -> int:
+    from .single_particle import tg_spectrum
+
     omegas = np.linspace(opts["omega_start"], opts["omega_stop"], opts["omega_points"])
     m = opts["levels"]
     rows = []
@@ -353,6 +352,8 @@ SP_DEFAULTS = {
 
 
 def check_single_particle(opts: dict, gopts: dict) -> None:
+    from .single_particle import levels, tg_gap
+
     if opts["tg_atoms"]:
         tg_gap(opts["tg_atoms"], opts["barrier"], allow_even=opts["allow_even"])
     else:
@@ -360,6 +361,8 @@ def check_single_particle(opts: dict, gopts: dict) -> None:
 
 
 def handle_single_particle(opts: dict, gopts: dict) -> int:
+    from .single_particle import levels, tg_gap, tg_ground_energy
+
     if opts["tg_atoms"]:
         n = opts["tg_atoms"]
         payload = {
@@ -398,6 +401,8 @@ NOON_DEFAULTS = {
 
 
 def check_noon(opts: dict, gopts: dict) -> None:
+    from .noon import fig4_interaction, noon_gap_closed_form, noon_validity
+
     if opts["atoms_max"] < opts["atoms_min"]:
         raise ValueError(
             f"empty atom range: atoms_max {opts['atoms_max']} < atoms_min {opts['atoms_min']}"
@@ -412,6 +417,8 @@ def check_noon(opts: dict, gopts: dict) -> None:
 
 
 def handle_noon(opts: dict, gopts: dict) -> int:
+    from .noon import chain_gap_numeric, fig4_interaction, noon_gap_closed_form, noon_validity
+
     rows = []
     for n in range(opts["atoms_min"], opts["atoms_max"] + 1):
         g = opts["interaction"] or fig4_interaction(n, opts["barrier"])
@@ -618,6 +625,8 @@ VALIDATE_DEFAULTS = {"output": ""}
 
 
 def handle_validate(opts: dict, gopts: dict) -> int:
+    from .validate import run_validation
+
     report = run_validation(verbose_print=print)
     if opts["output"]:
         _json_report(report, opts["output"])

@@ -43,7 +43,6 @@ from typing import Callable, Mapping
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, lobpcg
 
 from . import blas
 from .errors import ConvergenceError, DimensionCapError
@@ -320,6 +319,10 @@ def _arpack(
     `done`, the matvecs of the solver that missed before it.  Raises
     ConvergenceError if it stalls, with the achieved residual of the pairs
     that converged (None when none did)."""
+    # here, as in `_lobpcg`: a run whose blocks are all dense or left to the
+    # Lanczos loop (the quench) then never imports it
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     dim = operator.dimension
     matvecs = [done]
 
@@ -361,6 +364,8 @@ def _lobpcg(
     per returned level, so that no iteration is spent on a level nobody reads;
     `iterations` counts each column of a block product once.  The caller
     checks the residuals against `tol`."""
+    from scipy.sparse.linalg import lobpcg
+
     matvecs = [0]
 
     def counted(x):  # x: a block of columns

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ringflow.basis import momentum_window
 from ringflow.params import (
     ATOMIC_MASS_KG,
+    HBAR_SI,
     PhysicalRing,
     SystemParams,
     energy_unit,
@@ -54,6 +55,23 @@ def test_truncation_tail_against_direct_sum():
     for r in (4, 8, 20):
         direct = sum(1.0 / (2 * q * q) for q in range(r // 2, 200000)) * 2
         assert truncation_tail(r) == pytest.approx(direct, rel=1e-4)
+
+
+def test_truncation_tail_against_scipy_trigamma():
+    from scipy.special import polygamma
+
+    for r in range(2, 201, 2):
+        expected = float(polygamma(1, r // 2))
+        assert abs(truncation_tail(r) - expected) <= 2 * math.ulp(expected), r
+    # scipy's value is correctly rounded at r = 14, the N=6 row of fig3a
+    assert truncation_tail(14) == float(polygamma(1, 7))
+
+
+def test_si_constants_equal_scipy_codata():
+    from scipy.constants import hbar, physical_constants
+
+    assert HBAR_SI == hbar
+    assert ATOMIC_MASS_KG == physical_constants["atomic mass constant"][0]
 
 
 def test_rescale_values_r20():
