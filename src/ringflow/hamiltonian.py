@@ -28,11 +28,11 @@ onto the same sector of the target rows; this halves the rows and nonzeros
 that a sector matvec touches.  Blocks are built once per (N, r) from the
 single-atom loss operators a_k, all of one (N, r) in one pass without
 ranking (`loss_operators`); A, the stacked a_k and the matrix M with
-P = M @ [a_k]_k are each one COO assembly of offset a_k.  A parameter point
-only sets the prefactors: `assemble` applies a block's H_s as kin*x +
-b*A^T(Ax) + (g_tilde/2)*P^T(Px) without forming the products.  Sector factors
-build F^T as CSR for those matvecs with their block; whole-space factors only
-on the first off-crossing use (phase sweeps, quench, `spectrum`).
+P = M @ [a_k]_k are each filled straight into CSR (every a_k holds one entry
+per target row).  A parameter point only sets the prefactors: `assemble`
+applies a block's H_s as kin*x + b*A^T(Ax) + (g_tilde/2)*P^T(Px) without
+forming the products, each F^T through F's CSC view, which sums every
+output's terms in the order of a CSR copy of F^T.
 `build_hamiltonian` is the whole operator at a point, assembled on the
 cached whole-space block; `solver.hamiltonian_blocks` gives the same point
 as its block list.  The explicit sparse matrix is built from the factors
@@ -82,29 +82,24 @@ def _symmetrize(matrix: sp.spmatrix) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class Factor:
-    """Sparse factor F of a Gram term F^T F.  F^T, CSR for matvecs, is built
-    once on first use: with the block for a sector factor, at the first
-    off-crossing matvec or dense build for a whole-space one."""
+    """Sparse factor F of a Gram term F^T F, stored once: `transpose` is the
+    CSC view of the sorted CSR `matrix`, sharing its three arrays.  A CSR
+    copy of F^T is only a temporary, where a sum must run over its rows."""
 
     matrix: sp.csr_matrix
+    transpose: sp.csc_matrix
 
     @classmethod
     def of(cls, matrix: sp.spmatrix) -> "Factor":
         matrix = matrix.tocsr()
         matrix.sort_indices()
-        return cls(matrix)
-
-    @property
-    def transpose(self) -> sp.csr_matrix:
-        with _CACHE_LOCK:  # threads that race on a cold factor share one build
-            if "_transpose" not in vars(self):
-                object.__setattr__(self, "_transpose", self.matrix.T.tocsr())
-            return self._transpose
+        return cls(matrix, matrix.T)
 
     @cached_property
     def column_norms2(self) -> np.ndarray:
         """|F e_j|^2 per column j: the term's contribution to diag(F^T F)."""
-        return np.asarray(self.transpose.multiply(self.transpose).sum(axis=1)).ravel()
+        rows = self.transpose.tocsr()
+        return np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
 
 
 @dataclass
@@ -132,7 +127,7 @@ class FactoredOperator:
     def matrix(self) -> sp.csr_matrix:
         out = sp.diags(self.diagonal, format="csr")
         for coef, factor in self.terms:
-            out = out + coef * (factor.transpose @ factor.matrix)
+            out = out + coef * (factor.transpose.tocsr() @ factor.matrix)
         return _symmetrize(out)
 
 
@@ -159,41 +154,46 @@ class Block:
     isometry: sp.csr_matrix
 
 
-def _stack(parts: list, shape: tuple[int, int]) -> sp.csr_matrix:
-    """One CSR matrix from (row offset, column offset, COO block) parts."""
-    # scipy's index type for the shape, which every index lies below
-    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
-    nnz = sum(b.nnz for _, _, b in parts)
-    row, col, data = np.empty(nnz, index), np.empty(nnz, index), np.empty(nnz)
-    end = 0
-    for r0, c0, b in parts:
-        start, end = end, end + b.nnz
-        np.add(b.row, r0, out=row[start:end], dtype=index)
-        np.add(b.col, c0, out=col[start:end], dtype=index)
-        data[start:end] = b.data
-    return sp.coo_matrix((data, (row, col)), shape=shape).tocsr()
+def _block_rows(blocks: list, shape: tuple[int, int]) -> sp.csr_matrix:
+    """One CSR matrix from equal-height block rows, each a list of
+    (a, column offset) whose a hold one entry per row, as every a_k does:
+    row i of a block holds entry i of each a, shifted by its offset, in list
+    order."""
+    height = blocks[0][0][0].shape[0]
+    widths = [len(parts) for parts in blocks]
+    nnz = height * sum(widths)
+    # scipy's index type for the shape and nnz, which every index lies below
+    index = np.int32 if max(nnz, *shape) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(len(blocks) * height + 1, index)
+    np.cumsum(np.repeat(widths, height), out=indptr[1:], dtype=index)
+    indices, data = np.empty(nnz, index), np.empty(nnz)
+    for parts, start in zip(blocks, indptr[::height]):
+        for j, (a, offset) in enumerate(parts):
+            entries = slice(start + j, start + height * len(parts), len(parts))
+            np.add(a.indices, offset, out=indices[entries], dtype=index)
+            data[entries] = a.data
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def build_pieces(basis: FockBasis) -> Block:
     """The whole space as one block (S = identity): the kinetic sums and the
     factors A and P, from the cached a_k matrices."""
     n, r = basis.n_atoms, basis.n_modes
-    singles = [cached_loss_operator(n, r, int(k)).tocoo() for k in basis.window]
+    singles = [cached_loss_operator(n, r, int(k)) for k in basis.window]
     rows = singles[0].shape[0]
     # the a_k have disjoint supports, so their sum is exact
-    annihilator = _stack([(0, 0, a) for a in singles], (rows, basis.size))
+    annihilator = _block_rows([[(a, 0) for a in singles]], (rows, basis.size))
     pair = None
     if n >= 2:
         # P = M @ [a_k2]_k2 with block (K, k2) of M equal to the (N-1)-atom
         # a_{K-k2}, so block row K of P is sum_{k1+k2=K} a_{k1} a_{k2}; for
         # K = 2*k_min + t and k2 = k_min + c, K - k2 is window position t - c
-        lower = [cached_loss_operator(n - 1, r, int(k)).tocoo() for k in basis.window]
-        pair_rows = lower[0].shape[0]
-        mixer = [(t * pair_rows, c * rows, lower[t - c])
-                 for t in range(2 * r - 1) for c in range(r) if 0 <= t - c < r]
-        stacked = [(i * rows, 0, a) for i, a in enumerate(singles)]
+        lower = [cached_loss_operator(n - 1, r, int(k)) for k in basis.window]
+        mixer = [[(lower[t - c], c * rows) for c in range(r) if 0 <= t - c < r]
+                 for t in range(2 * r - 1)]
+        stacked = [[(a, 0)] for a in singles]
         # M and V are temporaries of the product (peak memory)
-        pair = _stack(mixer, ((2 * r - 1) * pair_rows, r * rows)) @ _stack(
+        pair = _block_rows(mixer, ((2 * r - 1) * lower[0].shape[0], r * rows)) @ _block_rows(
             stacked, (r * rows, basis.size)
         )
     return Block(
@@ -386,10 +386,7 @@ def _two_sided(
         (np.concatenate([fixed, pair_lo]), np.concatenate([np.ones(fixed.size), root2])),
         (pair_lo, root2),
     )
-    factors = tuple(
+    return tuple(
         Factor.of(sp.diags(scale) @ (matrix[rows] @ s))
         for (rows, scale), s in zip(sectors, columns)
     )
-    for factor in factors:
-        factor.transpose  # every sector matvec reads F^T: build it with the block
-    return factors

@@ -138,7 +138,7 @@ def _window_preconditioner(operator: FactoredOperator, k: int):
     h_ww = np.diag(kin[window])
     diagonal = kin.copy()
     for coef, factor in operator.terms:
-        columns = factor.transpose[window]  # F[:, W]^T
+        columns = factor.matrix[:, window].T.tocsr()  # F[:, W]^T
         h_ww += coef * (columns @ columns.T).toarray()
         diagonal += coef * factor.column_norms2
     theta, q = sla.eigh(h_ww)

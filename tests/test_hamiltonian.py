@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringflow import hamiltonian
 from ringflow.basis import build_basis
 from ringflow.hamiltonian import (
     assemble,
@@ -20,7 +22,7 @@ from ringflow.hamiltonian import (
     loss_operators,
 )
 from ringflow.params import SystemParams, raw_coupling, rescale_interaction
-from ringflow.solver import solve_lowest
+from ringflow.solver import hamiltonian_blocks, solve_lowest
 
 
 def test_single_atom_two_modes_matrix():
@@ -125,8 +127,6 @@ def test_kinetic_phase_dependence():
 def test_operator_at_a_point_builds_its_pieces_once(monkeypatch):
     # the whole operator comes from the cached whole-space block, so a second
     # build of the same point reassembles it without rebuilding A and P
-    from ringflow import hamiltonian
-
     clear_caches()
     built = []
     real = hamiltonian.build_pieces
@@ -167,24 +167,116 @@ def test_rebuild_is_bit_identical():
             assert np.array_equal(m1.indptr, m2.indptr)
 
 
-def test_whole_space_transposes_are_built_on_first_use():
+def _cached_objects():
+    """(arrays, sparse matrices, factors) reachable from the cache through
+    tuples and instance attributes (dataclass fields and cached properties
+    included), each once."""
+    arrays, matrices, factors, seen = [], [], [], set()
+
+    def walk(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            return
+        if sp.issparse(obj):
+            matrices.append(obj)
+        if isinstance(obj, hamiltonian.Factor):
+            factors.append(obj)
+        if isinstance(obj, tuple):
+            for item in obj:
+                walk(item)
+        elif hasattr(obj, "__dict__"):
+            for item in vars(obj).values():
+                walk(item)
+
+    for value in hamiltonian._CACHE.values():
+        walk(value)
+    return arrays, matrices, factors
+
+
+def _assert_views_only(factors):
+    """Each F^T is a CSC view of F, and no CSR copy of any F^T is cached."""
+    _, matrices, _ = _cached_objects()
+    for factor in factors:
+        transpose = factor.transpose
+        assert transpose.format == "csc"
+        assert transpose.shape == factor.matrix.shape[::-1]
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(transpose, name), getattr(factor.matrix, name))
+        for m in matrices:
+            if m.format == "csr" and m.shape == transpose.shape:
+                assert (m != transpose).nnz > 0
+
+
+def test_factor_transposes_are_views_of_the_stored_factors():
     clear_caches()
-    sectors = cached_sector_pieces(5, 20)
-    pieces = cached_pieces(5, 20)
-    whole = (pieces.barrier_factor, pieces.interaction_factor)
-    for block in sectors:
-        for factor in (block.barrier_factor, block.interaction_factor):
-            assert "_transpose" in vars(factor)
-    assert not any("_transpose" in vars(factor) for factor in whole)
+    cached_sector_pieces(5, 20)
+    _, _, factors = _cached_objects()
+    assert len(factors) == 6  # A and P of the whole space and of each sector
+    views = [factor.transpose for factor in factors]
+    _assert_views_only(factors)
     params = SystemParams(n_atoms=5, n_modes=20, interaction=0.01, barrier=0.008,
                           phase=0.9 * math.pi)
-    solve_lowest(params)
-    assert all("_transpose" in vars(factor) for factor in whole)
-    built = [factor.transpose for factor in whole]
-    for factor, transpose in zip(whole, built):
-        _assert_same_csr(transpose, factor.matrix.T.tocsr())
-    solve_lowest(params)
-    assert all(factor.transpose is t for factor, t in zip(whole, built))
+    solve_lowest(params)  # off the crossing: the whole-space factors' matvecs
+    assert all(a is b for a, b in zip(_cached_objects()[2], factors, strict=True))
+    assert all(factor.transpose is view for factor, view in zip(factors, views))
+    _assert_views_only(factors)
+
+
+def _csr_transpose_matvec(op, x):
+    """op @ x with each F^T applied as a CSR copy."""
+    y = x * (op.diagonal if x.ndim == 1 else op.diagonal[:, None])
+    for coef, factor in op.terms:
+        y += coef * (factor.matrix.T.tocsr() @ (factor.matrix @ x))
+    return y
+
+
+@pytest.mark.parametrize("g", [0.01, 100.0])
+def test_transpose_views_match_csr_transposes_bit_for_bit(g):
+    params = SystemParams(n_atoms=4, n_modes=12, interaction=g, barrier=0.008,
+                          phase=math.pi)
+    coupling = rescale_interaction(g, 12)
+    whole = build_hamiltonian(replace(params, phase=0.9 * math.pi), coupling)
+    operators = [whole] + [op for op, _ in hamiltonian_blocks(params, coupling)]
+    rng = np.random.default_rng(3)
+    for op in operators:
+        for x in (rng.standard_normal(op.dimension),
+                  rng.standard_normal((op.dimension, 2)),
+                  rng.standard_normal((op.dimension, 3))):
+            assert np.array_equal(op @ x, _csr_transpose_matvec(op, x))
+        explicit = sp.diags(op.diagonal, format="csr")
+        for coef, factor in op.terms:
+            rows = factor.matrix.T.tocsr()
+            norms = np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
+            assert np.array_equal(factor.column_norms2, norms)
+            explicit = explicit + coef * (rows @ factor.matrix)
+        explicit = ((explicit + explicit.T) * 0.5).tocsr()
+        explicit.sum_duplicates()
+        explicit.sort_indices()
+        _assert_same_csr(op.matrix, explicit)
+
+
+def test_crossing_sweep_set_up_fits_its_memory_budget():
+    # the set-up of `sweep --figure fig2` at N=5, r=20: its bases, both
+    # blocks and every a_k of N = 4 and 5; each factor is held once
+    clear_caches()
+    cached_basis(5, 20)
+    cached_pieces(5, 20)
+    cached_sector_pieces(5, 20)
+    cached_basis(4, 20)
+    for k in cached_basis(5, 20).window:
+        cached_loss_operator(5, 20, int(k))
+    assert {key[:2] for key in hamiltonian._CACHE} >= {
+        ("basis", 3), ("basis", 4), ("basis", 5), ("loss", 4), ("loss", 5)}
+    arrays, _, _ = _cached_objects()
+    roots = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        roots[id(a)] = a.nbytes
+    assert sum(roots.values()) <= 20 * 2**20
 
 
 def _orbit_counts(labels, images):
@@ -371,8 +463,6 @@ def test_whole_space_factors_equal_explicit_products(n_atoms, n_modes):
 
 
 def test_one_pass_builds_every_loss_operator_of_a_system(monkeypatch):
-    from ringflow import hamiltonian
-
     clear_caches()
     built = []
     real = hamiltonian.loss_operators

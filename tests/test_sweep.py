@@ -144,9 +144,10 @@ def test_point_record_does_not_depend_on_its_neighbours(monkeypatch):
 
 def test_threaded_execution_matches_sequential():
     # concurrent callers race on the cold builders; the cache lock must hand
-    # every thread the same object from each builder, the lazily built
-    # whole-space transposes of an off-crossing point included, and leave the
-    # solves unchanged
+    # every thread the same object from each builder, and the whole-space
+    # transposes that an off-crossing point reads are views built with their
+    # cached block, so the threads race on cached objects only; the solves
+    # stay unchanged
     params = SystemParams(n_atoms=2, n_modes=8, interaction=0.5, barrier=0.01, phase=math.pi)
     off = replace(params, phase=0.9 * math.pi)
     reference = [solve_lowest(p).eigenvalues for p in (params, off)]
@@ -168,7 +169,7 @@ def test_threaded_execution_matches_sequential():
     def worker(_):
         start.wait()
         objects = built()
-        start.wait()  # then race on the whole-space transposes, built on first use
+        start.wait()  # then read the whole-space transposes, views held by the block
         objects += transposes()
         return objects, [solve_lowest(p).eigenvalues for p in (params, off)]
 
