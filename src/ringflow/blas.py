@@ -1,8 +1,11 @@
-"""The BLAS thread count, for the dense solves and the sweep workers.
+"""The BLAS thread count: one thread for every CLI command and sweep worker.
 
-The thread-count getter and setter of every OpenBLAS in the process (numpy
-and scipy each load a scipy-openblas build) are looked up once, at import;
-any other BLAS is left as it is.
+`cli.main` runs its command inside `one_thread()`, so that its outputs do not
+depend on the thread count, and restores the caller's counts on return; the
+sweep workers call `set_threads(1)` when they start.  The thread-count getter
+and setter of every OpenBLAS in the process (numpy and scipy each load a
+scipy-openblas build) are looked up once, at import; any other BLAS is left
+as it is.
 """
 
 from __future__ import annotations

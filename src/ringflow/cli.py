@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .basis import basis_size
 from .dynamics import quench_samples, run_quench
 from .errors import ConvergenceError, DimensionCapError
@@ -719,38 +719,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command on one BLAS thread, so that its outputs do not depend
+    on the thread count; the caller's counts are restored on return."""
     parser = build_parser()
     args = parser.parse_args(argv)
     json_errors = bool(getattr(args, "json_errors", False))
-    try:
-        config_path = getattr(args, "config", None)
-        config = load_config(config_path, args.command) if config_path else {}
-        gsection = config.get("global", {})
-        seed = getattr(args, "seed", None)
-        tol = getattr(args, "tol", None)
-        gopts = {
-            "seed": seed if seed is not None else int(gsection.get("seed", DEFAULT_SEED)),
-            "tol": tol if tol is not None else float(gsection.get("tol", DEFAULT_TOL)),
-            "dry_run": bool(getattr(args, "dry_run", False)),
-        }
-        opts = resolve(args.command, DEFAULTS_BY_COMMAND[args.command], args, config)
-        check = CHECKS.get(args.command)
-        resolved = check(opts, gopts) if check else None
-        if gopts["dry_run"]:
-            digest = _digest(args.command, opts, gopts["seed"], gopts["tol"])
-            payload = {"command": args.command, "parameters": {**opts, **(resolved or {})}}
-            _json_report({**payload, "config_digest": digest}, None)
-            return EXIT_OK
-        return HANDLERS[args.command](opts, gopts)
-    except DimensionCapError as exc:
-        _report_error(exc, EXIT_DIMENSION, json_errors)
-        return EXIT_DIMENSION
-    except ConvergenceError as exc:
-        _report_error(exc, EXIT_CONVERGENCE, json_errors)
-        return EXIT_CONVERGENCE
-    except (ValueError, OSError, KeyError, configparser.Error, json.JSONDecodeError) as exc:
-        _report_error(exc, EXIT_USAGE, json_errors)
-        return EXIT_USAGE
+    with blas.one_thread():
+        try:
+            config_path = getattr(args, "config", None)
+            config = load_config(config_path, args.command) if config_path else {}
+            gsection = config.get("global", {})
+            seed = getattr(args, "seed", None)
+            tol = getattr(args, "tol", None)
+            gopts = {
+                "seed": seed if seed is not None else int(gsection.get("seed", DEFAULT_SEED)),
+                "tol": tol if tol is not None else float(gsection.get("tol", DEFAULT_TOL)),
+                "dry_run": bool(getattr(args, "dry_run", False)),
+            }
+            opts = resolve(args.command, DEFAULTS_BY_COMMAND[args.command], args, config)
+            check = CHECKS.get(args.command)
+            resolved = check(opts, gopts) if check else None
+            if gopts["dry_run"]:
+                digest = _digest(args.command, opts, gopts["seed"], gopts["tol"])
+                payload = {"command": args.command, "parameters": {**opts, **(resolved or {})}}
+                _json_report({**payload, "config_digest": digest}, None)
+                return EXIT_OK
+            return HANDLERS[args.command](opts, gopts)
+        except DimensionCapError as exc:
+            _report_error(exc, EXIT_DIMENSION, json_errors)
+            return EXIT_DIMENSION
+        except ConvergenceError as exc:
+            _report_error(exc, EXIT_CONVERGENCE, json_errors)
+            return EXIT_CONVERGENCE
+        except (ValueError, OSError, KeyError, configparser.Error, json.JSONDecodeError) as exc:
+            _report_error(exc, EXIT_USAGE, json_errors)
+            return EXIT_USAGE
 
 
 def _report_error(exc: Exception, code: int, json_errors: bool) -> None:

@@ -6,8 +6,8 @@ the ring; the length unit is the ring circumference L; and hbar = 1.  The
 contact interaction g and the barrier strength b are measured in E0*L, the
 rotational phase Omega in radians.  In these units the atom mass equals
 2*pi^2 and drops out of every formula.  Conversion to laboratory units is
-confined to `to_physical` / `to_canonical` at the CLI boundary; its SI
-constants are CODATA 2022 literals.
+confined to `to_physical` at the CLI boundary (`energy_unit` gives E0 in
+joule); its SI constants are CODATA 2022 literals.
 """
 
 from __future__ import annotations
@@ -156,11 +156,6 @@ def energy_unit(ring: PhysicalRing) -> float:
     """E0 in joule for the given ring: 2*pi^2*hbar^2/(M*L^2)."""
     length = ring.circumference
     return 2.0 * math.pi**2 * HBAR_SI**2 / (ring.atom_mass * length**2)
-
-
-def to_canonical(ring: PhysicalRing, energy_joule: float) -> float:
-    """Energy in E0 units for the given ring."""
-    return energy_joule / energy_unit(ring)
 
 
 def barrier_angular_speed(ring: PhysicalRing, phase: float) -> float:

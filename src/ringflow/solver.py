@@ -29,8 +29,7 @@ highest computed level certifies that no level of it was missed.
 Real-time propagation is exact: one dense eigendecomposition
 H_s = V_s diag(E_s) V_s^H per block gives every sample state as
 psi(t) = sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0, formed in blocks
-of sample times; no block may exceed `SPECTRAL_CAP`.  Dense `eigh` calls below
-`SERIAL_EIGH` run on one BLAS thread.
+of sample times; no block may exceed `SPECTRAL_CAP`.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from . import blas
 from .errors import ConvergenceError, DimensionCapError
 from .hamiltonian import FactoredOperator, assemble, cached_pieces, cached_sector_pieces
 from .params import RescaledCoupling, SystemParams, rescale_interaction
@@ -80,8 +78,6 @@ SPECTRAL_BLOCK = 256
 # largest block `propagate` diagonalizes densely; at 4,500 its eigenvectors
 # alone take 162 MB (N=4, r=20 has parity blocks of 4,455 and 4,400)
 SPECTRAL_CAP = 4500
-# below this dimension a dense eigh is faster on one BLAS thread than on two
-SERIAL_EIGH = 500
 # fewest samples of a trace that `dominant_frequency` reads a peak from
 MIN_TRACE_SAMPLES = 8
 
@@ -100,14 +96,6 @@ class EigenSolution:
     iterations: int
     method: str
     degenerate: bool
-
-
-def _eigh(matrix: np.ndarray, **kwargs):
-    """`scipy.linalg.eigh`, on one BLAS thread below SERIAL_EIGH."""
-    if matrix.shape[0] >= SERIAL_EIGH:
-        return sla.eigh(matrix, **kwargs)
-    with blas.one_thread():
-        return sla.eigh(matrix, **kwargs)
 
 
 def _start_vector(dim: int, seed: int) -> np.ndarray:
@@ -201,7 +189,7 @@ def lowest_eigenpairs(
     if m > dim:
         raise ValueError(f"requested {m} eigenpairs of a dimension-{dim} operator")
     if dim <= dense_cutoff or m >= dim - 1:
-        vals, vecs = _eigh(operator.matrix.toarray(), subset_by_index=(0, m - 1))
+        vals, vecs = sla.eigh(operator.matrix.toarray(), subset_by_index=(0, m - 1))
         return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, 0, "dense", tol)
 
     if max((c for c, _ in operator.terms), default=0.0) <= LOBPCG_MAX_COUPLING:
@@ -237,8 +225,7 @@ def _lanczos(
     pairs stay accurate without reorthogonalization (Paige 1980); lost
     orthogonality shows only as ghosts, spurious while they form and copies
     once they converge.  The rows live in one preallocated array, never
-    copied, and the loop runs on one BLAS thread, so that its dot products
-    round the same in every process.
+    copied.
     """
     dim = operator.dimension
     steps = min(LANCZOS_MAX_STEPS, dim)
@@ -246,33 +233,32 @@ def _lanczos(
     alpha, beta = np.empty(steps), np.empty(steps)
     rows[0] = v0 / np.linalg.norm(v0)
     eps = np.finfo(float).eps
-    with blas.one_thread():
-        for j in range(steps):
-            w = operator @ rows[j]
-            if j:
-                w -= beta[j - 1] * rows[j - 1]
-            alpha[j] = w @ rows[j]
-            w -= alpha[j] * rows[j]
-            beta[j] = np.linalg.norm(w)
-            done = j + 1
-            # a breakdown or the step cap
-            last = beta[j] <= eps * abs(alpha[j]) or done == steps
-            if last or done % LANCZOS_CHECK == 0:
-                theta, s, bound, converged, copy = _ritz_levels(
-                    alpha[:done], beta[:done], m, tol
-                )
-                if theta.size == m and converged.all() and not last:
-                    x = rows[:done].T @ s
-                    x /= np.linalg.norm(x, axis=0)
-                    if not copy:
-                        res = _residuals(operator, theta, x)
-                        if np.all(res <= bound):
-                            return _lowest(theta, x, res, m, done, "lanczos", tol), x[:, 0], done
-                    return None, x[:, 0], done
-                if last:  # the last step always returns
-                    x = rows[:done].T @ s[:, 0] if theta.size else rows[0]
-                    return None, x / np.linalg.norm(x), done
-            np.divide(w, beta[j], out=rows[j + 1])
+    for j in range(steps):
+        w = operator @ rows[j]
+        if j:
+            w -= beta[j - 1] * rows[j - 1]
+        alpha[j] = w @ rows[j]
+        w -= alpha[j] * rows[j]
+        beta[j] = np.linalg.norm(w)
+        done = j + 1
+        # a breakdown or the step cap
+        last = beta[j] <= eps * abs(alpha[j]) or done == steps
+        if last or done % LANCZOS_CHECK == 0:
+            theta, s, bound, converged, copy = _ritz_levels(
+                alpha[:done], beta[:done], m, tol
+            )
+            if theta.size == m and converged.all() and not last:
+                x = rows[:done].T @ s
+                x /= np.linalg.norm(x, axis=0)
+                if not copy:
+                    res = _residuals(operator, theta, x)
+                    if np.all(res <= bound):
+                        return _lowest(theta, x, res, m, done, "lanczos", tol), x[:, 0], done
+                return None, x[:, 0], done
+            if last:  # the last step always returns
+                x = rows[:done].T @ s[:, 0] if theta.size else rows[0]
+                return None, x / np.linalg.norm(x), done
+        np.divide(w, beta[j], out=rows[j + 1])
 
 
 def _ritz_levels(
@@ -373,19 +359,13 @@ def _lobpcg(
         return operator @ x
 
     precondition, start = _window_preconditioner(operator, m)
-    # one BLAS thread: the block products then round the same in every process
-    with blas.one_thread(), warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the caller checks for a miss
         vals, vecs = lobpcg(
             counted, start, M=precondition, tol=tol, largest=False,
             maxiter=max_iterations if max_iterations is not None else LOBPCG_MAXITER,
         )
     return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, matvecs[0], "lobpcg", tol)
-
-
-def _parity_method(sols) -> str:
-    """"lobpcg-parity" if LOBPCG solved a sector, else "lanczos-parity"."""
-    return "lobpcg-parity" if any(s.method == "lobpcg" for s in sols) else "lanczos-parity"
 
 
 def _is_crossing_phase(phase: float) -> bool:
@@ -491,10 +471,10 @@ def solve_lowest(
     vecs = np.column_stack(
         [blocks[w][1] @ sols[w].eigenvectors[:, i] for w, i in (origin[j] for j in keep)]
     )
-    return _lowest(
-        vals[keep], vecs, res[keep], m, iterations,
-        sols[0].method if len(blocks) == 1 else _parity_method(sols.values()), tol,
-    )
+    method = sols[0].method
+    if len(blocks) == 2:  # e.g. "dense-parity", "arpack+lanczos-parity"
+        method = "+".join(sorted({s.method for s in sols.values()})) + "-parity"
+    return _lowest(vals[keep], vecs, res[keep], m, iterations, method, tol)
 
 
 @dataclass
@@ -534,7 +514,7 @@ def diagonalize(blocks: list[tuple[FactoredOperator, sp.spmatrix]]) -> Spectrum:
             f"propagation block of dimension {largest} exceeds the spectral cap {SPECTRAL_CAP}"
         )
     return Spectrum(
-        [(*_eigh(block.matrix.toarray()), isometry) for block, isometry in blocks]
+        [(*sla.eigh(block.matrix.toarray()), isometry) for block, isometry in blocks]
     )
 
 

@@ -2,13 +2,11 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import ringflow
 from ringflow import blas, solver
-from ringflow.hamiltonian import FactoredOperator
-from ringflow.solver import lowest_eigenpairs
+from ringflow.cli import main
 
 
 @pytest.fixture
@@ -33,7 +31,7 @@ def test_one_thread_scope_restores_the_count(counts):
     assert blas.threads() == [2] * len(counts)
 
 
-def test_small_dense_solves_run_on_one_blas_thread(counts, monkeypatch):
+def test_cli_solves_run_on_one_blas_thread(counts, monkeypatch, tmp_path):
     seen = []
     eigh = solver.sla.eigh
 
@@ -42,39 +40,54 @@ def test_small_dense_solves_run_on_one_blas_thread(counts, monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(solver.sla, "eigh", spy)
-    monkeypatch.setattr(solver, "SERIAL_EIGH", 10)
     blas.set_threads(2)
-    for dim in (9, 10):
-        lowest_eigenpairs(FactoredOperator(np.arange(dim, dtype=float), ()), 2)
-    assert seen == [[1] * len(counts), [2] * len(counts)]
+    assert main(["dynamics", "--periods", "2", "--output", str(tmp_path / "trace.csv")]) == 0
+    assert seen and all(count == [1] * len(counts) for count in seen)
+    # a library caller keeps its own setting
     assert blas.threads() == [2] * len(counts)
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # a one-point sweep runs in the CLI's own process, with its BLAS threads:
-    # at g = 0.1 on LOBPCG, at g = 10 on the Lanczos loop (sectors of 2,184,
-    # above the dense cutoff); the quench's dense solves (blocks of 60,
-    # pre-quench dimension 120) lie below SERIAL_EIGH.  Larger dense solves
-    # round differently on two threads: an eigh of N=4, r=12's parity block
-    # of 683 moves its eigenvectors by up to 2.5e-11.
+    # every command runs on one BLAS thread whatever OPENBLAS_NUM_THREADS
+    # says: a one-point sweep in the CLI's own process, at g = 0.1 on LOBPCG
+    # and at g = 10 on the Lanczos loop (sectors of 2,184); the default
+    # quench; and the dense solves above 500 columns, which round differently
+    # on two threads (N=3 `noon` sectors of 770, `validate`, and N=4, r=12's
+    # parity blocks of 683, whose eigenvectors moved by up to 2.5e-11)
     src = os.path.dirname(os.path.dirname(ringflow.__file__))
-    outputs = {}
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        out.mkdir()
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        sweep = ["sweep", "--atoms", "5", "--modes", "12", "--interaction", "0.5",
-                 "--barrier", "0.01", "--stop", "100", "--points", "1"]
-        for args in (
-            sweep + ["--start", "0.1", "--output", "weak.csv"],
-            sweep + ["--start", "10", "--output", "strong.csv"],
-            ["dynamics", "--periods", "4", "--output", "trace.csv", "--report", "report.json"],
-        ):
-            subprocess.run([sys.executable, "-m", "ringflow.cli", *args], check=True,
-                           capture_output=True, cwd=out, env=env, timeout=300)
-        outputs[threads] = [(out / name).read_bytes()
-                            for name in ("weak.csv", "strong.csv", "trace.csv", "report.json")]
+    envs = {threads: dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                          PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            for threads in ("1", "2")}
+    for threads in envs:
+        (tmp_path / threads).mkdir()
+    sweep = ["sweep", "--atoms", "5", "--modes", "12", "--interaction", "0.5",
+             "--barrier", "0.01", "--stop", "100", "--points", "1"]
+    for args in (
+        sweep + ["--start", "0.1", "--output", "weak.csv"],
+        sweep + ["--start", "10", "--output", "strong.csv"],
+        ["dynamics", "--periods", "4", "--output", "trace.csv", "--report", "report.json"],
+        ["noon", "--with-ed", "--output", "noon.csv"],
+        ["validate", "--output", "validate.json"],
+        ["dynamics", "--atoms", "4", "--modes", "12", "--periods", "2",
+         "--output", "trace412.csv"],
+    ):
+        # both thread counts run side by side
+        runs = [subprocess.Popen([sys.executable, "-m", "ringflow.cli", *args],
+                                 cwd=tmp_path / threads, env=env, stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.PIPE)
+                for threads, env in envs.items()]
+        try:
+            for run in runs:
+                _, err = run.communicate(timeout=300)
+                assert run.returncode == 0, err
+        finally:  # no run outlives a failed one
+            for run in runs:
+                run.kill()
+                run.wait()
+    names = ("weak.csv", "strong.csv", "trace.csv", "report.json", "noon.csv", "validate.json",
+             "trace412.csv")
+    outputs = {threads: [(tmp_path / threads / name).read_bytes() for name in names]
+               for threads in envs}
     assert outputs["1"] == outputs["2"]
 
 

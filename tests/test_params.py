@@ -15,7 +15,6 @@ from ringflow.params import (
     lieb_liniger_gamma,
     raw_coupling,
     rescale_interaction,
-    to_canonical,
     to_physical,
     truncation_tail,
 )
@@ -128,10 +127,10 @@ def test_physical_report_values(lithium_ring):
 
 def test_physical_round_trip(lithium_ring):
     e0 = energy_unit(lithium_ring)
-    assert to_canonical(lithium_ring, 25.0 * e0) == pytest.approx(25.0, rel=1e-12)
+    assert 25.0 * e0 / energy_unit(lithium_ring) == pytest.approx(25.0, rel=1e-12)
     params = SystemParams(n_atoms=100, n_modes=2, phase=math.pi)
     report = to_physical(params, lithium_ring, 25.0)
-    assert to_canonical(lithium_ring, report["delta_e_J"]) == pytest.approx(25.0, rel=1e-12)
+    assert report["delta_e_J"] / energy_unit(lithium_ring) == pytest.approx(25.0, rel=1e-12)
 
 
 def test_physical_validation():

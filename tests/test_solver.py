@@ -88,7 +88,7 @@ def test_parity_path_matches_plain():
     params = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.008, phase=math.pi)
     parity = solve_lowest(params, m=2)
     plain = lowest_eigenpairs(build_hamiltonian(params), 2)
-    assert parity.method == "lanczos-parity"
+    assert parity.method == "dense-parity"
     assert np.max(np.abs(parity.eigenvalues - plain.eigenvalues)) < 1e-10
 
 
@@ -388,7 +388,7 @@ def test_crossing_phase_snap():
 
     inside = solve(math.pi + 5e-13)
     outside = solve(math.pi + 2e-12)
-    assert inside.method == "lanczos-parity"
+    assert inside.method == "dense-parity"
     assert outside.method == "dense"  # plain path, below the dense cutoff
     assert _gap(inside) == pytest.approx(_gap(outside), abs=1e-12)
     # inside the snap the sector blocks are assembled at pi itself
