@@ -572,7 +572,8 @@ def handle_dynamics(opts: dict, gopts: dict) -> int:
         "relative_deviation": report.relative_deviation,
         "norm_drift": report.norm_drift,
         "energy_drift": report.energy_drift,
-        "method": report.result.method,
+        "truncated_weight": result.truncated_weight,
+        "method": result.method,
         "trace_file": output,
     }
     _json_report(payload, opts["report"] or None)

@@ -36,10 +36,9 @@ output's terms in the order of a CSR copy of F^T.
 `build_hamiltonian` is the whole operator at a point, assembled on the
 cached whole-space block; `solver.hamiltonian_blocks` gives the same point
 as its block list.  The explicit sparse matrix is built from the factors
-only where its entries are needed (dense solves, propagation and energy
-traces).  Matrix elements use the bosonic ladder conventions sqrt(n) /
-sqrt(n+1); explicit matrices are exactly symmetric and rebuilding the
-factors is bit-identical.
+only for dense solves.  Matrix elements use the bosonic ladder conventions
+sqrt(n) / sqrt(n+1); explicit matrices are exactly symmetric and rebuilding
+the factors is bit-identical.
 """
 
 from __future__ import annotations

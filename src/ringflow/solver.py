@@ -26,10 +26,11 @@ Of m levels, only the block expected to hold the ground (sector N mod 2) is
 asked for m; the other is asked for m - 1 and is re-solved for m unless its
 highest computed level certifies that no level of it was missed.
 
-Real-time propagation is exact: one dense eigendecomposition
-H_s = V_s diag(E_s) V_s^H per block gives every sample state as
-psi(t) = sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0, formed in blocks
-of sample times; no block may exceed `SPECTRAL_CAP`.
+Real-time propagation takes each block's levels E_s and orthonormal
+eigenvectors V_s, as `lowest_eigenpairs` returns them, and forms every sample
+state as psi(t) = sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0, in
+blocks of sample times: the exact propagation of psi0's projection onto the
+given levels, which is psi0 itself when every level is given.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, DimensionCapError
+from .errors import ConvergenceError
 from .hamiltonian import FactoredOperator, assemble, cached_pieces, cached_sector_pieces
 from .params import RescaledCoupling, SystemParams, rescale_interaction
 
@@ -75,9 +76,6 @@ LANCZOS_CHECK = 10
 # most 3.4e-9 or 2.0e-7 (ghosts) and at least 2.6e-4 (levels)
 SPURIOUS_WEIGHT = 1.5e-8
 SPECTRAL_BLOCK = 256
-# largest block `propagate` diagonalizes densely; at 4,500 its eigenvectors
-# alone take 162 MB (N=4, r=20 has parity blocks of 4,455 and 4,400)
-SPECTRAL_CAP = 4500
 # fewest samples of a trace that `dominant_frequency` reads a peak from
 MIN_TRACE_SAMPLES = 8
 
@@ -105,9 +103,10 @@ def _start_vector(dim: int, seed: int) -> np.ndarray:
 
 
 def _residuals(operator, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return np.array(
-        [np.linalg.norm(operator @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(vals.size)]
-    )
+    """||H x_i - theta_i x_i|| per column, from one block product; each norm
+    reads a contiguous row, so it rounds as the norm of one column's residual."""
+    rows = np.ascontiguousarray((operator @ vecs - vecs * vals).T)
+    return np.array([np.linalg.norm(row) for row in rows])
 
 
 def _window_preconditioner(operator: FactoredOperator, k: int):
@@ -481,45 +480,19 @@ def solve_lowest(
 class QuenchResult:
     """Observable traces along a real-time propagation.
 
-    `method` is "spectral" (one block) or "spectral-parity" (parity blocks).
+    `method` is "spectral" (one block) or "spectral-parity" (parity blocks);
+    `truncated_weight` is the weight of psi0 outside the given levels.
     """
 
     times: np.ndarray
     traces: dict[str, np.ndarray]
     norms: np.ndarray
     method: str
-
-
-@dataclass
-class Spectrum:
-    """Dense eigendecomposition of an operator, block by block: for each
-    block the energies E_s, the eigenvectors V_s (columns) and the isometry
-    S_s that embeds the block in the full basis."""
-
-    blocks: list[tuple[np.ndarray, np.ndarray, sp.spmatrix]]
-
-    def lowest(self, m: int) -> np.ndarray:
-        """The m lowest energies over all blocks, ascending."""
-        return np.sort(np.concatenate([energies for energies, _, _ in self.blocks]))[:m]
-
-
-def diagonalize(blocks: list[tuple[FactoredOperator, sp.spmatrix]]) -> Spectrum:
-    """Dense eigendecomposition of each block H_s in a list of (H_s, S_s)
-    pairs with H = sum_s S_s H_s S_s^T, as `hamiltonian_blocks` returns.
-    Raises DimensionCapError, before any diagonalization, if a block exceeds
-    SPECTRAL_CAP."""
-    largest = max(block.dimension for block, _ in blocks)
-    if largest > SPECTRAL_CAP:
-        raise DimensionCapError(
-            f"propagation block of dimension {largest} exceeds the spectral cap {SPECTRAL_CAP}"
-        )
-    return Spectrum(
-        [(*sla.eigh(block.matrix.toarray()), isometry) for block, isometry in blocks]
-    )
+    truncated_weight: float
 
 
 def propagate(
-    spectrum: Spectrum,
+    blocks: list[tuple[np.ndarray, np.ndarray, sp.spmatrix]],
     psi0: np.ndarray,
     times: np.ndarray,
     observables: Mapping[str, Callable[[np.ndarray], float]] | None = None,
@@ -527,10 +500,13 @@ def propagate(
     """Unitary propagation of psi0 through the given time grid.
 
     Observables are callables evaluated on the state at every grid time.
-    `spectrum` is the `diagonalize`d blocks of the operator.  With
-    H_s = V_s diag(E_s) V_s^H per block, the state at time t is
-    sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0; blocks of
-    SPECTRAL_BLOCK sample times keep memory independent of the grid length.
+    `blocks` holds (E_s, V_s, S_s) per block of H = sum_s S_s H_s S_s^T:
+    levels, their orthonormal eigenvectors (columns) and the isometry.  The
+    state at t is sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0, the exact
+    propagation of psi0's projection onto the given levels; the weight outside
+    them, sum_s ||S_s^T psi0||^2 - ||V_s^H S_s^T psi0||^2 over the blocks that
+    leave levels out, is 0 when none does.  Blocks of SPECTRAL_BLOCK sample
+    times keep memory independent of the grid length.
     """
     psi = np.asarray(psi0, dtype=complex)
     norm = np.linalg.norm(psi)
@@ -543,7 +519,7 @@ def propagate(
 
     spectra = [
         (energies, vectors, vectors.conj().T @ (isometry.T @ psi), isometry)
-        for energies, vectors, isometry in spectrum.blocks
+        for energies, vectors, isometry in blocks
     ]
     elapsed = times - times[0]
     traces: dict[str, list] = {name: [] for name in observables}
@@ -565,6 +541,10 @@ def propagate(
         traces={name: np.array(vals) for name, vals in traces.items()},
         norms=np.array(norms),
         method="spectral" if len(spectra) == 1 else "spectral-parity",
+        truncated_weight=math.fsum(
+            np.linalg.norm(isometry.T @ psi) ** 2 - np.linalg.norm(c) ** 2
+            for _, vectors, c, isometry in spectra if vectors.shape[1] < vectors.shape[0]
+        ),
     )
 
 

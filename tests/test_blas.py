@@ -53,7 +53,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # and at g = 10 on the Lanczos loop (sectors of 2,184); the default
     # quench; and the dense solves above 500 columns, which round differently
     # on two threads (N=3 `noon` sectors of 770, `validate`, and N=4, r=12's
-    # parity blocks of 683, whose eigenvectors moved by up to 2.5e-11)
+    # parity blocks of 683, whose eigenvectors moved by up to 2.5e-11); and
+    # N=4, r=20, whose quench solves blocks of 4,455 and 4,400 iteratively
     src = os.path.dirname(os.path.dirname(ringflow.__file__))
     envs = {threads: dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                           PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -70,6 +71,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         ["validate", "--output", "validate.json"],
         ["dynamics", "--atoms", "4", "--modes", "12", "--periods", "2",
          "--output", "trace412.csv"],
+        ["dynamics", "--atoms", "4", "--modes", "20", "--periods", "2",
+         "--output", "trace420.csv"],
     ):
         # both thread counts run side by side
         runs = [subprocess.Popen([sys.executable, "-m", "ringflow.cli", *args],
@@ -85,7 +88,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                 run.kill()
                 run.wait()
     names = ("weak.csv", "strong.csv", "trace.csv", "report.json", "noon.csv", "validate.json",
-             "trace412.csv")
+             "trace412.csv", "trace420.csv")
     outputs = {threads: [(tmp_path / threads / name).read_bytes() for name in names]
                for threads in envs}
     assert outputs["1"] == outputs["2"]

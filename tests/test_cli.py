@@ -400,12 +400,29 @@ def test_dynamics_cli(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["relative_deviation"] < 0.02
     assert payload["norm_drift"] < 1e-10
+    assert payload["truncated_weight"] == 0.0  # blocks of 12 and 9, kept whole
     assert payload["method"] == "spectral-parity"  # Omega_final = pi
     assert "steps_taken" not in payload and "rejected_steps" not in payload
     rows = [l for l in trace.read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == 8 * 32 + 1
     t0, p0, n0 = rows[0].split(",")
     assert float(n0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dynamics_at_the_fig2_point(tmp_path, capsys):
+    # N=5, r=20: parity blocks of 21,252 columns, each kept at its two lowest
+    # levels, which hold all but w of the quenched state
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        ["dynamics", "--atoms", "5", "--modes", "20", "--periods", "2",
+         "--output", str(tmp_path / "trace.csv"), "--report", str(report_path)],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(report_path.read_text())
+    assert payload["relative_deviation"] < 0.02
+    assert 0.0 < payload["truncated_weight"] <= 1e-6
+    assert payload["norm_drift"] < 1e-10
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -471,21 +488,6 @@ def test_empty_range_exits_2(args, tmp_path, capsys):
     assert err.startswith("error: ")
     assert not output.exists()
     assert not (tmp_path / "out.csv.manifest.json").exists()
-
-
-def test_dynamics_block_over_the_spectral_cap_exits_4(tmp_path, capsys, monkeypatch):
-    # N=3, r=8 at Omega = pi: parity blocks of 60 and 60
-    monkeypatch.setattr(solver, "SPECTRAL_CAP", 50)
-    code, _, err = run_cli(
-        ["--json-errors", "dynamics", "--periods", "1",
-         "--output", str(tmp_path / "trace.csv"), "--report", str(tmp_path / "report.json")],
-        capsys,
-    )
-    assert code == 4
-    payload = json.loads(err)
-    assert payload["type"] == "DimensionCapError"
-    assert payload["exit_code"] == 4
-    assert "spectral cap 50" in payload["error"]
 
 
 def test_failed_sweep_reraises_point_error(capsys, monkeypatch):

@@ -8,15 +8,13 @@ import scipy.sparse as sp
 
 from ringflow import solver
 from ringflow.basis import build_basis
-from ringflow.errors import ConvergenceError, DimensionCapError
+from ringflow.errors import ConvergenceError
 from ringflow.hamiltonian import FactoredOperator, build_hamiltonian
 from ringflow.noon import fig4_interaction
 from ringflow.params import SystemParams, raw_coupling, rescale_interaction
 from ringflow.solver import (
     DENSE_CUTOFF,
     SPECTRAL_BLOCK,
-    Spectrum,
-    diagonalize,
     dominant_frequency,
     hamiltonian_blocks,
     lowest_eigenpairs,
@@ -399,9 +397,9 @@ def test_crossing_phase_snap():
 
 
 def _spectrum(h):
-    """The one-block spectrum of a whole operator, sparse or dense."""
+    """The one block (E, V, S) of a whole operator, sparse or dense."""
     dense = h.toarray() if sp.issparse(h) else np.asarray(h)
-    return Spectrum([(*sla.eigh(dense), sp.identity(dense.shape[0], format="csr"))])
+    return [(*sla.eigh(dense), sp.identity(dense.shape[0], format="csr"))]
 
 
 def _two_level():
@@ -501,17 +499,24 @@ def test_propagate_complex_hermitian():
         assert np.max(np.abs(out.traces[f"im{i}"] - exact[:, i].imag)) < 1e-10
 
 
-def test_propagate_block_over_the_cap_raises_before_any_eigh(monkeypatch):
-    # the small block comes first: checking block by block would diagonalize it
-    small, large = FactoredOperator(np.ones(20), ()), FactoredOperator(np.ones(36), ())
-    blocks = [(small, sp.identity(56, format="csr")[:, :20]),
-              (large, sp.identity(56, format="csr")[:, 20:])]
-    calls = []
-    monkeypatch.setattr(solver, "SPECTRAL_CAP", 30)
-    monkeypatch.setattr(solver.sla, "eigh", lambda *a, **k: calls.append(a) or None)
-    with pytest.raises(DimensionCapError, match="36 exceeds the spectral cap 30"):
-        diagonalize(blocks)
-    assert calls == []
+def test_propagate_given_levels_carry_the_projection():
+    # ten of 56 levels: the trace is the exact propagation of the projection
+    # of psi0 onto them, whose weight outside is `truncated_weight`
+    h, psi0 = _random_state_on_ring()
+    (vals, vecs, identity), = _spectrum(h)
+    times = np.linspace(0.0, 5.0, 11)
+    kept = propagate([(vals[:10], vecs[:, :10], identity)], psi0, times,
+                     observables=_components((0, 5)))
+    projected = vecs[:, :10] @ (vecs[:, :10].T @ psi0)
+    w = 1.0 - np.linalg.norm(projected) ** 2
+    assert kept.truncated_weight == pytest.approx(w, abs=1e-12) and w > 0.5
+    exact = np.array([sla.expm(-1j * t * h.toarray()) @ projected for t in times])
+    for i in (0, 5):
+        assert np.max(np.abs(kept.traces[f"re{i}"] - exact[:, i].real)) < 1e-10
+        assert np.max(np.abs(kept.traces[f"im{i}"] - exact[:, i].imag)) < 1e-10
+    assert np.max(np.abs(kept.norms - math.sqrt(1.0 - w))) < 1e-12
+    # every level given: nothing is left out
+    assert propagate(_spectrum(h), psi0, times).truncated_weight == 0.0
 
 
 def test_propagate_long_grid_in_blocks():
