@@ -564,7 +564,7 @@ def handle_dynamics(opts: dict, gopts: dict) -> int:
     result = report.result
     write_table(
         output, "quench trace", digest, ["time in hbar/E0"], "t,P_K0,norm",
-        zip(result.times, result.traces["P_K0"], result.norms),
+        zip(result.times, report.traces["P_K0"], result.norms),
     )
     payload = {
         "deltaE_solver": report.delta_e,

@@ -14,13 +14,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import solver
-from .hamiltonian import build_hamiltonian, cached_basis
+from .hamiltonian import cached_basis
 from .params import SystemParams, rescale_interaction
 from .solver import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     MIN_TRACE_SAMPLES,
     QuenchResult,
+    block_trace,
     dominant_frequency,
     hamiltonian_blocks,
     propagate,
@@ -35,7 +36,7 @@ QUENCH_LEVELS = 2
 
 @dataclass
 class QuenchReport:
-    """Oscillation extracted from a sudden phase quench."""
+    """Oscillation extracted from a sudden phase quench, and its traces."""
 
     params: SystemParams
     phase_initial: float
@@ -45,6 +46,7 @@ class QuenchReport:
     norm_drift: float
     energy_drift: float
     result: QuenchResult
+    traces: dict[str, np.ndarray]
 
 
 def quench_samples(periods: float, samples_per_period: int) -> int:
@@ -76,7 +78,8 @@ def run_quench(
     splitting is read from those levels, and the projection Pi psi0 onto them
     is propagated exactly: with w = 1 - ||Pi psi0||^2 (`truncated_weight`),
     the state stays within sqrt(w) of the exact one and P(K=0) within
-    2 sqrt(w).  The energy is summed from the factors of `build_hamiltonian`.
+    2 sqrt(w).  The traces are forms on the kept amplitudes: P(K=0) through
+    the K=0 rows of every S_s V_s, the energy through each V_s^T H_s V_s.
     A trace too short for `quench_samples` raises ValueError before any solve.
     """
     n_samples = quench_samples(periods, samples_per_period)
@@ -87,10 +90,12 @@ def run_quench(
     psi0 = pre.eigenvectors[:, 0]
 
     blocks = []  # one solve per block gives the splitting and the propagation
+    energy_forms = []
     for s, (block, isometry) in enumerate(hamiltonian_blocks(params, coupling)):
         m = block.dimension if block.dimension <= solver.DENSE_CUTOFF else QUENCH_LEVELS
         sol = solver.lowest_eigenpairs(block, m, tol=tol, seed=seed + s)
         blocks.append((sol.eigenvalues, sol.eigenvectors, isometry))
+        energy_forms.append(sol.eigenvectors.T @ (block @ sol.eigenvectors))
     e0, e1 = np.sort(np.concatenate([energies for energies, _, _ in blocks]))[:2]
     delta_e = float(e1 - e0)
     if delta_e <= 0:
@@ -98,21 +103,17 @@ def run_quench(
     period = 2.0 * math.pi / delta_e
     times = np.linspace(0.0, periods * period, n_samples + 1)
 
-    k0_mask = (cached_basis(params.n_atoms, params.n_modes).total_k == 0).astype(float)
-    h = build_hamiltonian(params, coupling)
-
-    def energy(psi):  # <psi|H|psi> = <psi|diag|psi> + sum_i c_i ||F_i psi||^2
-        gram = sum(c * np.linalg.norm(f.matrix @ psi) ** 2 for c, f in h.terms)
-        return float(np.vdot(psi, h.diagonal * psi).real + gram)
-
-    observables = {
-        "P_K0": lambda psi: float(np.real(np.vdot(psi, k0_mask * psi))),
-        "energy": energy,
+    result = propagate(blocks, psi0, times)
+    k0 = np.flatnonzero(cached_basis(params.n_atoms, params.n_modes).total_k == 0)
+    # (S_s V_s)[K=0 rows], from the K=0 rows of each S_s
+    k0_rows = np.hstack([isometry[k0] @ vectors for _, vectors, isometry in blocks])
+    traces = {
+        "P_K0": np.sum(np.abs(result.amplitudes @ k0_rows.T) ** 2, axis=1),
+        "energy": block_trace(result.amplitudes, energy_forms),
     }
-    result = propagate(blocks, psi0, times, observables=observables)
 
-    peak = dominant_frequency(result.times, result.traces["P_K0"])
-    energies = result.traces["energy"]
+    peak = dominant_frequency(result.times, traces["P_K0"])
+    energies = traces["energy"]
     scale = max(abs(energies[0]), 1.0)
     # the propagated state keeps the norm sqrt(1 - w) of Pi psi0
     norm = math.sqrt(1.0 - result.truncated_weight)
@@ -125,4 +126,5 @@ def run_quench(
         norm_drift=float(np.max(np.abs(result.norms - norm))),
         energy_drift=float(np.max(np.abs(energies - energies[0])) / scale),
         result=result,
+        traces=traces,
     )

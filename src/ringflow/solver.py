@@ -27,10 +27,10 @@ asked for m; the other is asked for m - 1 and is re-solved for m unless its
 highest computed level certifies that no level of it was missed.
 
 Real-time propagation takes each block's levels E_s and orthonormal
-eigenvectors V_s, as `lowest_eigenpairs` returns them, and forms every sample
-state as psi(t) = sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0, in
-blocks of sample times: the exact propagation of psi0's projection onto the
-given levels, which is psi0 itself when every level is given.
+eigenvectors V_s, as `lowest_eigenpairs` returns them, and carries only the
+kept amplitudes a_s(t) = exp(-i(t - t0)E_s) V_s^H S_s^T psi0, the exact
+propagation of psi0's projection onto the given levels (psi0 itself when
+every level is given); every trace is a quadratic form on them.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
 
 import numpy as np
 import scipy.linalg as sla
@@ -75,7 +74,6 @@ LANCZOS_CHECK = 10
 # r=12 and r=16 and N=6, r=14 at m = 1-4, unconverged Ritz values carried at
 # most 3.4e-9 or 2.0e-7 (ghosts) and at least 2.6e-4 (levels)
 SPURIOUS_WEIGHT = 1.5e-8
-SPECTRAL_BLOCK = 256
 # fewest samples of a trace that `dominant_frequency` reads a peak from
 MIN_TRACE_SAMPLES = 8
 
@@ -478,14 +476,16 @@ def solve_lowest(
 
 @dataclass
 class QuenchResult:
-    """Observable traces along a real-time propagation.
+    """The kept amplitudes along a real-time propagation.
 
-    `method` is "spectral" (one block) or "spectral-parity" (parity blocks);
+    Row j of `amplitudes` holds a_s(t_j) of every block in turn, so the state
+    at t_j is sum_s S_s V_s a_s(t_j); `norms` holds its norms.  `method` is
+    "spectral" (one block) or "spectral-parity" (parity blocks);
     `truncated_weight` is the weight of psi0 outside the given levels.
     """
 
     times: np.ndarray
-    traces: dict[str, np.ndarray]
+    amplitudes: np.ndarray
     norms: np.ndarray
     method: str
     truncated_weight: float
@@ -495,18 +495,16 @@ def propagate(
     blocks: list[tuple[np.ndarray, np.ndarray, sp.spmatrix]],
     psi0: np.ndarray,
     times: np.ndarray,
-    observables: Mapping[str, Callable[[np.ndarray], float]] | None = None,
 ) -> QuenchResult:
     """Unitary propagation of psi0 through the given time grid.
 
-    Observables are callables evaluated on the state at every grid time.
     `blocks` holds (E_s, V_s, S_s) per block of H = sum_s S_s H_s S_s^T:
     levels, their orthonormal eigenvectors (columns) and the isometry.  The
-    state at t is sum_s S_s V_s exp(-i(t - t0)E_s) V_s^H S_s^T psi0, the exact
+    amplitudes a_s(t) = exp(-i(t - t0)E_s) V_s^H S_s^T psi0 are the exact
     propagation of psi0's projection onto the given levels; the weight outside
     them, sum_s ||S_s^T psi0||^2 - ||V_s^H S_s^T psi0||^2 over the blocks that
-    leave levels out, is 0 when none does.  Blocks of SPECTRAL_BLOCK sample
-    times keep memory independent of the grid length.
+    leave levels out, is 0 when none does.  The norm is the form
+    sum_s a_s^H (V_s^H V_s) a_s; no state is formed.
     """
     psi = np.asarray(psi0, dtype=complex)
     norm = np.linalg.norm(psi)
@@ -515,37 +513,34 @@ def propagate(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
-    observables = dict(observables or {})
 
-    spectra = [
-        (energies, vectors, vectors.conj().T @ (isometry.T @ psi), isometry)
-        for energies, vectors, isometry in blocks
-    ]
+    coefficients = [vectors.conj().T @ (isometry.T @ psi) for _, vectors, isometry in blocks]
     elapsed = times - times[0]
-    traces: dict[str, list] = {name: [] for name in observables}
-    norms: list[float] = []
-    for start in range(0, times.size, SPECTRAL_BLOCK):
-        t = elapsed[start : start + SPECTRAL_BLOCK]
-        states = sum(
-            (isometry @ ((np.exp(-1j * np.outer(t, energies)) * c) @ vectors.T).T).T
-            for energies, vectors, c, isometry in spectra
-        )
-        # row j is the state at time t[j]; contiguous rows give the
-        # observables' sums the same order as a plain state vector
-        states = np.ascontiguousarray(states)
-        for name, fn in observables.items():
-            traces[name].extend(fn(s) for s in states)
-        norms.extend(np.linalg.norm(states, axis=1))
+    amplitudes = np.hstack(
+        [np.exp(-1j * np.outer(elapsed, e)) * c for (e, _, _), c in zip(blocks, coefficients)]
+    )
     return QuenchResult(
         times=times,
-        traces={name: np.array(vals) for name, vals in traces.items()},
-        norms=np.array(norms),
-        method="spectral" if len(spectra) == 1 else "spectral-parity",
+        amplitudes=amplitudes,
+        norms=np.sqrt(block_trace(amplitudes, [v.conj().T @ v for _, v, _ in blocks])),
+        method="spectral" if len(blocks) == 1 else "spectral-parity",
         truncated_weight=math.fsum(
             np.linalg.norm(isometry.T @ psi) ** 2 - np.linalg.norm(c) ** 2
-            for _, vectors, c, isometry in spectra if vectors.shape[1] < vectors.shape[0]
+            for (_, vectors, isometry), c in zip(blocks, coefficients)
+            if vectors.shape[1] < vectors.shape[0]
         ),
     )
+
+
+def block_trace(amplitudes: np.ndarray, forms: list[np.ndarray]) -> np.ndarray:
+    """sum_s Re a_s^H F_s a_s at every sample (row of `amplitudes`): F_s is
+    block s's m_s x m_s Hermitian form, a_s its m_s columns, in block order."""
+    total, start = np.zeros(len(amplitudes)), 0
+    for form in forms:
+        part = amplitudes[:, start : start + len(form)]
+        total += np.einsum("ij,ij->i", part.conj(), part @ form).real
+        start += len(form)
+    return total
 
 
 def dominant_frequency(times: np.ndarray, values: np.ndarray) -> float:

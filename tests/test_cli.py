@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ringflow
 from ringflow import solver, sweep
 from ringflow.cli import main
 
@@ -423,6 +427,25 @@ def test_dynamics_at_the_fig2_point(tmp_path, capsys):
     assert payload["relative_deviation"] < 0.02
     assert 0.0 < payload["truncated_weight"] <= 1e-6
     assert payload["norm_drift"] < 1e-10
+
+
+def test_quench_memory_at_the_fig2_point(tmp_path):
+    # the default 20 periods (961 samples) at N=5, r=20: the quench carries
+    # four amplitudes per sample and forms no whole-space state (one such
+    # state per sample took 756 MB).  A fresh parent process reads the peak
+    # RSS of its one child, the CLI run
+    src = os.path.dirname(os.path.dirname(ringflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    measure = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'ringflow.cli', 'dynamics', '--atoms', '5',"
+        " '--modes', '20', '--output', 'trace.csv'], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", measure], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    peak_mb = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 300
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from ringflow.noon import fig4_interaction
 from ringflow.params import SystemParams, raw_coupling, rescale_interaction
 from ringflow.solver import (
     DENSE_CUTOFF,
-    SPECTRAL_BLOCK,
+    block_trace,
     dominant_frequency,
     hamiltonian_blocks,
     lowest_eigenpairs,
@@ -402,6 +401,17 @@ def _spectrum(h):
     return [(*sla.eigh(dense), sp.identity(dense.shape[0], format="csr"))]
 
 
+def _states(blocks, out):
+    """The sample states sum_s S_s V_s a_s(t), one per row, rebuilt from the
+    amplitudes of `out`."""
+    states, start = 0, 0
+    for _, vectors, isometry in blocks:
+        part = out.amplitudes[:, start : start + vectors.shape[1]]
+        states = states + (isometry @ (vectors @ part.T)).T
+        start += vectors.shape[1]
+    return states
+
+
 def _two_level():
     h = sp.csr_matrix(np.array([[0.0, 0.3], [0.3, 0.5]]))
     vals, vecs = np.linalg.eigh(h.toarray())
@@ -412,10 +422,11 @@ def test_propagate_eigenstate_is_stationary():
     h, vals, vecs = _two_level()
     psi0 = vecs[:, 0].astype(complex)
     times = np.linspace(0.0, 50.0, 101)
-    pop = lambda psi: float(abs(psi[0]) ** 2)
-    out = propagate(_spectrum(h), psi0, times, observables={"p": pop})
+    blocks = _spectrum(h)
+    out = propagate(blocks, psi0, times)
     assert out.method == "spectral"
-    assert np.max(np.abs(out.traces["p"] - out.traces["p"][0])) < 1e-10
+    pop = np.abs(out.amplitudes @ blocks[0][1][0]) ** 2  # |psi_0|^2
+    assert np.max(np.abs(pop - pop[0])) < 1e-10
     assert np.max(np.abs(out.norms - 1.0)) < 1e-12
 
 
@@ -425,10 +436,10 @@ def test_propagate_two_level_frequency():
     gap = vals[1] - vals[0]
     period = 2 * math.pi / gap
     times = np.linspace(0.0, 24 * period, 24 * 64 + 1)
-    pop = lambda s: float(abs(s[0]) ** 2)
-    out = propagate(_spectrum(h), psi0.astype(complex), times, observables={"p": pop})
+    blocks = _spectrum(h)
+    out = propagate(blocks, psi0.astype(complex), times)
     assert out.method == "spectral"
-    peak = dominant_frequency(out.times, out.traces["p"])
+    peak = dominant_frequency(out.times, np.abs(out.amplitudes @ blocks[0][1][0]) ** 2)
     assert peak == pytest.approx(gap, rel=1e-3)
 
 
@@ -444,10 +455,11 @@ def _random_state_on_ring():
 def test_propagate_conserves_energy_and_norm():
     h, psi0 = _random_state_on_ring()
     times = np.linspace(0.0, 30.0, 61)
-    energy = lambda s: float(np.real(np.vdot(s, h @ s)))
-    out = propagate(_spectrum(h), psi0, times, observables={"E": energy})
+    blocks = _spectrum(h)
+    out = propagate(blocks, psi0, times)
     assert out.method == "spectral"
-    e = out.traces["E"]
+    vecs = blocks[0][1]
+    e = block_trace(out.amplitudes, [vecs.T @ (h @ vecs)])
     assert np.max(np.abs(e - e[0])) / max(abs(e[0]), 1.0) < 1e-10
     assert np.max(np.abs(out.norms - 1.0)) < 1e-10
 
@@ -458,11 +470,13 @@ def test_propagate_offset_grid_uses_elapsed_time():
     h, psi0 = _random_state_on_ring()
     times = np.linspace(7.5, 12.5, 21)
     exact = np.array([sla.expm(-1j * (t - times[0]) * h.toarray()) @ psi0 for t in times])
-    out = propagate(_spectrum(h), psi0, times, observables=_components((0,)))
-    assert out.traces["re0"][0] == pytest.approx(psi0[0].real, abs=1e-12)
-    assert out.traces["im0"][0] == pytest.approx(psi0[0].imag, abs=1e-12)
-    assert np.max(np.abs(out.traces["re0"] - exact[:, 0].real)) < 1e-10
-    assert np.max(np.abs(out.traces["im0"] - exact[:, 0].imag)) < 1e-10
+    blocks = _spectrum(h)
+    out = propagate(blocks, psi0, times)
+    states = _states(blocks, out)
+    assert states[0, 0].real == pytest.approx(psi0[0].real, abs=1e-12)
+    assert states[0, 0].imag == pytest.approx(psi0[0].imag, abs=1e-12)
+    assert np.max(np.abs(states[:, 0].real - exact[:, 0].real)) < 1e-10
+    assert np.max(np.abs(states[:, 0].imag - exact[:, 0].imag)) < 1e-10
     assert np.max(np.abs(out.norms - np.linalg.norm(exact, axis=1))) < 1e-10
 
 
@@ -474,15 +488,6 @@ def test_propagate_rejects_bad_input():
         propagate(_spectrum(h), np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
 
 
-def _components(indices):
-    """Observables reading the real and imaginary parts of state entries."""
-    observables = {}
-    for i in indices:
-        observables[f"re{i}"] = lambda s, i=i: float(s[i].real)
-        observables[f"im{i}"] = lambda s, i=i: float(s[i].imag)
-    return observables
-
-
 def test_propagate_complex_hermitian():
     # c = V^H psi0: a complex Hermitian operator propagates exactly
     rng = np.random.default_rng(5)
@@ -492,11 +497,14 @@ def test_propagate_complex_hermitian():
     psi0 /= np.linalg.norm(psi0)
     times = np.linspace(0.0, 3.0, 13)
     exact = np.array([sla.expm(-1j * t * h) @ psi0 for t in times])
-    out = propagate(_spectrum(h), psi0, times, observables=_components(range(8)))
+    blocks = _spectrum(h)
+    out = propagate(blocks, psi0, times)
     assert out.method == "spectral"
+    states = _states(blocks, out)
     for i in range(8):
-        assert np.max(np.abs(out.traces[f"re{i}"] - exact[:, i].real)) < 1e-10
-        assert np.max(np.abs(out.traces[f"im{i}"] - exact[:, i].imag)) < 1e-10
+        assert np.max(np.abs(states[:, i].real - exact[:, i].real)) < 1e-10
+        assert np.max(np.abs(states[:, i].imag - exact[:, i].imag)) < 1e-10
+    assert np.max(np.abs(out.norms - 1.0)) < 1e-12  # the complex form V^H V
 
 
 def test_propagate_given_levels_carry_the_projection():
@@ -505,49 +513,35 @@ def test_propagate_given_levels_carry_the_projection():
     h, psi0 = _random_state_on_ring()
     (vals, vecs, identity), = _spectrum(h)
     times = np.linspace(0.0, 5.0, 11)
-    kept = propagate([(vals[:10], vecs[:, :10], identity)], psi0, times,
-                     observables=_components((0, 5)))
+    blocks = [(vals[:10], vecs[:, :10], identity)]
+    kept = propagate(blocks, psi0, times)
     projected = vecs[:, :10] @ (vecs[:, :10].T @ psi0)
     w = 1.0 - np.linalg.norm(projected) ** 2
     assert kept.truncated_weight == pytest.approx(w, abs=1e-12) and w > 0.5
     exact = np.array([sla.expm(-1j * t * h.toarray()) @ projected for t in times])
+    states = _states(blocks, kept)
     for i in (0, 5):
-        assert np.max(np.abs(kept.traces[f"re{i}"] - exact[:, i].real)) < 1e-10
-        assert np.max(np.abs(kept.traces[f"im{i}"] - exact[:, i].imag)) < 1e-10
+        assert np.max(np.abs(states[:, i].real - exact[:, i].real)) < 1e-10
+        assert np.max(np.abs(states[:, i].imag - exact[:, i].imag)) < 1e-10
     assert np.max(np.abs(kept.norms - math.sqrt(1.0 - w))) < 1e-12
     # every level given: nothing is left out
     assert propagate(_spectrum(h), psi0, times).truncated_weight == 0.0
 
 
-def test_propagate_long_grid_in_blocks():
-    # a grid spanning several blocks of sample times matches stepping the
-    # exact one-step propagator, across the block boundaries
+def test_propagate_long_grid():
+    # a long grid matches stepping the exact one-step propagator
     h, psi0 = _random_state_on_ring()
-    times = np.linspace(0.0, 40.0, 2 * SPECTRAL_BLOCK + 3)
+    times = np.linspace(0.0, 40.0, 515)
     step = sla.expm(-1j * (times[1] - times[0]) * h.toarray())
     exact = [psi0]
     for _ in times[1:]:
         exact.append(step @ exact[-1])
     exact = np.array(exact)
-    out = propagate(_spectrum(h), psi0, times, observables=_components((0, 17)))
+    blocks = _spectrum(h)
+    out = propagate(blocks, psi0, times)
     assert out.method == "spectral"
+    states = _states(blocks, out)
     for i in (0, 17):
-        assert np.max(np.abs(out.traces[f"re{i}"] - exact[:, i].real)) < 1e-10
-        assert np.max(np.abs(out.traces[f"im{i}"] - exact[:, i].imag)) < 1e-10
+        assert np.max(np.abs(states[:, i].real - exact[:, i].real)) < 1e-10
+        assert np.max(np.abs(states[:, i].imag - exact[:, i].imag)) < 1e-10
     assert np.max(np.abs(out.norms - 1.0)) < 1e-12
-
-
-def test_propagate_memory_independent_of_grid_length():
-    # 20,000 samples at dimension 56: holding every state at once would take
-    # 3 x 20,000 x 56 x 16 B = 54 MB; blocks of sample times stay far below
-    h, psi0 = _random_state_on_ring()
-    times = np.linspace(0.0, 200.0, 20_000)
-    pop = lambda s: float(abs(s[0]) ** 2)
-    tracemalloc.start()
-    try:
-        out = propagate(_spectrum(h), psi0, times, observables={"p": pop})
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.method == "spectral"
-    assert peak < 10e6
