@@ -49,7 +49,10 @@ from .params import RescaledCoupling, SystemParams, rescale_interaction
 
 DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-10
-DENSE_CUTOFF = 2000
+# largest block solved densely: the crossover of a dense `eigh` and the iterative
+# path, in ms (one sector, m = 2, one BLAS thread, g = 0.01/1.4/85): 2.0-2.1 and
+# 2.1-3.4 at dim 182, 3.5-4.4 and 2.1-5.3 at 280, 5.3-5.5 and 2.7-5.5 at 350
+DENSE_CUTOFF = 300
 DEGENERACY_FACTOR = 10.0
 # largest Gram-term prefactor (b or g_tilde/2, in E0) that `lowest_eigenpairs`
 # solves with LOBPCG, set by wall time against the Lanczos loop (one BLAS
@@ -229,13 +232,14 @@ def _lanczos(
     rows = np.empty((steps, dim))
     alpha, beta = np.empty(steps), np.empty(steps)
     rows[0] = v0 / np.linalg.norm(v0)
+    product = np.empty(dim)  # each coefficient times a row, in place
     eps = np.finfo(float).eps
     for j in range(steps):
         w = operator @ rows[j]
         if j:
-            w -= beta[j - 1] * rows[j - 1]
+            w -= np.multiply(beta[j - 1], rows[j - 1], out=product)
         alpha[j] = w @ rows[j]
-        w -= alpha[j] * rows[j]
+        w -= np.multiply(alpha[j], rows[j], out=product)
         beta[j] = np.linalg.norm(w)
         done = j + 1
         # a breakdown or the step cap

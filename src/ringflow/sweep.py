@@ -7,7 +7,7 @@ task; nothing is memoized or carried from one point to the next, so a
 point's record depends on that point alone, and a grid that rounds two
 values to the same N or r solves both.  The tasks run in forked worker
 processes, one per usable core and each with one BLAS thread, which take
-them one at a time in grid order: the solvers' loops hold the GIL, so
+them one at a time, the largest first: the solvers' loops hold the GIL, so
 threads gain nothing.  The output (`iters` included) is therefore the same
 for any number of workers.  On fig2 the points take 2,361 matvecs at 12
 points and 11,854 at 60.
@@ -170,14 +170,26 @@ def _worker_count(points: int) -> int:
     return 1
 
 
+def _dispatch_order(spec: SweepSpec, values: list[float]) -> list[int]:
+    """Grid positions by decreasing comb(N + r - 1, N), ties in grid order;
+    a value with invalid parameters counts as 0 (its record holds the error)."""
+    def dimension(value: float) -> int:
+        try:
+            params = spec.params_at(value)
+        except ValueError:
+            return 0
+        return math.comb(params.n_atoms + params.n_modes - 1, params.n_atoms)
+    return sorted(range(len(values)), key=lambda i: -dimension(values[i]))
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Execute a sweep point by point; records come back in grid order.
 
     With one worker (`_worker_count`) the points run in this process;
-    otherwise forked workers take them one at a time, in grid order, and send
-    back their records.  Per-point failures are captured in the record's
-    `exception` field without aborting the sweep; a worker that dies raises
-    `BrokenProcessPool`.
+    otherwise forked workers take them one at a time in `_dispatch_order`,
+    the largest whole space first, and send back their records.  Per-point
+    failures are captured in the record's `exception` field without aborting
+    the sweep; a worker that dies raises `BrokenProcessPool`.
     """
     values = [float(value) for value in spec.grid]
     workers = _worker_count(len(values))
@@ -200,7 +212,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
         initargs=(1,),
     )
     try:
-        return list(pool.map(_point_task, [spec] * len(values), values))
+        runs = {i: pool.submit(_point_task, spec, values[i]) for i in _dispatch_order(spec, values)}
+        return [runs[i].result() for i in range(len(values))]
     finally:
         # no worker outlives the sweep, also when it raises
         pool.shutdown(wait=True, cancel_futures=True)

@@ -313,10 +313,10 @@ def test_c09_property_suite(tmp_path):
     dist = angular_momentum_distribution(sol.eigenvectors[:, 0], cached_basis(3, 8))
     worst_refl = max(abs(dist.p_of(int(k)) - dist.p_of(3 - int(k))) for k in dist.momenta)
 
-    # Krylov path matches dense below the cutoff
+    # Krylov path matches a dense solve
     p4 = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
     op4 = build_hamiltonian(p4)
-    dense = lowest_eigenpairs(op4, 3)
+    dense = lowest_eigenpairs(op4, 3, dense_cutoff=op4.dimension)
     krylov = lowest_eigenpairs(op4, 3, dense_cutoff=0, tol=1e-12)
     lanczos_diff = float(np.max(np.abs(dense.eigenvalues - krylov.eigenvalues)))
 

@@ -429,23 +429,35 @@ def test_dynamics_at_the_fig2_point(tmp_path, capsys):
     assert payload["norm_drift"] < 1e-10
 
 
-def test_quench_memory_at_the_fig2_point(tmp_path):
-    # the default 20 periods (961 samples) at N=5, r=20: the quench carries
-    # four amplitudes per sample and forms no whole-space state (one such
-    # state per sample took 756 MB).  A fresh parent process reads the peak
-    # RSS of its one child, the CLI run
+def _cli_peak_mb(tmp_path, args):
+    """Peak RSS of one CLI run, read by a fresh parent process from its one
+    child."""
     src = os.path.dirname(os.path.dirname(ringflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     measure = (
         "import resource, subprocess, sys\n"
-        "subprocess.run([sys.executable, '-m', 'ringflow.cli', 'dynamics', '--atoms', '5',"
-        " '--modes', '20', '--output', 'trace.csv'], check=True)\n"
+        f"subprocess.run([sys.executable, '-m', 'ringflow.cli', *{args!r}], check=True)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
     out = subprocess.run([sys.executable, "-c", measure], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True)
-    peak_mb = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
-    assert peak_mb < 300
+    return int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_quench_memory_at_the_fig2_point(tmp_path):
+    # the default 20 periods (961 samples) at N=5, r=20: the quench carries
+    # four amplitudes per sample and forms no whole-space state (one such
+    # state per sample took 756 MB)
+    args = ["dynamics", "--atoms", "5", "--modes", "20", "--output", "trace.csv"]
+    assert _cli_peak_mb(tmp_path, args) < 300
+
+
+def test_quench_memory_below_the_old_dense_cutoff(tmp_path):
+    # N=4, r=16: blocks of 1,956 and 1,920 columns keep their two lowest
+    # levels; each kept whole below a dense cutoff of 2,000 (241-335 MB)
+    args = ["dynamics", "--atoms", "4", "--modes", "16", "--periods", "2",
+            "--output", "trace.csv"]
+    assert _cli_peak_mb(tmp_path, args) < 200
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -44,7 +44,7 @@ def test_single_atom_splitting_is_2b():
 def test_iterative_matches_dense():
     params = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
     op = build_hamiltonian(params, rescale_interaction(0.7, 12))  # dimension 1365
-    dense = lowest_eigenpairs(op, 3)
+    dense = lowest_eigenpairs(op, 3, dense_cutoff=op.dimension)
     krylov = lowest_eigenpairs(op, 3, dense_cutoff=0, tol=1e-12)
     assert krylov.method == "lobpcg"
     assert np.max(np.abs(dense.eigenvalues - krylov.eigenvalues)) < 1e-8
@@ -282,8 +282,9 @@ def test_wrong_first_sector_is_caught_by_the_certificate(monkeypatch):
         return lowest_eigenpairs(*args, **kwargs)
 
     monkeypatch.setattr(solver, "lowest_eigenpairs", counting)
+    whole = build_hamiltonian(params)
     for m in (2, 3):
-        plain = lowest_eigenpairs(build_hamiltonian(params), m)
+        plain = lowest_eigenpairs(whole, m, dense_cutoff=whole.dimension)
         with monkeypatch.context() as patch:
             patch.setattr(solver, "DENSE_CUTOFF", 0)
             calls.clear()
@@ -376,7 +377,10 @@ def test_convergence_error_reports_residual():
     assert "matvecs" in str(info.value)
 
 
-def test_crossing_phase_snap():
+def test_crossing_phase_snap(monkeypatch):
+    # the whole space (1,365) and its parity blocks solved densely
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", 1365)
+
     def solve(phase):
         params = SystemParams(
             n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=phase
@@ -386,7 +390,7 @@ def test_crossing_phase_snap():
     inside = solve(math.pi + 5e-13)
     outside = solve(math.pi + 2e-12)
     assert inside.method == "dense-parity"
-    assert outside.method == "dense"  # plain path, below the dense cutoff
+    assert outside.method == "dense"  # plain path
     assert _gap(inside) == pytest.approx(_gap(outside), abs=1e-12)
     # inside the snap the sector blocks are assembled at pi itself
     assert np.array_equal(inside.eigenvalues, solve(math.pi).eigenvalues)

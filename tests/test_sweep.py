@@ -217,9 +217,7 @@ def test_same_records_for_any_worker_count(monkeypatch):
     assert sum(rec.iterations for rec in records) > 0  # the Krylov path ran
 
 
-def test_sweep_csv_identical_for_any_worker_count(tmp_path, monkeypatch, capsys):
-    args = ["sweep", "--atoms", "5", "--modes", "12", "--interaction", "0.5",
-            "--barrier", "0.01", "--start", "0.1", "--stop", "10", "--points", "6"]
+def _csv_per_worker_count(args, tmp_path, monkeypatch, capsys):
     texts = []
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
@@ -228,7 +226,43 @@ def test_sweep_csv_identical_for_any_worker_count(tmp_path, monkeypatch, capsys)
         assert multiprocessing.active_children() == []
         texts.append(path.read_bytes())
     capsys.readouterr()
+    return texts
+
+
+def test_sweep_csv_identical_for_any_worker_count(tmp_path, monkeypatch, capsys):
+    args = ["sweep", "--atoms", "5", "--modes", "12", "--interaction", "0.5",
+            "--barrier", "0.01", "--start", "0.1", "--stop", "10", "--points", "6"]
+    texts = _csv_per_worker_count(args, tmp_path, monkeypatch, capsys)
     assert texts[0] == texts[1]
+
+
+def test_atom_number_sweep_csv_identical_for_any_worker_count(tmp_path, monkeypatch, capsys):
+    # N = 2..4 at r = 10: two workers take N=4 (the Lanczos loop on sectors
+    # of 365 and 350) first, one worker takes the grid in order
+    args = ["sweep", "--param", "n_atoms", "--scale", "linear", "--start", "2", "--stop", "4",
+            "--points", "3", "--modes", "10", "--interaction", "5", "--barrier", "0.01"]
+    texts = _csv_per_worker_count(args, tmp_path, monkeypatch, capsys)
+    assert texts[0] == texts[1]
+    assert texts[0].decode().splitlines()[-1].split(",")[-2] != "0"  # N=4 iterated
+
+
+def test_dispatch_order_takes_the_largest_whole_space_first():
+    # N=3 at r=8 (120 states) first; N=1 at r=10 and N=2 at r=4 (10 states
+    # each) tie and keep their grid order
+    base = SystemParams(n_atoms=1, n_modes=8, interaction=0.5, barrier=0.01, phase=math.pi)
+    atoms = SweepSpec(parameter="n_atoms", grid=np.array([1.0, 2.0, 3.0]), base=base,
+                      modes_by_atoms=((1, 10), (2, 4)))
+    assert sweep._dispatch_order(atoms, list(atoms.grid)) == [2, 0, 1]
+    assert sweep._dispatch_order(atoms, [3.0, 2.0, 1.0]) == [0, 1, 2]
+    # r = 7 raises in params_at and counts as 0: after r = 6 (21 states)
+    modes = SweepSpec(parameter="n_modes", grid=np.array([8.0, 7.0, 6.0]),
+                      base=replace(base, n_atoms=2))
+    with pytest.raises(ValueError):
+        modes.params_at(7.0)
+    assert sweep._dispatch_order(modes, list(modes.grid)) == [0, 2, 1]
+    # a coupling grid: every point ties
+    spec = _small_spec()
+    assert sweep._dispatch_order(spec, list(spec.grid)) == list(range(spec.grid.size))
 
 
 def test_workers_use_one_blas_thread(monkeypatch):
