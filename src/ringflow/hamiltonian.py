@@ -30,9 +30,9 @@ single-atom loss operators a_k, all of one (N, r) in one pass without
 ranking (`loss_operators`); A, the stacked a_k and the matrix M with
 P = M @ [a_k]_k are each filled straight into CSR (every a_k holds one entry
 per target row).  A parameter point only sets the prefactors: `assemble`
-applies a block's H_s as kin*x + b*A^T(Ax) + (g_tilde/2)*P^T(Px) through
-scipy's kernels into zeroed buffers, F^T through F's CSC view: the sums and
-roundings of scipy's `@` (for F^T, of a CSR copy) without its dispatch.
+applies a block's H_s as kin*x + b*A^T(Ax) + (g_tilde/2)*P^T(Px) without
+forming the products, each F^T through F's CSC view, which sums every
+output's terms in the order of a CSR copy of F^T.
 `build_hamiltonian` is the whole operator at a point, assembled on the
 cached whole-space block; `solver.hamiltonian_blocks` gives the same point
 as its block list.  The explicit sparse matrix is built from the factors
@@ -50,7 +50,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .basis import FockBasis, build_basis, mode_sum
 from .params import RescaledCoupling, SystemParams, rescale_interaction
@@ -119,15 +118,8 @@ class FactoredOperator:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         y = x * (self.diagonal if x.ndim == 1 else self.diagonal[:, None])
-        kind, vecs = ("matvec", ()) if x.ndim == 1 else ("matvecs", x.shape[1:])
         for coef, factor in self.terms:
-            f, t = factor.matrix, factor.transpose
-            u = np.zeros((f.shape[0], *vecs), y.dtype)
-            getattr(_sparsetools, "csr_" + kind)(*f.shape, *vecs, f.indptr, f.indices, f.data, x, u)
-            v = np.zeros(y.shape, y.dtype)
-            getattr(_sparsetools, "csc_" + kind)(*t.shape, *vecs, t.indptr, t.indices, t.data, u, v)
-            v *= coef
-            y += v
+            y += coef * (factor.transpose @ (factor.matrix @ x))
         return y
 
     @cached_property

@@ -4,8 +4,9 @@
 H = sum_s S_s H_s S_s^T: at the crossing point Omega = pi, where H commutes
 with the momentum reflection k -> 1-k, the two parity sectors (across which
 the avoided-crossing pair splits); elsewhere the whole operator with the
-identity.  A block of at most `DENSE_CUTOFF` columns is solved densely.  A
-larger block in the weak-coupling regime (every Gram prefactor, b or
+identity.  A block of at most `DENSE_CUTOFF` columns is solved densely (300,
+where a dense `eigh` stops being faster than the iterative path).  A larger
+block in the weak-coupling regime (every Gram prefactor, b or
 g_tilde/2, at most `LOBPCG_MAX_COUPLING`) is solved by LOBPCG with one column
 per requested level, preconditioned exactly on its low-kinetic window and by
 Jacobi elsewhere and started from the window's own eigenvectors; there the
@@ -232,14 +233,13 @@ def _lanczos(
     rows = np.empty((steps, dim))
     alpha, beta = np.empty(steps), np.empty(steps)
     rows[0] = v0 / np.linalg.norm(v0)
-    product = np.empty(dim)  # each coefficient times a row, in place
     eps = np.finfo(float).eps
     for j in range(steps):
         w = operator @ rows[j]
         if j:
-            w -= np.multiply(beta[j - 1], rows[j - 1], out=product)
+            w -= beta[j - 1] * rows[j - 1]
         alpha[j] = w @ rows[j]
-        w -= np.multiply(alpha[j], rows[j], out=product)
+        w -= alpha[j] * rows[j]
         beta[j] = np.linalg.norm(w)
         done = j + 1
         # a breakdown or the step cap

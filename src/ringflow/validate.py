@@ -134,7 +134,7 @@ def _check_symmetries(results: list[CheckResult]) -> None:
 def _check_krylov_vs_dense(results: list[CheckResult]) -> None:
     params = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
     op = build_hamiltonian(params)
-    dense = lowest_eigenpairs(op, 3)
+    dense = lowest_eigenpairs(op, 3, dense_cutoff=op.dimension)
     iterative = lowest_eigenpairs(op, 3, dense_cutoff=0, tol=1e-12)
     diff = float(np.max(np.abs(dense.eigenvalues - iterative.eigenvalues)))
     results.append(
@@ -142,7 +142,7 @@ def _check_krylov_vs_dense(results: list[CheckResult]) -> None:
     )
 
     parity = solve_lowest(params, m=2)
-    plain = lowest_eigenpairs(op, 2)
+    plain = lowest_eigenpairs(op, 2, dense_cutoff=op.dimension)
     gap_diff = abs(
         (parity.eigenvalues[1] - parity.eigenvalues[0])
         - (plain.eigenvalues[1] - plain.eigenvalues[0])

@@ -51,11 +51,11 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # every command runs on one BLAS thread whatever OPENBLAS_NUM_THREADS
     # says: a one-point sweep in the CLI's own process, at g = 0.1 on LOBPCG
     # and at g = 10 on the Lanczos loop (sectors of 2,184); the default
-    # quench; the solves whose dense form rounded differently on two threads
-    # when blocks up to 2,000 columns were dense (N=3 `noon` sectors of 770,
-    # `validate`, and N=4, r=12's parity blocks of 683, whose eigenvectors
-    # moved by up to 2.5e-11), now iterative; and N=4, r=20, whose quench
-    # solves blocks of 4,455 and 4,400 iteratively
+    # quench; `noon --with-ed`, whose N=5 LOBPCG gap moves in its 10th digit
+    # on two threads; `validate`, whose dense references (1,365 columns) move
+    # its details; N=4, r=12, whose parity blocks of 683 rounded differently
+    # when they were dense; and N=4, r=20, whose quench solves blocks of
+    # 4,455 and 4,400 iteratively
     src = os.path.dirname(os.path.dirname(ringflow.__file__))
     envs = {threads: dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                           PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -602,3 +602,24 @@ def test_validate_runs_clean(tmp_path, capsys):
     assert audit["perturbative_reference"] == 2.0
     for data in audit["measured"].values():
         assert data["limit_estimate"] == pytest.approx(2.0, rel=0.02)
+
+
+def test_validate_compares_the_solvers_with_dense_references(monkeypatch):
+    # N=4, r=12 has 1,365 columns, above DENSE_CUTOFF: the references must
+    # ask for a dense solve, or the checks compare an iterative path to itself
+    from ringflow import validate
+
+    methods = []
+
+    def spy(op, m, **kwargs):
+        sol = solver.lowest_eigenpairs(op, m, **kwargs)
+        methods.append(sol.method)
+        return sol
+
+    monkeypatch.setattr(validate, "lowest_eigenpairs", spy)
+    results = []
+    validate._check_krylov_vs_dense(results)
+    assert methods == ["dense", "lobpcg", "dense"]
+    assert [r.name for r in results if r.passed] == [
+        "krylov_matches_dense", "parity_path_matches_plain"
+    ]
