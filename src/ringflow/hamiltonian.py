@@ -20,32 +20,42 @@ over the total momentum K of the removed pair.
 
 One `Block` type holds the coupling-independent pieces of H on a set of
 columns: the kinetic sums, the factors A and P, and the isometry S from the
-block's columns into the N-atom space.  The whole space is one block with
-S the identity; at Omega = pi the two reflection-parity sectors are two
-blocks, with H = sum_s S_s H_s S_s^T.  A and P keep parity, so a sector's
+block's columns into the N-atom space.  The two reflection-parity (k -> 1-k)
+sectors are the only blocks an (N, r) keeps (`cached_sector_pieces`), and
+their factors the only Gram factors.  A and P keep parity, so a sector's
 factors are projected on both sides, from the sector of the N-atom space
 onto the same sector of the target rows; this halves the rows and nonzeros
-that a sector matvec touches.  Blocks are built once per (N, r) from the
-single-atom loss operators a_k, all of one (N, r) in one pass without
-ranking (`loss_operators`); A, the stacked a_k and the matrix M with
-P = M @ [a_k]_k are each filled straight into CSR (every a_k holds one entry
-per target row).  A parameter point only sets the prefactors: `assemble`
-applies a block's H_s as kin*x + b*A^T(Ax) + (g_tilde/2)*P^T(Px) without
-forming the products, each F^T through F's CSC view, which sums every
-output's terms in the order of a CSR copy of F^T.
-`build_hamiltonian` is the whole operator at a point, assembled on the
-cached whole-space block; `solver.hamiltonian_blocks` gives the same point
-as its block list.  The explicit sparse matrix is built from the factors
-only for dense solves.  Matrix elements use the bosonic ladder conventions
-sqrt(n) / sqrt(n+1); explicit matrices are exactly symmetric and rebuilding
-the factors is bit-identical.
+that a sector matvec touches.  Only the target's representative rows of A
+and P are formed, straight from the single-atom loss operators a_k, and
+neither is formed whole: every a_k, and so every product a_{k1} a_{k2},
+holds one entry per target row, so a row of A = sum_k a_k or of
+P_K = sum_{k1+k2=K} a_{k1} a_{k2} is filled straight into CSR.  All a_k of
+one (N, r) come from one pass without ranking (`loss_operators`).
+`cached_pieces` holds what the blocks are cut from besides the a_k: the
+orbits of the reflection and the kinetic sums of their representatives.
+
+A parameter point only sets the prefactors: `assemble` applies a block's H_s
+as kin*x + b*A^T(Ax) + (g_tilde/2)*P^T(Px) without forming the products,
+each F^T through F's CSC view, which sums every output's terms in the order
+of a CSR copy of F^T.  At Omega = pi, H = sum_s S_s H_s S_s^T.  At any
+other phase `assemble_parity` gives H as one block on the parity
+coordinates Q = [S_even S_odd], from the same sector pieces: the kinetic
+term is the only one that depends on Omega, and its part that changes sign
+under the reflection couples the even and odd column of each reflected pair.
+`build_hamiltonian` is the operator in the Fock basis at a point, on
+whole-space factors built from the a_k on each call and not kept, the
+reference the parity path is checked against.  The
+explicit sparse matrix is built from the factors only for dense solves.
+Matrix elements use the bosonic ladder conventions sqrt(n) / sqrt(n+1);
+explicit matrices are exactly symmetric and rebuilding the factors is
+bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -53,6 +63,10 @@ import scipy.sparse as sp
 
 from .basis import FockBasis, build_basis, mode_sum
 from .params import RescaledCoupling, SystemParams, rescale_interaction
+
+# rows of a factor formed at once while building the sector factors, which
+# bounds the build's temporaries (rows of A or P and their products with S)
+ROW_CHUNK = 1 << 16
 
 _CACHE: dict[tuple, object] = {}
 # a miss builds under the lock, so library callers that solve from several
@@ -101,16 +115,44 @@ class Factor:
         return np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
 
 
+@dataclass(frozen=True)
+class PairCoupling:
+    """The symmetric term C that couples column `first + j` with column
+    `second + j` by `values[j]`, for each j, two ranges that do not overlap:
+    off the crossing, the even and odd column of reflected pair j
+    (`assemble_parity`).  It is applied on the two column ranges as slices."""
+
+    first: int
+    second: int
+    values: np.ndarray
+
+    def add_to(self, y: np.ndarray, x: np.ndarray) -> None:
+        """y += C @ x, for a vector or a block of columns x."""
+        n = self.values.size
+        c = self.values if x.ndim == 1 else self.values[:, None]
+        y[self.first : self.first + n] += c * x[self.second : self.second + n]
+        y[self.second : self.second + n] += c * x[self.first : self.first + n]
+
+    def matrix(self, size: int) -> sp.csr_matrix:
+        """C as an exactly symmetric size x size sparse matrix."""
+        j = np.arange(self.values.size)
+        rows = np.concatenate([self.first + j, self.second + j])
+        cols = np.concatenate([self.second + j, self.first + j])
+        return sp.csr_matrix((np.tile(self.values, 2), (rows, cols)), shape=(size, size))
+
+
 @dataclass
 class FactoredOperator:
-    """H = diag(diagonal) + sum_i c_i F_i^T F_i over nonzero prefactors c_i.
+    """H = diag(diagonal) + C + sum_i c_i F_i^T F_i over nonzero prefactors
+    c_i, with C the `pair_coupling` term (or none).
 
-    `H @ x` applies the terms factor by factor; `matrix` forms the explicit,
+    `H @ x` applies the terms one by one; `matrix` forms the explicit,
     exactly symmetric sparse matrix on first use.
     """
 
     diagonal: np.ndarray
     terms: tuple[tuple[float, Factor], ...]
+    pair_coupling: PairCoupling | None = None
 
     @property
     def dimension(self) -> int:
@@ -118,6 +160,8 @@ class FactoredOperator:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         y = x * (self.diagonal if x.ndim == 1 else self.diagonal[:, None])
+        if self.pair_coupling is not None:
+            self.pair_coupling.add_to(y, x)
         for coef, factor in self.terms:
             y += coef * (factor.transpose @ (factor.matrix @ x))
         return y
@@ -125,6 +169,8 @@ class FactoredOperator:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         out = sp.diags(self.diagonal, format="csr")
+        if self.pair_coupling is not None:
+            out = out + self.pair_coupling.matrix(self.dimension)
         for coef, factor in self.terms:
             out = out + coef * (factor.transpose.tocsr() @ factor.matrix)
         return _symmetrize(out)
@@ -153,63 +199,108 @@ class Block:
     isometry: sp.csr_matrix
 
 
-def _block_rows(blocks: list, shape: tuple[int, int]) -> sp.csr_matrix:
-    """One CSR matrix from equal-height block rows, each a list of
-    (a, column offset) whose a hold one entry per row, as every a_k does:
-    row i of a block holds entry i of each a, shifted by its offset, in list
-    order."""
-    height = blocks[0][0][0].shape[0]
-    widths = [len(parts) for parts in blocks]
-    nnz = height * sum(widths)
+@dataclass(frozen=True)
+class Pieces:
+    """What the sector blocks of (N, r) are cut from besides the a_k.
+
+    The orbits of the reflection k -> 1-k: the states it fixes, and the
+    lower and upper index of each pair of states it swaps, by lower index.
+    And the kinetic sums sum_k k*n_k and sum_k k^2*n_k of each orbit's
+    representative, the fixed states and then the lower members: the even
+    sector's columns, whose tail past the fixed states is the odd sector's.
+    The sector blocks hold these arrays and views of them, not copies.
+    """
+
+    fixed: np.ndarray
+    pair_lo: np.ndarray
+    pair_hi: np.ndarray
+    kin_k: np.ndarray
+    kin_k2: np.ndarray
+
+
+def _block_rows(blocks: list, width: int, rows: np.ndarray | None = None) -> sp.csr_matrix:
+    """One CSR matrix of `width` columns from equal-height block rows, each a
+    list of terms (w, a, b) whose operators hold one entry per row, as every
+    a_k does: row i of a block holds the one entry of row i of w * a @ b
+    (b None: of w * a) for each of its terms, in list order.  `rows` selects
+    the rows (block index) * height + i to form, ascending (default: all)."""
+    height = blocks[0][0][1].shape[0]
+    widths = np.array([len(terms) for terms in blocks])
+    if rows is None:
+        bounds = np.arange(len(blocks) + 1) * height
+        counts = np.repeat(widths, height)
+    else:
+        block, within = np.divmod(rows, height)
+        bounds = np.searchsorted(block, np.arange(len(blocks) + 1))
+        counts = widths[block]
+    nnz = int(counts.sum())
     # scipy's index type for the shape and nnz, which every index lies below
-    index = np.int32 if max(nnz, *shape) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(len(blocks) * height + 1, index)
-    np.cumsum(np.repeat(widths, height), out=indptr[1:], dtype=index)
+    index = np.int32 if max(nnz, counts.size, width) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(counts.size + 1, index)
+    np.cumsum(counts, out=indptr[1:], dtype=index)
     indices, data = np.empty(nnz, index), np.empty(nnz)
-    for parts, start in zip(blocks, indptr[::height]):
-        for j, (a, offset) in enumerate(parts):
-            entries = slice(start + j, start + height * len(parts), len(parts))
-            np.add(a.indices, offset, out=indices[entries], dtype=index)
-            data[entries] = a.data
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
+    # a block's rows are contiguous, and so are their entries; a block whose
+    # rows are all selected (most of P's, the blocks of K < 1) reads a whole
+    for terms, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+        source = slice(None) if hi - lo == height else within[lo:hi]
+        for j, (weight, a, b) in enumerate(terms):
+            entries = slice(indptr[lo] + j, indptr[hi], len(terms))
+            column, value = a.indices[source], a.data[source]
+            if b is not None:
+                column, value = b.indices[column], value * b.data[column]
+            indices[entries] = column
+            data[entries] = value if weight == 1.0 else weight * value
+    return sp.csr_matrix((data, indices, indptr), shape=(counts.size, width))
 
 
-def build_pieces(basis: FockBasis) -> Block:
-    """The whole space as one block (S = identity): the kinetic sums and the
-    factors A and P, from the cached a_k matrices."""
-    n, r = basis.n_atoms, basis.n_modes
-    singles = [cached_loss_operator(n, r, int(k)) for k in basis.window]
-    rows = singles[0].shape[0]
-    # the a_k have disjoint supports, so their sum is exact
-    annihilator = _block_rows([[(a, 0) for a in singles]], (rows, basis.size))
-    pair = None
-    if n >= 2:
-        # P = M @ [a_k2]_k2 with block (K, k2) of M equal to the (N-1)-atom
-        # a_{K-k2}, so block row K of P is sum_{k1+k2=K} a_{k1} a_{k2}; for
-        # K = 2*k_min + t and k2 = k_min + c, K - k2 is window position t - c
-        lower = [cached_loss_operator(n - 1, r, int(k)) for k in basis.window]
-        mixer = [[(lower[t - c], c * rows) for c in range(r) if 0 <= t - c < r]
-                 for t in range(2 * r - 1)]
-        stacked = [[(a, 0)] for a in singles]
-        # M and V are temporaries of the product (peak memory)
-        pair = _block_rows(mixer, ((2 * r - 1) * lower[0].shape[0], r * rows)) @ _block_rows(
-            stacked, (r * rows, basis.size)
-        )
-    return Block(
-        kin_k=basis.total_k.astype(float),
-        kin_k2=mode_sum(basis.occupations, basis.window**2).astype(float),
-        barrier_factor=Factor.of(annihilator),
-        interaction_factor=None if pair is None else Factor.of(pair),
-        isometry=sp.identity(basis.size, format="csr"),
-    )
+def _gram_blocks(n_atoms: int, n_modes: int) -> tuple[list, list | None]:
+    """The block rows (`_block_rows`) of A and of P, from the cached a_k; P's
+    are None for a single atom, which has no pairs.
+
+    A = sum_k a_k in one block: the a_k have disjoint supports, so the sum is
+    exact.  Block row K = 2*k_min + t of P is P_K = sum_{k1+k2=K} a_{k1} a_{k2}
+    over ordered pairs, where each a_{k1} a_{k2} (N-1 and N-atom operators)
+    holds one entry per row, and (k1, k2) and (k2, k1) give the same entry,
+    the same two square roots in the other order: one term
+    2 a_{k1} a_{k2} per unordered pair k2 < k1 (a_{k2}^2 once for k1 = k2),
+    with k2 = k_min + c and k1 = k_min + t - c.
+    """
+    window = cached_basis(n_atoms, n_modes).window
+    singles = [cached_loss_operator(n_atoms, n_modes, int(k)) for k in window]
+    annihilator = [[(1.0, a, None) for a in singles]]
+    if n_atoms < 2:
+        return annihilator, None
+    lower = [cached_loss_operator(n_atoms - 1, n_modes, int(k)) for k in window]
+    r = n_modes
+    pair = [
+        [(1.0 if 2 * c == t else 2.0, lower[t - c], singles[c])
+         for c in range(max(0, t - r + 1), t // 2 + 1)]
+        for t in range(2 * r - 1)
+    ]
+    return annihilator, pair
+
+
+def _kinetic_sums(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k k*n_k and sum_k k^2*n_k of every state, as floats."""
+    return basis.total_k.astype(float), mode_sum(basis.occupations, basis.window**2).astype(float)
+
+
+def build_pieces(basis: FockBasis) -> Pieces:
+    """The reflection orbits of the basis, and the kinetic sums of their
+    representatives."""
+    perm = basis.reflection_permutation()
+    fixed, pair_lo = _parity_orbits(perm)
+    reps = np.concatenate([fixed, pair_lo])
+    kin_k, kin_k2 = _kinetic_sums(basis)
+    return Pieces(fixed, pair_lo, perm[pair_lo], kin_k[reps], kin_k2[reps])
 
 
 def cached_basis(n_atoms: int, n_modes: int) -> FockBasis:
     return _cached(("basis", n_atoms, n_modes), lambda: build_basis(n_atoms, n_modes))
 
 
-def cached_pieces(n_atoms: int, n_modes: int) -> Block:
-    """The whole-space block for (N, r), memoized in-process."""
+def cached_pieces(n_atoms: int, n_modes: int) -> Pieces:
+    """`build_pieces` for (N, r), memoized in-process."""
     return _cached(
         ("pieces", n_atoms, n_modes), lambda: build_pieces(cached_basis(n_atoms, n_modes))
     )
@@ -230,17 +321,74 @@ def assemble(block: Block, params: SystemParams, coupling: RescaledCoupling) -> 
     )
 
 
+def _block_diagonal(upper: sp.csr_matrix, lower: sp.csr_matrix) -> sp.csr_matrix:
+    """diag(upper, lower) in CSR, joined from the two matrices' arrays (a
+    fifth of the time of `sp.block_diag`, which goes through COO)."""
+    return sp.csr_matrix(
+        (
+            np.concatenate([upper.data, lower.data]),
+            np.concatenate([upper.indices, lower.indices + upper.shape[1]]),
+            np.concatenate([upper.indptr, lower.indptr[1:] + upper.nnz]),
+        ),
+        shape=(upper.shape[0] + lower.shape[0], upper.shape[1] + lower.shape[1]),
+    )
+
+
+def assemble_parity(
+    sectors: tuple[Block, Block], params: SystemParams, coupling: RescaledCoupling
+) -> tuple[FactoredOperator, sp.csr_matrix]:
+    """H at any phase as one block on the parity coordinates, with its
+    isometry Q = [S_even S_odd]: (Q^T H Q, Q).
+
+    With a = Omega/2pi and k1 = sum_k k*n_k, the kinetic term is its value at
+    pi plus (1 - 2a)(k1 - N/2) + N(a - 1/2)^2.  Every other term commutes
+    with the reflection, which maps k1 - N/2 to its negative, so Q^T H Q is
+    the two sector operators at pi side by side (block-diagonal factors),
+    plus N(a - 1/2)^2 on the diagonal, plus the `PairCoupling`
+    (1 - 2a)(k1 - N/2) between the even and odd column of each reflected
+    pair, with k1 that of the pair's lower member: pair j has even column
+    n_fixed + j and odd column j.  The coupling vanishes at the crossing.
+    """
+    even, odd = sectors
+    n_atoms, a = params.n_atoms, params.phase / (2.0 * math.pi)
+    at_pi = [assemble(s, replace(params, phase=math.pi), coupling) for s in sectors]
+    diagonal = np.concatenate([op.diagonal for op in at_pi]) + n_atoms * (a - 0.5) ** 2
+    terms = tuple(
+        (coef, Factor.of(_block_diagonal(f.matrix, g.matrix)))
+        for (coef, f), (_, g) in zip(at_pi[0].terms, at_pi[1].terms)
+    )
+    n_even, n_pairs = even.kin_k.size, odd.kin_k.size
+    coupling_term = None
+    if a != 0.5:
+        coupling_term = PairCoupling(
+            n_even - n_pairs, n_even, (1.0 - 2.0 * a) * (odd.kin_k - 0.5 * n_atoms)
+        )
+    isometry = sp.hstack([even.isometry, odd.isometry], format="csr")
+    return FactoredOperator(diagonal, terms, coupling_term), isometry
+
+
 def build_hamiltonian(
     params: SystemParams, coupling: RescaledCoupling | None = None
 ) -> FactoredOperator:
-    """The whole operator at one parameter point, on the cached whole-space block.
+    """The operator in the Fock basis at one parameter point, on whole-space
+    kinetic sums and factors built from the basis and the cached a_k on each
+    call and not kept, so that it shares nothing with the sector blocks the
+    solvers read.
 
     `coupling` defaults to the rescaling of params.interaction;
     pass `raw_coupling(params.interaction)` to disable the rescaling.
     """
     if coupling is None:
         coupling = rescale_interaction(params.interaction, params.n_modes)
-    return assemble(cached_pieces(params.n_atoms, params.n_modes), params, coupling)
+    basis = cached_basis(params.n_atoms, params.n_modes)
+    annihilator, pair = _gram_blocks(params.n_atoms, params.n_modes)
+    whole = Block(
+        *_kinetic_sums(basis),
+        Factor.of(_block_rows(annihilator, basis.size)),
+        None if pair is None else Factor.of(_block_rows(pair, basis.size)),
+        sp.identity(basis.size, format="csr"),
+    )
+    return assemble(whole, params, coupling)
 
 
 def loss_operators(basis_n: FockBasis, basis_nm1: FockBasis) -> tuple[sp.csr_matrix, ...]:
@@ -278,42 +426,44 @@ def cached_loss_operator(n_atoms: int, n_modes: int, k: int) -> sp.csr_matrix:
 
 
 def cached_sector_pieces(n_atoms: int, n_modes: int) -> tuple[Block, Block]:
-    """The (even, odd) reflection-parity (k -> 1-k) blocks, valid at Omega = pi.
+    """The (even, odd) reflection-parity (k -> 1-k) blocks of (N, r), whose
+    factors are the only Gram factors it keeps: blocks of H at Omega = pi,
+    and the pieces of `assemble_parity` at any other phase.
 
-    At the crossing point the reflection commutes with every Hamiltonian
-    piece, so with S the isometry onto a sector, the sector block of
-    b*A^T A + (g_tilde/2)*P^T P is b*(AS)^T(AS) + (g_tilde/2)*(PS)^T(PS).
-    The reflection also maps A's target space onto itself and P's stacked
-    rows (K, i) onto (2-K, reflected i), so A and P keep parity:
-    AS = S'(S'^T A S) with S' the same-parity isometry of A's target, and
-    likewise for P.  Each sector keeps the two-sided factors S'^T A S and
-    S''^T P S, whose Gram products equal (AS)^T(AS) and (PS)^T(PS) and
-    whose rows are the target's parity orbits only: half the rows and half
-    the nonzeros of AS and PS (N=5, r=20: 88,550 and 161,700 nonzeros per
-    sector).  The kinetic sums are those of each column's orbit
-    representative; at Omega = pi the kinetic term is reflection-invariant.
+    The reflection commutes with A^T A and P^T P, so with S the isometry
+    onto a sector, the sector block of b*A^T A + (g_tilde/2)*P^T P is
+    b*(AS)^T(AS) + (g_tilde/2)*(PS)^T(PS).  The reflection also maps A's
+    target space onto itself and P's stacked rows (K, i) onto
+    (2-K, reflected i), so A and P keep parity: AS = S'(S'^T A S) with S'
+    the same-parity isometry of A's target, and likewise for P.  Each
+    sector keeps the two-sided factors S'^T A S and S''^T P S, whose Gram
+    products equal (AS)^T(AS) and (PS)^T(PS) and whose rows are the target's
+    parity orbits only: half the rows and half the nonzeros of AS and PS
+    (N=5, r=20: 88,550 and 161,700 nonzeros per sector).  They are built
+    straight from the a_k, one representative row of each target orbit
+    (`_gram_blocks`), with no whole-space A or P.  The kinetic sums are
+    those of each column's orbit representative, held by `cached_pieces`;
+    at Omega = pi the kinetic term is reflection-invariant.
     """
     return _cached(("sectors", n_atoms, n_modes), lambda: _sector_blocks(n_atoms, n_modes))
 
 
 def _sector_blocks(n_atoms: int, n_modes: int) -> tuple[Block, Block]:
-    whole = cached_pieces(n_atoms, n_modes)
-    isometries, reps = _parity_isometries(
-        cached_basis(n_atoms, n_modes).reflection_permutation()
-    )
+    pieces = cached_pieces(n_atoms, n_modes)
+    isometries = _parity_isometries(pieces)
+    annihilator, pair = _gram_blocks(n_atoms, n_modes)
     barrier = _two_sided(
-        whole.barrier_factor.matrix,
-        cached_basis(n_atoms - 1, n_modes).reflection_permutation(),
-        isometries,
+        annihilator, cached_basis(n_atoms - 1, n_modes).reflection_permutation(), isometries
     )
-    p = whole.interaction_factor
     interaction = (
-        (None, None) if p is None
-        else _two_sided(p.matrix, _pair_row_reflection(n_atoms, n_modes), isometries)
+        (None, None) if pair is None
+        else _two_sided(pair, _pair_row_reflection(n_atoms, n_modes), isometries)
     )
+    # the odd columns are the even ones past the fixed states
+    columns = (slice(None), slice(pieces.fixed.size, None))
     return tuple(
-        Block(whole.kin_k[r], whole.kin_k2[r], a, f, s)
-        for r, a, f, s in zip(reps, barrier, interaction, isometries)
+        Block(pieces.kin_k[c], pieces.kin_k2[c], a, f, s)
+        for c, a, f, s in zip(columns, barrier, interaction, isometries)
     )
 
 
@@ -324,20 +474,16 @@ def _parity_orbits(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(perm == idx), np.flatnonzero(perm > idx)
 
 
-def _parity_isometries(
-    perm: np.ndarray,
-) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], tuple[np.ndarray, np.ndarray]]:
-    """Isometries onto the even/odd eigenspaces of an involutive index
-    permutation, and the orbit representative of each sector column.
+def _parity_isometries(pieces: Pieces) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Isometries onto the even/odd eigenspaces of the reflection.
 
-    Fixed points span the even sector alone; each pair (i, perm[i]) gives one
-    even column (e_i + e_perm[i])/sqrt(2) and one odd column
-    (e_i - e_perm[i])/sqrt(2).  Columns follow the orbits: fixed points
-    first, then pairs by their lower index.
+    Fixed points span the even sector alone; each pair (lo, hi) gives one
+    even column (e_lo + e_hi)/sqrt(2) and one odd column
+    (e_lo - e_hi)/sqrt(2).  Columns follow the orbits: fixed points first,
+    then pairs by their lower index.
     """
-    size = perm.size
-    fixed, pair_lo = _parity_orbits(perm)
-    pair_hi = perm[pair_lo]
+    fixed, pair_lo, pair_hi = pieces.fixed, pieces.pair_lo, pieces.pair_hi
+    size = fixed.size + 2 * pair_lo.size
     inv = 1.0 / math.sqrt(2.0)
 
     n_even = fixed.size + pair_lo.size
@@ -350,18 +496,17 @@ def _parity_isometries(
         [np.ones(fixed.size), np.full(pair_lo.size, inv), np.full(pair_lo.size, inv)]
     )
     s_even = sp.coo_matrix((vals, (rows, cols)), shape=(size, n_even)).tocsr()
-    reps_even = np.concatenate([fixed, pair_lo])
 
     rows = np.concatenate([pair_lo, pair_hi])
     cols = np.concatenate([np.arange(pair_lo.size), np.arange(pair_lo.size)])
     vals = np.concatenate([np.full(pair_lo.size, inv), np.full(pair_lo.size, -inv)])
     s_odd = sp.coo_matrix((vals, (rows, cols)), shape=(size, pair_lo.size)).tocsr()
-    return (s_even, s_odd), (reps_even, pair_lo)
+    return s_even, s_odd
 
 
 def _pair_row_reflection(n_atoms: int, n_modes: int) -> np.ndarray:
     """Reflection of P's stacked rows: (K, i) -> (2-K, R(i)), i an
-    (N-2)-atom state.  `build_pieces` stacks the blocks over
+    (N-2)-atom state.  `_gram_blocks` stacks the blocks over
     K = 2*k_min..2*k_max, a range that K -> 2-K reverses."""
     perm = cached_basis(n_atoms - 2, n_modes).reflection_permutation()
     n_totals = 2 * n_modes - 1
@@ -370,22 +515,25 @@ def _pair_row_reflection(n_atoms: int, n_modes: int) -> np.ndarray:
 
 
 def _two_sided(
-    matrix: sp.csr_matrix, target_perm: np.ndarray, columns: tuple[sp.csr_matrix, ...]
+    blocks: list, target_perm: np.ndarray, columns: tuple[sp.csr_matrix, ...]
 ) -> tuple[Factor, ...]:
     """Factors S'_s^T F S_s for s = even, odd, with S'_s the isometries of
-    the target permutation (`_parity_isometries`).
+    the target permutation (as `_parity_isometries` builds them) and F given
+    by its block rows (`_block_rows`).
 
     F S_s has parity s, so the rows of a pair (i, perm[i]) are equal up to
     sign and S'_s^T F S_s is row i of F S_s, times sqrt(2) for a pair: only
-    the representative rows are formed, and S'_s is never built.
+    the representative rows of F are formed, the fixed rows and then the
+    lower row of each pair, `ROW_CHUNK` at a time, and S'_s is never built.
     """
     fixed, pair_lo = _parity_orbits(target_perm)
-    root2 = np.full(pair_lo.size, math.sqrt(2.0))
-    sectors = (
-        (np.concatenate([fixed, pair_lo]), np.concatenate([np.ones(fixed.size), root2])),
-        (pair_lo, root2),
-    )
+    root2 = math.sqrt(2.0)
+    sectors = (((fixed, 1.0), (pair_lo, root2)), ((pair_lo, root2),))
     return tuple(
-        Factor.of(sp.diags(scale) @ (matrix[rows] @ s))
-        for (rows, scale), s in zip(sectors, columns)
+        Factor.of(sp.vstack([
+            sp.diags(np.full(chunk.size, scale)) @ (_block_rows(blocks, s.shape[0], chunk) @ s)
+            for rows, scale in runs
+            for chunk in np.split(rows, range(ROW_CHUNK, rows.size, ROW_CHUNK))
+        ], "csr"))
+        for runs, s in zip(sectors, columns)
     )

@@ -7,10 +7,10 @@ task; nothing is memoized or carried from one point to the next, so a
 point's record depends on that point alone, and a grid that rounds two
 values to the same N or r solves both.  The tasks run in forked worker
 processes, one per usable core and each with one BLAS thread, which take
-them one at a time, the largest first: the solvers' loops hold the GIL, so
-threads gain nothing.  The output (`iters` included) is therefore the same
-for any number of workers.  On fig2 the points take 2,361 matvecs at 12
-points and 11,854 at 60.
+them one at a time, the largest (then the most strongly coupled) first: the
+solvers' loops hold the GIL, so threads gain nothing.  The output (`iters`
+included) is therefore the same for any number of workers.  On fig2 the
+points take 2,361 matvecs at 12 points and 11,854 at 60.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import ConvergenceError, DimensionCapError
 from .hamiltonian import cached_basis
 from .observables import angular_momentum_distribution, loss_quality, quality
 from .params import (
+    RescaledCoupling,
     SystemParams,
     interaction_for_gamma,
     lieb_liniger_gamma,
@@ -122,15 +123,17 @@ def _without_frames(exc: BaseException) -> BaseException:
     return exc
 
 
+def _coupling(spec: SweepSpec, params: SystemParams) -> RescaledCoupling:
+    if spec.rescale:
+        return rescale_interaction(params.interaction, params.n_modes)
+    return raw_coupling(params.interaction)
+
+
 def _point_record(spec: SweepSpec, value: float) -> SweepRecord:
     record = SweepRecord(value=float(value))
     try:
         params = spec.params_at(value)
-        coupling = (
-            rescale_interaction(params.interaction, params.n_modes)
-            if spec.rescale
-            else raw_coupling(params.interaction)
-        )
+        coupling = _coupling(spec, params)
         record.gamma = lieb_liniger_gamma(params)
         record.g_tilde = coupling.g_tilde
         solution = solve_lowest(params, m=2, coupling=coupling, tol=spec.tol, seed=spec.seed)
@@ -171,15 +174,19 @@ def _worker_count(points: int) -> int:
 
 
 def _dispatch_order(spec: SweepSpec, values: list[float]) -> list[int]:
-    """Grid positions by decreasing comb(N + r - 1, N), ties in grid order;
-    a value with invalid parameters counts as 0 (its record holds the error)."""
-    def dimension(value: float) -> int:
+    """Grid positions by decreasing comb(N + r - 1, N), ties by the larger
+    Gram prefactor max(b, g_tilde/2) under the spec's rescaling (strong
+    couplings go to the Lanczos loop, which takes longer than LOBPCG), then
+    in grid order; a value with invalid parameters counts as 0 (its record
+    holds the error)."""
+    def key(value: float) -> tuple[int, float]:
         try:
             params = spec.params_at(value)
+            strength = max(params.barrier, 0.5 * _coupling(spec, params).g_tilde)
         except ValueError:
-            return 0
-        return math.comb(params.n_atoms + params.n_modes - 1, params.n_atoms)
-    return sorted(range(len(values)), key=lambda i: -dimension(values[i]))
+            return 0, 0.0
+        return -math.comb(params.n_atoms + params.n_modes - 1, params.n_atoms), -strength
+    return sorted(range(len(values)), key=lambda i: key(values[i]))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
@@ -187,9 +194,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
 
     With one worker (`_worker_count`) the points run in this process;
     otherwise forked workers take them one at a time in `_dispatch_order`,
-    the largest whole space first, and send back their records.  Per-point
-    failures are captured in the record's `exception` field without aborting
-    the sweep; a worker that dies raises `BrokenProcessPool`.
+    the largest whole space and among equals the strongest coupling first,
+    and send back their records.  Per-point failures are captured in the
+    record's `exception` field without aborting the sweep; a worker that
+    dies raises `BrokenProcessPool`.
     """
     values = [float(value) for value in spec.grid]
     workers = _worker_count(len(values))

@@ -623,3 +623,22 @@ def test_validate_compares_the_solvers_with_dense_references(monkeypatch):
     assert [r.name for r in results if r.passed] == [
         "krylov_matches_dense", "parity_path_matches_plain"
     ]
+
+
+def test_validate_plain_reference_shares_no_sector_factor():
+    # the plain reference is built from the a_k, apart from the sector
+    # factors the parity path reads: one of those scaled by 1 + 1e-6 moves
+    # the parity gap (by 2.8e-6) and the plain one not at all
+    from ringflow import hamiltonian, validate
+
+    hamiltonian.clear_caches()
+    try:
+        even = hamiltonian.cached_sector_pieces(4, 12)[0]
+        even.interaction_factor.matrix.data *= 1 + 1e-6
+        results = []
+        validate._check_krylov_vs_dense(results)
+    finally:
+        hamiltonian.clear_caches()
+    assert {r.name: bool(r.passed) for r in results} == {
+        "krylov_matches_dense": True, "parity_path_matches_plain": False
+    }

@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringflow import hamiltonian
+from ringflow import hamiltonian, solver, sweep
 from ringflow.basis import build_basis
 from ringflow.hamiltonian import (
     FactoredOperator,
@@ -23,7 +24,7 @@ from ringflow.hamiltonian import (
     loss_operators,
 )
 from ringflow.params import SystemParams, raw_coupling, rescale_interaction
-from ringflow.solver import hamiltonian_blocks, solve_lowest
+from ringflow.solver import hamiltonian_blocks, lowest_eigenpairs, solve_lowest
 
 
 def test_single_atom_two_modes_matrix():
@@ -126,8 +127,10 @@ def test_kinetic_phase_dependence():
 
 
 def test_operator_at_a_point_builds_its_pieces_once(monkeypatch):
-    # the whole operator comes from the cached whole-space block, so a second
-    # build of the same point reassembles it without rebuilding A and P
+    # the solvers' blocks at a point, on and off the crossing, are cut from
+    # pieces built once per (N, r); the Fock-basis operator builds none: its
+    # kinetic sums and factors come from the basis and the a_k on each call,
+    # bit for bit
     clear_caches()
     built = []
     real = hamiltonian.build_pieces
@@ -137,19 +140,31 @@ def test_operator_at_a_point_builds_its_pieces_once(monkeypatch):
     params = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.02, phase=math.pi)
     first = build_hamiltonian(params)
     second = build_hamiltonian(params)
+    assert built == []
+    coupling = rescale_interaction(1.0, 8)
+    for phase in (math.pi, 0.9 * math.pi, math.pi):
+        hamiltonian_blocks(replace(params, phase=phase), coupling)
     assert built == [120]
     assert (first.matrix != second.matrix).nnz == 0
+
+
+def _whole_space_factors(n_atoms, n_modes):
+    """The factors A and P (P only for N >= 2) of `build_hamiltonian`."""
+    params = SystemParams(n_atoms=n_atoms, n_modes=n_modes, interaction=1.0, barrier=1.0)
+    factors = [factor for _, factor in build_hamiltonian(params, raw_coupling(1.0)).terms]
+    return factors if n_atoms >= 2 else factors + [None]
 
 
 def test_rebuild_is_bit_identical():
     basis = build_basis(3, 6)
     p1 = build_pieces(basis)
+    w1 = _whole_space_factors(3, 6)
     clear_caches()  # rebuild the loss operators the factors come from, too
     p2 = build_pieces(basis)
-    for f1, f2 in (
-        (p1.barrier_factor, p2.barrier_factor),
-        (p1.interaction_factor, p2.interaction_factor),
-    ):
+    w2 = _whole_space_factors(3, 6)
+    for name in ("kin_k", "kin_k2", "fixed", "pair_lo", "pair_hi"):
+        assert np.array_equal(getattr(p1, name), getattr(p2, name))
+    for f1, f2 in zip(w1, w2):
         assert np.array_equal(f1.matrix.data, f2.matrix.data)
         assert np.array_equal(f1.matrix.indices, f2.matrix.indices)
         assert np.array_equal(f1.matrix.indptr, f2.matrix.indptr)
@@ -215,12 +230,12 @@ def test_factor_transposes_are_views_of_the_stored_factors():
     clear_caches()
     cached_sector_pieces(5, 20)
     _, _, factors = _cached_objects()
-    assert len(factors) == 6  # A and P of the whole space and of each sector
+    assert len(factors) == 4  # A and P of each sector, the only factors kept
     views = [factor.transpose for factor in factors]
     _assert_views_only(factors)
     params = SystemParams(n_atoms=5, n_modes=20, interaction=0.01, barrier=0.008,
                           phase=0.9 * math.pi)
-    solve_lowest(params)  # off the crossing: the whole-space factors' matvecs
+    solve_lowest(params)  # off the crossing: factors joined per assembly, not kept
     assert all(a is b for a, b in zip(_cached_objects()[2], factors, strict=True))
     assert all(factor.transpose is view for factor, view in zip(factors, views))
     _assert_views_only(factors)
@@ -237,13 +252,16 @@ def _csr_transpose_matvec(op, x):
 @pytest.mark.parametrize("n_atoms, n_modes", [(3, 8), (4, 12)])
 def test_matvec_matches_the_explicit_matrix(n_atoms, n_modes):
     # vectors, blocks of columns in either order and complex vectors, on the
-    # whole space, both parity sectors and an operator with no Gram term
+    # whole space, both parity sectors, the parity-coordinate block off the
+    # crossing and an operator with no Gram term
     params = SystemParams(n_atoms=n_atoms, n_modes=n_modes, interaction=2.0, barrier=0.008,
                           phase=math.pi)
     coupling = rescale_interaction(2.0, n_modes)
     whole = build_hamiltonian(replace(params, phase=0.9 * math.pi), coupling)
     operators = [whole, FactoredOperator(whole.diagonal, ())]
     operators += [op for op, _ in hamiltonian_blocks(params, coupling)]
+    operators += [op for op, _ in hamiltonian_blocks(replace(params, phase=0.9 * math.pi),
+                                                      coupling)]
     rng = np.random.default_rng(5)
     for op in operators:
         for x in (rng.standard_normal(op.dimension),
@@ -302,6 +320,77 @@ def test_crossing_sweep_set_up_fits_its_memory_budget():
     assert sum(roots.values()) <= 20 * 2**20
 
 
+def _crossing_set_up_mib():
+    """MiB of the distinct base arrays cached by the set-up of
+    `sweep --figure fig2` at N=5, r=20 on a cleared cache."""
+    clear_caches()
+    cached_basis(5, 20)
+    cached_pieces(5, 20)
+    cached_sector_pieces(5, 20)
+    cached_basis(4, 20)
+    for k in cached_basis(5, 20).window:
+        cached_loss_operator(5, 20, int(k))
+    arrays, _, _ = _cached_objects()
+    roots = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        roots[id(a)] = a.nbytes
+    return sum(roots.values()) / 2**20
+
+
+def test_crossing_set_up_keeps_one_factor_set():
+    # the parity-sector factors are the only Gram factors kept: no
+    # whole-space A or P (19.06 MiB with them)
+    assert _crossing_set_up_mib() <= 13.5
+
+
+def test_crossing_point_makes_no_whole_space_factor(monkeypatch):
+    # a fig2 point on a cleared cache, loss metric included, forms its
+    # sector factors from the a_k and no factor over all 42,504 states
+    clear_caches()
+    shapes = []
+    real = hamiltonian.Factor.of.__func__
+
+    def spy(cls, matrix):
+        shapes.append(matrix.shape)
+        return real(cls, matrix)
+
+    monkeypatch.setattr(hamiltonian.Factor, "of", classmethod(spy))
+    spec = sweep.fig2_spec(points=12)
+    record = sweep._point_record(spec, spec.grid[0])
+    assert record.error is None and record.qbar_loss > 0
+    # both sectors have 21,252 columns: an odd N leaves no state fixed
+    assert [columns for _, columns in shapes] == [21_252] * 4
+    assert cached_basis(5, 20).size == 42_504
+
+
+@pytest.mark.parametrize("n_atoms, n_modes", [(3, 8), (4, 12)])
+@pytest.mark.parametrize("omega_over_pi", [0.0, 0.7, 0.9])
+@pytest.mark.parametrize("g", [0.3, 50.0])  # LOBPCG's regime, then the Lanczos loop's
+def test_off_crossing_block_matches_the_fock_operator(n_atoms, n_modes, omega_over_pi, g):
+    params = SystemParams(n_atoms=n_atoms, n_modes=n_modes, interaction=g, barrier=0.008,
+                          phase=omega_over_pi * math.pi)
+    coupling = rescale_interaction(g, n_modes)
+    weak = 0.5 * coupling.g_tilde <= solver.LOBPCG_MAX_COUPLING
+    assert weak == (g < 1)
+    fock = build_hamiltonian(params, coupling)
+    [(block, q)] = hamiltonian_blocks(params, coupling)
+    assert block.pair_coupling is not None and block.dimension == fock.dimension
+    rng = np.random.default_rng(11)
+    for x in (rng.standard_normal(fock.dimension), rng.standard_normal((fock.dimension, 3))):
+        reference = fock @ x
+        got = q @ (block @ (q.T @ x))
+        assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+    levels = sla.eigh(fock.matrix.toarray(), eigvals_only=True, subset_by_index=(0, 2))
+    dense = lowest_eigenpairs(block, 3, dense_cutoff=block.dimension)
+    iterative = lowest_eigenpairs(block, 3, dense_cutoff=0)
+    assert dense.method == "dense"
+    assert iterative.method in ("lobpcg" if weak else "lanczos", "arpack")
+    for sol in (dense, iterative):
+        assert np.all(np.abs(sol.eigenvalues - levels) <= 1e-12 * np.abs(levels))
+
+
 def _orbit_counts(labels, images):
     """(even, odd) sector sizes of a row space under an involution, from the
     row labels and the labels of their images."""
@@ -312,13 +401,14 @@ def _orbit_counts(labels, images):
 
 @pytest.mark.parametrize("n_atoms, n_modes", [(1, 2), (2, 6), (3, 8), (4, 8)])
 def test_two_sided_sector_factors(n_atoms, n_modes):
-    pieces = cached_pieces(n_atoms, n_modes)
+    # the sector factors against the projected factors of `build_hamiltonian`
+    barrier_factor, interaction_factor = _whole_space_factors(n_atoms, n_modes)
     sector = cached_sector_pieces(n_atoms, n_modes)
     window = [int(k) for k in cached_basis(n_atoms, n_modes).window]
     # A's rows are (N-1)-atom states; the reflection k -> 1-k reverses them
     lower = [tuple(o) for o in build_basis(n_atoms - 1, n_modes).occupations]
     a_rows = _orbit_counts(lower, [o[::-1] for o in lower])
-    factors = [(pieces.barrier_factor, [b.barrier_factor for b in sector], a_rows)]
+    factors = [(barrier_factor, [b.barrier_factor for b in sector], a_rows)]
     if n_atoms >= 2:
         # P's rows are (K, (N-2)-atom state), K the momentum of the removed pair
         pairs = [tuple(o) for o in build_basis(n_atoms - 2, n_modes).occupations]
@@ -326,7 +416,7 @@ def test_two_sided_sector_factors(n_atoms, n_modes):
         labels = [(k, o) for k in totals for o in pairs]
         p_rows = _orbit_counts(labels, [(2 - k, o[::-1]) for k, o in labels])
         projected = [b.interaction_factor for b in sector]
-        factors.append((pieces.interaction_factor, projected, p_rows))
+        factors.append((interaction_factor, projected, p_rows))
     else:
         assert [b.interaction_factor for b in sector] == [None, None]
     for full, projected, rows in factors:
@@ -480,9 +570,9 @@ def test_whole_space_factors_equal_explicit_products(n_atoms, n_modes):
         format="csr",
     )
     pair.sort_indices()
-    pieces = cached_pieces(n_atoms, n_modes)
-    _assert_same_csr(pieces.barrier_factor.matrix, annihilator)
-    _assert_same_csr(pieces.interaction_factor.matrix, pair)
+    barrier_factor, interaction_factor = _whole_space_factors(n_atoms, n_modes)
+    _assert_same_csr(barrier_factor.matrix, annihilator)
+    _assert_same_csr(interaction_factor.matrix, pair)
 
 
 def test_one_pass_builds_every_loss_operator_of_a_system(monkeypatch):

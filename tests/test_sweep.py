@@ -144,10 +144,10 @@ def test_point_record_does_not_depend_on_its_neighbours(monkeypatch):
 
 def test_threaded_execution_matches_sequential():
     # concurrent callers race on the cold builders; the cache lock must hand
-    # every thread the same object from each builder, and the whole-space
-    # transposes that an off-crossing point reads are views built with their
-    # cached block, so the threads race on cached objects only; the solves
-    # stay unchanged
+    # every thread the same object from each builder, and the sector
+    # transposes that every point reads are views built with their cached
+    # block, so the threads race on cached objects only; the solves stay
+    # unchanged
     params = SystemParams(n_atoms=2, n_modes=8, interaction=0.5, barrier=0.01, phase=math.pi)
     off = replace(params, phase=0.9 * math.pi)
     reference = [solve_lowest(p).eigenvalues for p in (params, off)]
@@ -163,13 +163,16 @@ def test_threaded_execution_matches_sequential():
         )
 
     def transposes():
-        pieces = cached_pieces(2, 8)
-        return (pieces.barrier_factor.transpose, pieces.interaction_factor.transpose)
+        return tuple(
+            factor.transpose
+            for block in cached_sector_pieces(2, 8)
+            for factor in (block.barrier_factor, block.interaction_factor)
+        )
 
     def worker(_):
         start.wait()
         objects = built()
-        start.wait()  # then read the whole-space transposes, views held by the block
+        start.wait()  # then read the sector transposes, views held by the blocks
         objects += transposes()
         return objects, [solve_lowest(p).eigenvalues for p in (params, off)]
 
@@ -248,8 +251,8 @@ def test_atom_number_sweep_csv_identical_for_any_worker_count(tmp_path, monkeypa
 
 def test_dispatch_order_takes_the_largest_whole_space_first():
     # N=3 at r=8 (120 states) first; N=1 at r=10 and N=2 at r=4 (10 states
-    # each) tie and keep their grid order
-    base = SystemParams(n_atoms=1, n_modes=8, interaction=0.5, barrier=0.01, phase=math.pi)
+    # each, and g_tilde/2 below b at both) tie and keep their grid order
+    base = SystemParams(n_atoms=1, n_modes=8, interaction=0.01, barrier=0.01, phase=math.pi)
     atoms = SweepSpec(parameter="n_atoms", grid=np.array([1.0, 2.0, 3.0]), base=base,
                       modes_by_atoms=((1, 10), (2, 4)))
     assert sweep._dispatch_order(atoms, list(atoms.grid)) == [2, 0, 1]
@@ -260,9 +263,28 @@ def test_dispatch_order_takes_the_largest_whole_space_first():
     with pytest.raises(ValueError):
         modes.params_at(7.0)
     assert sweep._dispatch_order(modes, list(modes.grid)) == [0, 2, 1]
-    # a coupling grid: every point ties
+    # a coupling grid: one whole space, so the strongest coupling goes first
+    # and the points whose g_tilde/2 lies below b tie and keep grid order
     spec = _small_spec()
-    assert sweep._dispatch_order(spec, list(spec.grid)) == list(range(spec.grid.size))
+    assert sweep._dispatch_order(spec, list(spec.grid)) == [6, 5, 4, 3, 2, 0, 1]
+
+
+def test_dispatch_order_breaks_ties_by_the_larger_gram_prefactor():
+    # fig2 at 12 points: max(b, g_tilde/2) falls from g = 1e3 down to
+    # g = 0.035 (g_tilde/2 = 0.017); the four smallest couplings tie at
+    # b = 0.008 and keep their grid order
+    spec = sweep.fig2_spec(points=12)
+    assert sweep._dispatch_order(spec, list(spec.grid)) == [11, 10, 9, 8, 7, 6, 5, 4, 0, 1, 2, 3]
+    # the spec's rescaling sets g_tilde: at r = 20, g = 0.9 and 1 give
+    # g_tilde/2 = 0.41 and 0.45, below b = 0.47, and g/2 = 0.5 lies above it
+    pair = replace(spec, grid=np.array([0.9, 1.0]), base=replace(spec.base, barrier=0.47))
+    assert sweep._dispatch_order(pair, list(pair.grid)) == [0, 1]
+    raw = replace(pair, rescale=False)
+    assert sweep._dispatch_order(raw, list(raw.grid)) == [1, 0]
+    # the barrier counts too: a barrier sweep at fixed coupling
+    barriers = SweepSpec(parameter="barrier", grid=np.array([0.001, 0.1, 1.0]),
+                         base=replace(spec.base, interaction=0.1))
+    assert sweep._dispatch_order(barriers, list(barriers.grid)) == [2, 1, 0]
 
 
 def test_workers_use_one_blas_thread(monkeypatch):
