@@ -72,7 +72,7 @@ def run_quench(
     state at `phase_initial`.  The trace records P(K=0), the norm, and the
     energy over `periods` oscillation periods of the post-quench splitting.
     Each block of `hamiltonian_blocks` (the reflection-parity sectors at
-    Omega = pi, elsewhere one block on the parity coordinates) is solved
+    Omega = pi, elsewhere the Fock-basis operator as one block) is solved
     once by `lowest_eigenpairs`, block s from seed + s: for all its levels up to
     `solver.DENSE_CUTOFF` columns, else for its QUENCH_LEVELS lowest.  The
     splitting is read from those levels, and the projection Pi psi0 onto them

@@ -38,14 +38,11 @@ A parameter point only sets the prefactors: `assemble` applies a block's H_s
 as kin*x + b*A^T(Ax) + (g_tilde/2)*P^T(Px) without forming the products,
 each F^T through F's CSC view, which sums every output's terms in the order
 of a CSR copy of F^T.  At Omega = pi, H = sum_s S_s H_s S_s^T.  At any
-other phase `assemble_parity` gives H as one block on the parity
-coordinates Q = [S_even S_odd], from the same sector pieces: the kinetic
-term is the only one that depends on Omega, and its part that changes sign
-under the reflection couples the even and odd column of each reflected pair.
-`build_hamiltonian` is the operator in the Fock basis at a point, on
-whole-space factors built from the a_k on each call and not kept, the
-reference the parity path is checked against.  The
-explicit sparse matrix is built from the factors only for dense solves.
+other phase the reflection no longer commutes with the kinetic term, and H
+is one block: `build_hamiltonian`, the operator in the Fock basis, on
+whole-space factors built from the basis and the a_k on each call and not
+kept.  The explicit sparse matrix is built from the factors only for dense
+solves.
 Matrix elements use the bosonic ladder conventions sqrt(n) / sqrt(n+1);
 explicit matrices are exactly symmetric and rebuilding the factors is
 bit-identical.
@@ -55,7 +52,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -115,36 +112,10 @@ class Factor:
         return np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
 
 
-@dataclass(frozen=True)
-class PairCoupling:
-    """The symmetric term C that couples column `first + j` with column
-    `second + j` by `values[j]`, for each j, two ranges that do not overlap:
-    off the crossing, the even and odd column of reflected pair j
-    (`assemble_parity`).  It is applied on the two column ranges as slices."""
-
-    first: int
-    second: int
-    values: np.ndarray
-
-    def add_to(self, y: np.ndarray, x: np.ndarray) -> None:
-        """y += C @ x, for a vector or a block of columns x."""
-        n = self.values.size
-        c = self.values if x.ndim == 1 else self.values[:, None]
-        y[self.first : self.first + n] += c * x[self.second : self.second + n]
-        y[self.second : self.second + n] += c * x[self.first : self.first + n]
-
-    def matrix(self, size: int) -> sp.csr_matrix:
-        """C as an exactly symmetric size x size sparse matrix."""
-        j = np.arange(self.values.size)
-        rows = np.concatenate([self.first + j, self.second + j])
-        cols = np.concatenate([self.second + j, self.first + j])
-        return sp.csr_matrix((np.tile(self.values, 2), (rows, cols)), shape=(size, size))
-
-
 @dataclass
 class FactoredOperator:
-    """H = diag(diagonal) + C + sum_i c_i F_i^T F_i over nonzero prefactors
-    c_i, with C the `pair_coupling` term (or none).
+    """H = diag(diagonal) + sum_i c_i F_i^T F_i over nonzero prefactors c_i:
+    a parity sector at the crossing, the Fock-basis operator elsewhere.
 
     `H @ x` applies the terms one by one; `matrix` forms the explicit,
     exactly symmetric sparse matrix on first use.
@@ -152,7 +123,6 @@ class FactoredOperator:
 
     diagonal: np.ndarray
     terms: tuple[tuple[float, Factor], ...]
-    pair_coupling: PairCoupling | None = None
 
     @property
     def dimension(self) -> int:
@@ -160,8 +130,6 @@ class FactoredOperator:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         y = x * (self.diagonal if x.ndim == 1 else self.diagonal[:, None])
-        if self.pair_coupling is not None:
-            self.pair_coupling.add_to(y, x)
         for coef, factor in self.terms:
             y += coef * (factor.transpose @ (factor.matrix @ x))
         return y
@@ -169,8 +137,6 @@ class FactoredOperator:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         out = sp.diags(self.diagonal, format="csr")
-        if self.pair_coupling is not None:
-            out = out + self.pair_coupling.matrix(self.dimension)
         for coef, factor in self.terms:
             out = out + coef * (factor.transpose.tocsr() @ factor.matrix)
         return _symmetrize(out)
@@ -321,59 +287,13 @@ def assemble(block: Block, params: SystemParams, coupling: RescaledCoupling) -> 
     )
 
 
-def _block_diagonal(upper: sp.csr_matrix, lower: sp.csr_matrix) -> sp.csr_matrix:
-    """diag(upper, lower) in CSR, joined from the two matrices' arrays (a
-    fifth of the time of `sp.block_diag`, which goes through COO)."""
-    return sp.csr_matrix(
-        (
-            np.concatenate([upper.data, lower.data]),
-            np.concatenate([upper.indices, lower.indices + upper.shape[1]]),
-            np.concatenate([upper.indptr, lower.indptr[1:] + upper.nnz]),
-        ),
-        shape=(upper.shape[0] + lower.shape[0], upper.shape[1] + lower.shape[1]),
-    )
-
-
-def assemble_parity(
-    sectors: tuple[Block, Block], params: SystemParams, coupling: RescaledCoupling
-) -> tuple[FactoredOperator, sp.csr_matrix]:
-    """H at any phase as one block on the parity coordinates, with its
-    isometry Q = [S_even S_odd]: (Q^T H Q, Q).
-
-    With a = Omega/2pi and k1 = sum_k k*n_k, the kinetic term is its value at
-    pi plus (1 - 2a)(k1 - N/2) + N(a - 1/2)^2.  Every other term commutes
-    with the reflection, which maps k1 - N/2 to its negative, so Q^T H Q is
-    the two sector operators at pi side by side (block-diagonal factors),
-    plus N(a - 1/2)^2 on the diagonal, plus the `PairCoupling`
-    (1 - 2a)(k1 - N/2) between the even and odd column of each reflected
-    pair, with k1 that of the pair's lower member: pair j has even column
-    n_fixed + j and odd column j.  The coupling vanishes at the crossing.
-    """
-    even, odd = sectors
-    n_atoms, a = params.n_atoms, params.phase / (2.0 * math.pi)
-    at_pi = [assemble(s, replace(params, phase=math.pi), coupling) for s in sectors]
-    diagonal = np.concatenate([op.diagonal for op in at_pi]) + n_atoms * (a - 0.5) ** 2
-    terms = tuple(
-        (coef, Factor.of(_block_diagonal(f.matrix, g.matrix)))
-        for (coef, f), (_, g) in zip(at_pi[0].terms, at_pi[1].terms)
-    )
-    n_even, n_pairs = even.kin_k.size, odd.kin_k.size
-    coupling_term = None
-    if a != 0.5:
-        coupling_term = PairCoupling(
-            n_even - n_pairs, n_even, (1.0 - 2.0 * a) * (odd.kin_k - 0.5 * n_atoms)
-        )
-    isometry = sp.hstack([even.isometry, odd.isometry], format="csr")
-    return FactoredOperator(diagonal, terms, coupling_term), isometry
-
-
 def build_hamiltonian(
     params: SystemParams, coupling: RescaledCoupling | None = None
 ) -> FactoredOperator:
     """The operator in the Fock basis at one parameter point, on whole-space
     kinetic sums and factors built from the basis and the cached a_k on each
-    call and not kept, so that it shares nothing with the sector blocks the
-    solvers read.
+    call and not kept: the one block of H off the crossing, and at the
+    crossing a reference that shares nothing with the sector blocks.
 
     `coupling` defaults to the rescaling of params.interaction;
     pass `raw_coupling(params.interaction)` to disable the rescaling.
@@ -427,8 +347,9 @@ def cached_loss_operator(n_atoms: int, n_modes: int, k: int) -> sp.csr_matrix:
 
 def cached_sector_pieces(n_atoms: int, n_modes: int) -> tuple[Block, Block]:
     """The (even, odd) reflection-parity (k -> 1-k) blocks of (N, r), whose
-    factors are the only Gram factors it keeps: blocks of H at Omega = pi,
-    and the pieces of `assemble_parity` at any other phase.
+    factors are the only Gram factors it keeps: the blocks of H at
+    Omega = pi.  Off the crossing H is the Fock-basis operator of
+    `build_hamiltonian`, which reads none of them.
 
     The reflection commutes with A^T A and P^T P, so with S the isometry
     onto a sector, the sector block of b*A^T A + (g_tilde/2)*P^T P is

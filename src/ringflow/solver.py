@@ -3,18 +3,16 @@
 `hamiltonian_blocks` gives a point's Hamiltonian as pairs (H_s, S_s) with
 H = sum_s S_s H_s S_s^T: at the crossing point Omega = pi, where H commutes
 with the momentum reflection k -> 1-k, the two parity sectors (across which
-the avoided-crossing pair splits); elsewhere one block on the parity
-coordinates, Q = [S_even S_odd], whose operator is the two sectors' at
-Omega = pi plus a coupling between the even and odd column of each
-reflected pair (`hamiltonian.assemble_parity`).  A block of at most
-`DENSE_CUTOFF` columns is solved densely (300, where a dense `eigh` stops
-being faster than the iterative path).  A larger block in the weak-coupling
-regime (every Gram prefactor, b or g_tilde/2, at most `LOBPCG_MAX_COUPLING`)
-is solved by LOBPCG with one column per requested level, preconditioned
-exactly on its low-kinetic window and by Jacobi elsewhere and started from
-the window's own eigenvectors; there the avoided-crossing pair sits in a
-cluster of nearly degenerate kinetic levels, which Krylov methods resolve
-slowly.  Every other block is solved by the
+the avoided-crossing pair splits); elsewhere one block, the operator in the
+Fock basis (`hamiltonian.build_hamiltonian`) with the identity.  A block of
+at most `DENSE_CUTOFF` columns is solved densely (300, where a dense `eigh`
+stops being faster than the iterative path).  A larger block in the
+weak-coupling regime (every Gram prefactor, b or g_tilde/2, at most
+`LOBPCG_MAX_COUPLING`) is solved by LOBPCG with one column per requested
+level, preconditioned exactly on its low-kinetic window and by Jacobi
+elsewhere and started from the window's own eigenvectors; there the
+avoided-crossing pair sits in a cluster of nearly degenerate kinetic levels,
+which Krylov methods resolve slowly.  Every other block is solved by the
 plain Lanczos recurrence (no reorthogonalization, no restart) from a
 deterministic seeded start vector, accepted only if its Ritz pairs pass
 ARPACK's stopping rule, are distinct and have explicit residuals within it
@@ -48,7 +46,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import ConvergenceError
-from .hamiltonian import FactoredOperator, assemble, assemble_parity, cached_sector_pieces
+from .hamiltonian import FactoredOperator, assemble, build_hamiltonian, cached_sector_pieces
 from .params import RescaledCoupling, SystemParams, rescale_interaction
 
 DEFAULT_SEED = 7
@@ -115,24 +113,20 @@ def _residuals(operator, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def _window_preconditioner(operator: FactoredOperator, k: int):
-    """(M, X0) for LOBPCG's k columns on H = diag(kin) + C +
-    sum_i c_i F_i^T F_i, C the pair coupling or none.
+    """(M, X0) for LOBPCG's k columns on H = diag(kin) + sum_i c_i F_i^T F_i,
+    a parity sector or the Fock-basis operator.
 
     W holds the columns whose kinetic diagonal lies within COARSE_WINDOW of
     its minimum (at least k of them).  M applies (H_WW - sigma)^-1 on W,
-    with H_WW formed from C's window block and column slices of the
-    factors, and the Jacobi inverse 1/(diag(H) - sigma) off W; sigma lies
-    0.05 below both the lowest level of H_WW and the smallest diagonal
-    entry, so M is positive definite.
+    with H_WW formed from column slices of the factors, and the Jacobi
+    inverse 1/(diag(H) - sigma) off W; sigma lies 0.05 below both the lowest
+    level of H_WW and the smallest diagonal entry, so M is positive definite.
     X0 holds the k lowest eigenvectors of H_WW, embedded in the block.
     """
     kin = operator.diagonal
     count = max(int(np.count_nonzero(kin <= kin.min() + COARSE_WINDOW)), k)
     window = np.sort(np.argsort(kin, kind="stable")[:count])
     h_ww = np.diag(kin[window])
-    if operator.pair_coupling is not None:
-        coupled = operator.pair_coupling.matrix(kin.size)
-        h_ww += coupled[window][:, window].toarray()
     diagonal = kin.copy()
     for coef, factor in operator.terms:
         columns = factor.matrix[:, window].T.tocsr()  # F[:, W]^T
@@ -392,13 +386,14 @@ def hamiltonian_blocks(
     """The Hamiltonian at one point as blocks (H_s, S_s), H = sum_s S_s H_s S_s^T.
 
     At Omega = pi these are the even and odd reflection-parity sectors,
-    assembled at Omega = pi exactly; elsewhere one block on the parity
-    coordinates, with Q = [S_even S_odd] (`assemble_parity`).
+    assembled at Omega = pi exactly; elsewhere one block, the Fock-basis
+    operator (`build_hamiltonian`) with the identity, which builds no sector.
     """
-    sectors = cached_sector_pieces(params.n_atoms, params.n_modes)
     if not _is_crossing_phase(params.phase):
-        return [assemble_parity(sectors, params, coupling)]
+        operator = build_hamiltonian(params, coupling)
+        return [(operator, sp.identity(operator.dimension, format="csr"))]
     params = replace(params, phase=math.pi)
+    sectors = cached_sector_pieces(params.n_atoms, params.n_modes)
     return [(assemble(b, params, coupling), b.isometry) for b in sectors]
 
 

@@ -127,10 +127,10 @@ def test_kinetic_phase_dependence():
 
 
 def test_operator_at_a_point_builds_its_pieces_once(monkeypatch):
-    # the solvers' blocks at a point, on and off the crossing, are cut from
-    # pieces built once per (N, r); the Fock-basis operator builds none: its
-    # kinetic sums and factors come from the basis and the a_k on each call,
-    # bit for bit
+    # the solvers' blocks at the crossing are cut from pieces built once per
+    # (N, r); the Fock-basis operator, the one block off the crossing, builds
+    # none: its kinetic sums and factors come from the basis and the a_k on
+    # each call, bit for bit
     clear_caches()
     built = []
     real = hamiltonian.build_pieces
@@ -235,7 +235,7 @@ def test_factor_transposes_are_views_of_the_stored_factors():
     _assert_views_only(factors)
     params = SystemParams(n_atoms=5, n_modes=20, interaction=0.01, barrier=0.008,
                           phase=0.9 * math.pi)
-    solve_lowest(params)  # off the crossing: factors joined per assembly, not kept
+    solve_lowest(params)  # off the crossing: Fock-basis factors built per call, not kept
     assert all(a is b for a, b in zip(_cached_objects()[2], factors, strict=True))
     assert all(factor.transpose is view for factor, view in zip(factors, views))
     _assert_views_only(factors)
@@ -252,16 +252,14 @@ def _csr_transpose_matvec(op, x):
 @pytest.mark.parametrize("n_atoms, n_modes", [(3, 8), (4, 12)])
 def test_matvec_matches_the_explicit_matrix(n_atoms, n_modes):
     # vectors, blocks of columns in either order and complex vectors, on the
-    # whole space, both parity sectors, the parity-coordinate block off the
-    # crossing and an operator with no Gram term
+    # whole space (the one block off the crossing), both parity sectors and
+    # an operator with no Gram term
     params = SystemParams(n_atoms=n_atoms, n_modes=n_modes, interaction=2.0, barrier=0.008,
                           phase=math.pi)
     coupling = rescale_interaction(2.0, n_modes)
     whole = build_hamiltonian(replace(params, phase=0.9 * math.pi), coupling)
     operators = [whole, FactoredOperator(whole.diagonal, ())]
     operators += [op for op, _ in hamiltonian_blocks(params, coupling)]
-    operators += [op for op, _ in hamiltonian_blocks(replace(params, phase=0.9 * math.pi),
-                                                      coupling)]
     rng = np.random.default_rng(5)
     for op in operators:
         for x in (rng.standard_normal(op.dimension),
@@ -376,7 +374,10 @@ def test_off_crossing_block_matches_the_fock_operator(n_atoms, n_modes, omega_ov
     assert weak == (g < 1)
     fock = build_hamiltonian(params, coupling)
     [(block, q)] = hamiltonian_blocks(params, coupling)
-    assert block.pair_coupling is not None and block.dimension == fock.dimension
+    # the one block is the Fock-basis operator itself, with the identity
+    assert (q != sp.identity(fock.dimension)).nnz == 0
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(block.matrix, name), getattr(fock.matrix, name))
     rng = np.random.default_rng(11)
     for x in (rng.standard_normal(fock.dimension), rng.standard_normal((fock.dimension, 3))):
         reference = fock @ x
@@ -389,6 +390,16 @@ def test_off_crossing_block_matches_the_fock_operator(n_atoms, n_modes, omega_ov
     assert iterative.method in ("lobpcg" if weak else "lanczos", "arpack")
     for sol in (dense, iterative):
         assert np.all(np.abs(sol.eigenvalues - levels) <= 1e-12 * np.abs(levels))
+
+
+def test_off_crossing_solve_builds_no_sector():
+    # off the crossing the one block is the Fock-basis operator: it reads the
+    # bases and the a_k, and neither the orbits nor the sector factors
+    clear_caches()
+    params = SystemParams(n_atoms=4, n_modes=12, interaction=1.0, barrier=0.008,
+                          phase=0.9 * math.pi)
+    solve_lowest(params)
+    assert {key[0] for key in hamiltonian._CACHE} == {"basis", "loss"}
 
 
 def _orbit_counts(labels, images):

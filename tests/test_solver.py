@@ -76,7 +76,7 @@ def test_hamiltonian_blocks_sum_to_the_operator():
     total = sum(s @ h.matrix @ s.T for h, s in blocks)
     assert abs(total - whole.matrix).max() < 1e-12
     off = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.008, phase=0.9 * math.pi)
-    # off the crossing: one block on the parity coordinates Q, a basis change
+    # off the crossing: one block, the Fock-basis operator with Q the identity
     [(block, q)] = hamiltonian_blocks(off, coupling)
     assert block.dimension == 120
     assert abs(q.T @ q - sp.identity(block.dimension)).max() < 1e-15
