@@ -41,11 +41,10 @@ of a CSR copy of F^T.  At Omega = pi, H = sum_s S_s H_s S_s^T.  At any
 other phase the reflection no longer commutes with the kinetic term, and H
 is one block: `build_hamiltonian`, the operator in the Fock basis, on
 whole-space factors built from the basis and the a_k on each call and not
-kept.  The explicit sparse matrix is built from the factors only for dense
-solves.
-Matrix elements use the bosonic ladder conventions sqrt(n) / sqrt(n+1);
-explicit matrices are exactly symmetric and rebuilding the factors is
-bit-identical.
+kept.  An explicit block is only ever dense (`FactoredOperator.dense`, one
+sparse x dense product per factor) and exactly symmetric.  Matrix elements
+use the bosonic ladder conventions sqrt(n) / sqrt(n+1); rebuilding the
+factors is bit-identical.
 """
 
 from __future__ import annotations
@@ -83,13 +82,6 @@ def clear_caches() -> None:
         _CACHE.clear()
 
 
-def _symmetrize(matrix: sp.spmatrix) -> sp.csr_matrix:
-    out = ((matrix + matrix.T) * 0.5).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
-
-
 @dataclass(frozen=True)
 class Factor:
     """Sparse factor F of a Gram term F^T F, stored once: `transpose` is the
@@ -105,6 +97,16 @@ class Factor:
         matrix.sort_indices()
         return cls(matrix, matrix.T)
 
+    def gram(self, columns: np.ndarray | None = None) -> np.ndarray:
+        """F^T F, or F[:, W]^T F[:, W] on columns W, as a dense array from one
+        sparse x dense product: entry (i, j) sums F_ri F_rj in ascending row order
+        r, as the sparse F^T F does, so it is exactly symmetric and equal to it."""
+        f = self.matrix
+        if columns is not None:
+            f = f[:, columns]
+            f = f[np.diff(f.indptr) > 0]
+        return f.T @ f.toarray()
+
     @cached_property
     def column_norms2(self) -> np.ndarray:
         """|F e_j|^2 per column j: the term's contribution to diag(F^T F)."""
@@ -117,8 +119,8 @@ class FactoredOperator:
     """H = diag(diagonal) + sum_i c_i F_i^T F_i over nonzero prefactors c_i:
     a parity sector at the crossing, the Fock-basis operator elsewhere.
 
-    `H @ x` applies the terms one by one; `matrix` forms the explicit,
-    exactly symmetric sparse matrix on first use.
+    `H @ x` applies the terms one by one; `dense` forms H, or its block on
+    a set of columns, as an exactly symmetric dense array.
     """
 
     diagonal: np.ndarray
@@ -134,12 +136,12 @@ class FactoredOperator:
             y += coef * (factor.transpose @ (factor.matrix @ x))
         return y
 
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        out = sp.diags(self.diagonal, format="csr")
+    def dense(self, columns: np.ndarray | None = None) -> np.ndarray:
+        """H, or H_WW on columns W, as a dense array: diag + c_i F_i.gram(W)."""
+        out = np.diag(self.diagonal if columns is None else self.diagonal[columns])
         for coef, factor in self.terms:
-            out = out + coef * (factor.transpose.tocsr() @ factor.matrix)
-        return _symmetrize(out)
+            out += coef * factor.gram(columns)
+        return out
 
 
 def _kinetic(k1: np.ndarray, k2: np.ndarray, n_atoms: int, phase: float) -> np.ndarray:

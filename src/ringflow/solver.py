@@ -5,18 +5,18 @@ H = sum_s S_s H_s S_s^T: at the crossing point Omega = pi, where H commutes
 with the momentum reflection k -> 1-k, the two parity sectors (across which
 the avoided-crossing pair splits); elsewhere one block, the operator in the
 Fock basis (`hamiltonian.build_hamiltonian`) with the identity.  A block of
-at most `DENSE_CUTOFF` columns is solved densely (300, where a dense `eigh`
-stops being faster than the iterative path).  A larger block in the
-weak-coupling regime (every Gram prefactor, b or g_tilde/2, at most
-`LOBPCG_MAX_COUPLING`) is solved by LOBPCG with one column per requested
-level, preconditioned exactly on its low-kinetic window and by Jacobi
-elsewhere and started from the window's own eigenvectors; there the
-avoided-crossing pair sits in a cluster of nearly degenerate kinetic levels,
-which Krylov methods resolve slowly.  Every other block is solved by the
-plain Lanczos recurrence (no reorthogonalization, no restart) from a
-deterministic seeded start vector, accepted only if its Ritz pairs pass
-ARPACK's stopping rule, are distinct and have explicit residuals within it
-(`_lanczos`).
+at most `DENSE_CUTOFF` columns is solved densely on `FactoredOperator.dense`
+(300, where that stops being faster than the iterative path).  A larger
+block in the weak-coupling regime (every Gram prefactor, b or g_tilde/2, at
+most `LOBPCG_MAX_COUPLING`) is solved by LOBPCG with one column per
+requested level, preconditioned exactly on its low-kinetic window (H_WW
+from the same dense form) and by Jacobi elsewhere and started from the
+window's own eigenvectors; there the avoided-crossing pair sits in a cluster
+of nearly degenerate kinetic levels, which Krylov methods resolve slowly.
+Every other block is solved by the plain Lanczos recurrence (no
+reorthogonalization, no restart) from a deterministic seeded start vector,
+accepted only if its Ritz pairs pass ARPACK's stopping rule, are distinct
+and have explicit residuals within it (`_lanczos`).
 ARPACK is the checked fallback: a block that either solver misses is solved
 by ARPACK from that solver's best vector.  `iterations` counts operator
 applications to one vector, each column of a block product once.  On the
@@ -51,9 +51,9 @@ from .params import RescaledCoupling, SystemParams, rescale_interaction
 
 DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-10
-# largest block solved densely: the crossover of a dense `eigh` and the iterative
-# path, in ms (one sector, m = 2, one BLAS thread, g = 0.01/1.4/85): 2.0-2.1 and
-# 2.1-3.4 at dim 182, 3.5-4.4 and 2.1-5.3 at 280, 5.3-5.5 and 2.7-5.5 at 350
+# largest block solved densely, the crossover of the dense path (form and `eigh`)
+# and the iterative one, in ms (one sector, m = 2, one BLAS thread, g = 0.01/1.4/85):
+# 1.5 and 2.3-4.2 at dim 182, 3.6-3.8 and 2.5-5.0 at 280, 5.7-6.6 and 2.7-5.7 at 350
 DENSE_CUTOFF = 300
 DEGENERACY_FACTOR = 10.0
 # largest Gram-term prefactor (b or g_tilde/2, in E0) that `lowest_eigenpairs`
@@ -118,7 +118,7 @@ def _window_preconditioner(operator: FactoredOperator, k: int):
 
     W holds the columns whose kinetic diagonal lies within COARSE_WINDOW of
     its minimum (at least k of them).  M applies (H_WW - sigma)^-1 on W,
-    with H_WW formed from column slices of the factors, and the Jacobi
+    with H_WW formed densely on W (`FactoredOperator.dense`), and the Jacobi
     inverse 1/(diag(H) - sigma) off W; sigma lies 0.05 below both the lowest
     level of H_WW and the smallest diagonal entry, so M is positive definite.
     X0 holds the k lowest eigenvectors of H_WW, embedded in the block.
@@ -126,13 +126,10 @@ def _window_preconditioner(operator: FactoredOperator, k: int):
     kin = operator.diagonal
     count = max(int(np.count_nonzero(kin <= kin.min() + COARSE_WINDOW)), k)
     window = np.sort(np.argsort(kin, kind="stable")[:count])
-    h_ww = np.diag(kin[window])
     diagonal = kin.copy()
     for coef, factor in operator.terms:
-        columns = factor.matrix[:, window].T.tocsr()  # F[:, W]^T
-        h_ww += coef * (columns @ columns.T).toarray()
         diagonal += coef * factor.column_norms2
-    theta, q = sla.eigh(h_ww)
+    theta, q = sla.eigh(operator.dense(window))
     sigma = min(theta[0], diagonal.min()) - 0.05
     off_window = 1.0 / (diagonal - sigma)
     in_window = (q / (theta - sigma)) @ q.T
@@ -174,9 +171,10 @@ def lowest_eigenpairs(
     """The m lowest eigenpairs of a factored real symmetric operator.
 
     Dimensions up to `dense_cutoff` (default: `DENSE_CUTOFF` at call time)
-    are solved densely from the explicit matrix.  Larger problems apply the
-    operator factor by factor: in the weak-coupling regime (every prefactor
-    at most `LOBPCG_MAX_COUPLING`) by LOBPCG (`_lobpcg`), accepted only if
+    are solved densely on `operator.dense()`, with residuals on the operator.
+    Larger problems apply the operator factor by factor: in the weak-coupling
+    regime (every prefactor at most `LOBPCG_MAX_COUPLING`) by LOBPCG
+    (`_lobpcg`), accepted only if
     every residual is at most `tol`; otherwise by the Lanczos loop
     (`_lanczos`) from the seeded (or provided) start vector.  When either
     misses, ARPACK (`_arpack`) takes over from its best vector, and
@@ -192,7 +190,7 @@ def lowest_eigenpairs(
     if m > dim:
         raise ValueError(f"requested {m} eigenpairs of a dimension-{dim} operator")
     if dim <= dense_cutoff or m >= dim - 1:
-        vals, vecs = sla.eigh(operator.matrix.toarray(), subset_by_index=(0, m - 1))
+        vals, vecs = sla.eigh(operator.dense(), subset_by_index=(0, m - 1))
         return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, 0, "dense", tol)
 
     if max((c for c, _ in operator.terms), default=0.0) <= LOBPCG_MAX_COUPLING:
@@ -251,7 +249,7 @@ def _lanczos(
                 alpha[:done], beta[:done], m, tol
             )
             if theta.size == m and converged.all() and not last:
-                x = rows[:done].T @ s
+                x = (s.T @ rows[:done]).T  # reads the rows row-major
                 x /= np.linalg.norm(x, axis=0)
                 if not copy:
                     res = _residuals(operator, theta, x)
@@ -508,7 +506,7 @@ def propagate(
     levels, their orthonormal eigenvectors (columns) and the isometry.  The
     amplitudes a_s(t) = exp(-i(t - t0)E_s) V_s^H S_s^T psi0 are the exact
     propagation of psi0's projection onto the given levels; the weight outside
-    them, sum_s ||S_s^T psi0||^2 - ||V_s^H S_s^T psi0||^2 over the blocks that
+    them, sum_s ||S_s^T psi0 - V_s V_s^H S_s^T psi0||^2 over the blocks that
     leave levels out, is 0 when none does.  The norm is the form
     sum_s a_s^H (V_s^H V_s) a_s; no state is formed.
     """
@@ -530,8 +528,9 @@ def propagate(
         amplitudes=amplitudes,
         norms=np.sqrt(block_trace(amplitudes, [v.conj().T @ v for _, v, _ in blocks])),
         method="spectral" if len(blocks) == 1 else "spectral-parity",
+        # residuals, not a difference of norms near 1: w keeps its digits
         truncated_weight=math.fsum(
-            np.linalg.norm(isometry.T @ psi) ** 2 - np.linalg.norm(c) ** 2
+            np.linalg.norm(isometry.T @ psi - vectors @ c) ** 2
             for (_, vectors, isometry), c in zip(blocks, coefficients)
             if vectors.shape[1] < vectors.shape[0]
         ),

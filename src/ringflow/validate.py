@@ -80,12 +80,12 @@ def _check_condensate_distribution(results: list[CheckResult]) -> None:
 def _check_symmetries(results: list[CheckResult]) -> None:
     basis = cached_basis(3, 8)
     params = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.02, phase=math.pi)
-    op = build_hamiltonian(params)
-    asym = (op.matrix - op.matrix.T).nnz
+    h = build_hamiltonian(params).dense()
+    asym = np.count_nonzero(h != h.T)
     results.append(CheckResult("hermiticity_exact", asym == 0, f"asymmetric entries: {asym}"))
 
     free = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.0, phase=0.0)
-    h_free = build_hamiltonian(free).matrix
+    h_free = build_hamiltonian(free).dense()
     worst = 0.0
     momenta = basis.sector_momenta()
     for ka in momenta:
@@ -94,20 +94,18 @@ def _check_symmetries(results: list[CheckResult]) -> None:
             if kb <= ka:
                 continue
             ib = basis.sector_indices(int(kb))
-            block = h_free[ia][:, ib]
-            if block.nnz:
-                worst = max(worst, float(np.max(np.abs(block.data))))
+            worst = max(worst, float(np.max(np.abs(h_free[np.ix_(ia, ib)]))))
     results.append(
         CheckResult("momentum_block_structure[b=0]", worst == 0.0, f"max cross entry {worst}")
     )
 
     omega = 0.7 * math.pi
-    h_rot = build_hamiltonian(replace(free, phase=omega)).matrix
+    h_rot = build_hamiltonian(replace(free, phase=omega)).dense()
     worst_shift = 0.0
     for k in momenta:
         idx = basis.sector_indices(int(k))
-        e_0 = np.linalg.eigvalsh(h_free[idx][:, idx].toarray())
-        e_w = np.linalg.eigvalsh(h_rot[idx][:, idx].toarray())
+        e_0 = np.linalg.eigvalsh(h_free[np.ix_(idx, idx)])
+        e_w = np.linalg.eigvalsh(h_rot[np.ix_(idx, idx)])
         predicted = e_0 - (omega / math.pi) * int(k) + 3 * (omega / (2 * math.pi)) ** 2
         worst_shift = max(worst_shift, float(np.max(np.abs(e_w - predicted))))
     results.append(
@@ -163,7 +161,7 @@ def _check_weak_barrier(results: list[CheckResult]) -> dict:
     # direct two-mode cross-check: splitting of [[1/4+b, b], [b, 1/4+b]] is 2b
     params = SystemParams(n_atoms=1, n_modes=2, barrier=1e-6, phase=math.pi)
     op = build_hamiltonian(params, raw_coupling(0.0))
-    vals = np.linalg.eigvalsh(op.matrix.toarray())
+    vals = np.linalg.eigvalsh(op.dense())
     ed_coeff = (vals[1] - vals[0]) / 1e-6
     audit["two_mode_ed_coefficient"] = float(ed_coeff)
     ok = ok and abs(ed_coeff - 2.0) <= 1e-6

@@ -279,30 +279,29 @@ def test_c09_property_suite(tmp_path):
     # hermiticity: exact
     basis = build_basis(3, 8)
     params = SystemParams(n_atoms=3, n_modes=8, interaction=1.1, barrier=0.03, phase=2.0)
-    op = build_hamiltonian(params)
-    hermitian = (op.matrix - op.matrix.T).nnz == 0
+    h = build_hamiltonian(params).dense()
+    hermitian = np.array_equal(h, h.T)
 
     # momentum-block structure at b=0: exact
     free = SystemParams(n_atoms=3, n_modes=8, interaction=1.1, barrier=0.0, phase=0.0)
-    h_free = build_hamiltonian(free).matrix
+    h_free = build_hamiltonian(free).dense()
     cross = 0.0
     momenta = basis.sector_momenta()
     for i, ka in enumerate(momenta):
         ia = basis.sector_indices(int(ka))
         for kb in momenta[i + 1 :]:
-            block = h_free[ia][:, basis.sector_indices(int(kb))]
-            if block.nnz:
-                cross = max(cross, float(np.max(np.abs(block.data))))
+            block = h_free[np.ix_(ia, basis.sector_indices(int(kb)))]
+            cross = max(cross, float(np.max(np.abs(block))))
     blocks_exact = cross == 0.0
 
     # Galilean shift identity at b=0 (sector-wise)
     omega = 0.9
-    h_rot = build_hamiltonian(replace(free, phase=omega)).matrix
+    h_rot = build_hamiltonian(replace(free, phase=omega)).dense()
     worst_shift = 0.0
     for k in momenta:
         idx = basis.sector_indices(int(k))
-        e0 = np.linalg.eigvalsh(h_free[idx][:, idx].toarray())
-        ew = np.linalg.eigvalsh(h_rot[idx][:, idx].toarray())
+        e0 = np.linalg.eigvalsh(h_free[np.ix_(idx, idx)])
+        ew = np.linalg.eigvalsh(h_rot[np.ix_(idx, idx)])
         predicted = e0 - (omega / math.pi) * int(k) + 3 * (omega / (2 * math.pi)) ** 2
         worst_shift = max(worst_shift, float(np.max(np.abs(ew - predicted))))
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_parity_blocks_match_single_operator(quench_report):
     pre = solve_lowest(replace(params, phase=quench_report.phase_initial), m=1, coupling=coupling)
     k0 = cached_basis(params.n_atoms, params.n_modes).total_k == 0
     whole = build_hamiltonian(params, coupling)
-    vals, vecs = sla.eigh(whole.matrix.toarray())
+    vals, vecs = sla.eigh(whole.dense())
     identity = sp.identity(whole.dimension, format="csr")
     times = quench_report.result.times
     single = propagate([(vals, vecs, identity)], pre.eigenvectors[:, 0], times)
@@ -97,6 +98,41 @@ def test_forms_equal_the_lifted_trace_where_blocks_are_truncated(monkeypatch):
     assert np.max(np.abs(report.traces["P_K0"] - p_k0)) <= 1e-14
     assert np.max(np.abs(report.traces["energy"] - energy) / np.abs(energy)) <= 1e-12
     assert np.max(np.abs(report.result.norms - norms)) <= 1e-14
+
+
+def test_truncated_weight_keeps_its_digits(monkeypatch):
+    # N=4, r=12: parity blocks of 693 and 672 columns, each kept at its two
+    # lowest levels, leave w = 2.05e-7.  The reference is the weight of the
+    # projection residuals sum_s ||y_s - V_s V_s^T y_s||^2, y_s = S_s^T psi0,
+    # in exact rational arithmetic on the same floats; a difference of norms
+    # near 1 held w to 8 digits
+    seen = []
+
+    def spy(blocks, psi0, times):
+        seen.append((blocks, psi0))
+        return propagate(blocks, psi0, times)
+
+    monkeypatch.setattr(dynamics, "propagate", spy)
+    params = SystemParams(n_atoms=4, n_modes=12, interaction=1.0, barrier=0.008, phase=math.pi)
+    report = run_quench(params, phase_initial=0.9 * math.pi, periods=2.0)
+    (blocks, psi0), = seen
+    psi = [Fraction(float(x)) for x in psi0]
+    exact = Fraction(0)
+    for _, vectors, isometry in blocks:
+        assert vectors.shape[1] == dynamics.QUENCH_LEVELS
+        s = isometry.tocoo()
+        y = [Fraction(0)] * s.shape[1]
+        for i, j, value in zip(s.row, s.col, s.data):
+            y[j] += Fraction(float(value)) * psi[i]
+        columns = [[Fraction(float(v)) for v in column] for column in vectors.T]
+        c = [sum(a * b for a, b in zip(column, y)) for column in columns]
+        exact += sum(
+            (y_i - sum(c_k * column[i] for c_k, column in zip(c, columns))) ** 2
+            for i, y_i in enumerate(y)
+        )
+    w = report.result.truncated_weight
+    assert 1e-7 < float(exact) < 1e-6
+    assert abs(w - float(exact)) <= 1e-12 * float(exact)
 
 
 def test_lowest_levels_of_each_block_bound_the_trace(quench_report, monkeypatch):

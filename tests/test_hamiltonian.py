@@ -30,7 +30,7 @@ from ringflow.solver import hamiltonian_blocks, lowest_eigenpairs, solve_lowest
 def test_single_atom_two_modes_matrix():
     params = SystemParams(n_atoms=1, n_modes=2, barrier=0.05, phase=math.pi)
     op = build_hamiltonian(params, raw_coupling(0.3))  # g irrelevant at N=1
-    dense = op.matrix.toarray()
+    dense = op.dense()
     expected = np.array([[0.25 + 0.05, 0.05], [0.05, 0.25 + 0.05]])
     assert np.allclose(dense, expected, atol=1e-15)
     vals = np.linalg.eigvalsh(dense)
@@ -41,18 +41,18 @@ def test_single_atom_two_modes_matrix():
 def test_free_gas_is_diagonal():
     basis = build_basis(3, 6)
     params = SystemParams(n_atoms=3, n_modes=6, interaction=0.0, barrier=0.0, phase=0.0)
-    op = build_hamiltonian(params)
-    off = op.matrix - sp.diags(op.matrix.diagonal())
-    assert abs(off).max() == 0.0
+    h = build_hamiltonian(params).dense()
+    off = h - np.diag(np.diag(h))
+    assert np.abs(off).max() == 0.0
     kin = basis.occupations @ (basis.window**2)
-    assert np.allclose(op.matrix.diagonal(), kin)
+    assert np.allclose(np.diag(h), kin)
 
 
 def test_two_body_diagonal_matrix_elements():
     basis = build_basis(2, 4)
     g = 0.7
     params = SystemParams(n_atoms=2, n_modes=4, interaction=g, barrier=0.0, phase=0.0)
-    h = build_hamiltonian(params, raw_coupling(g)).matrix
+    h = build_hamiltonian(params, raw_coupling(g)).dense()
     double = basis.rank([0, 2, 0, 0])  # both atoms at k=0
     distinct = basis.rank([1, 1, 0, 0])  # atoms at k=-1 and k=0
     assert h[double, double] == pytest.approx(g, rel=1e-14)
@@ -64,7 +64,7 @@ def test_pair_scattering_amplitude():
     basis = build_basis(2, 6)
     g = 1.3
     params = SystemParams(n_atoms=2, n_modes=6, interaction=g, barrier=0.0, phase=0.0)
-    h = build_hamiltonian(params, raw_coupling(g)).matrix
+    h = build_hamiltonian(params, raw_coupling(g)).dense()
     src = basis.rank([0, 0, 2, 0, 0, 0])
     for k in (1, 2):
         occ = np.zeros(6, dtype=int)
@@ -76,35 +76,35 @@ def test_pair_scattering_amplitude():
 
 def test_hermiticity_exact():
     params = SystemParams(n_atoms=3, n_modes=8, interaction=1.7, barrier=0.03, phase=2.1)
-    op = build_hamiltonian(params)
-    assert (op.matrix - op.matrix.T).nnz == 0
+    h = build_hamiltonian(params).dense()
+    assert np.array_equal(h, h.T)
 
 
 def test_momentum_block_structure_without_barrier():
     basis = build_basis(3, 6)
     params = SystemParams(n_atoms=3, n_modes=6, interaction=0.9, barrier=0.0, phase=0.4)
-    h = build_hamiltonian(params).matrix
+    h = build_hamiltonian(params).dense()
     for ka in basis.sector_momenta():
         ia = basis.sector_indices(int(ka))
         for kb in basis.sector_momenta():
             if kb <= ka:
                 continue
-            block = h[ia][:, basis.sector_indices(int(kb))]
-            assert block.nnz == 0
+            block = h[np.ix_(ia, basis.sector_indices(int(kb)))]
+            assert np.count_nonzero(block) == 0
 
 
 def test_galilean_shift_sector_identity():
     basis = build_basis(3, 8)
     free = SystemParams(n_atoms=3, n_modes=8, interaction=0.8, barrier=0.0, phase=0.0)
-    h0 = build_hamiltonian(free).matrix
+    h0 = build_hamiltonian(free).dense()
     omega = 1.3
     hw = build_hamiltonian(
         SystemParams(n_atoms=3, n_modes=8, interaction=0.8, barrier=0.0, phase=omega)
-    ).matrix
+    ).dense()
     for k in basis.sector_momenta():
         idx = basis.sector_indices(int(k))
-        e0 = np.linalg.eigvalsh(h0[idx][:, idx].toarray())
-        ew = np.linalg.eigvalsh(hw[idx][:, idx].toarray())
+        e0 = np.linalg.eigvalsh(h0[np.ix_(idx, idx)])
+        ew = np.linalg.eigvalsh(hw[np.ix_(idx, idx)])
         predicted = e0 - (omega / math.pi) * int(k) + 3 * (omega / (2 * math.pi)) ** 2
         assert np.max(np.abs(ew - predicted)) < 1e-10
 
@@ -112,7 +112,7 @@ def test_galilean_shift_sector_identity():
 def test_reflection_commutes_at_crossing():
     basis = build_basis(3, 6)
     params = SystemParams(n_atoms=3, n_modes=6, interaction=0.9, barrier=0.05, phase=math.pi)
-    h = build_hamiltonian(params).matrix.toarray()
+    h = build_hamiltonian(params).dense()
     perm = basis.reflection_permutation()
     assert np.max(np.abs(h[np.ix_(perm, perm)] - h)) < 1e-12
 
@@ -145,7 +145,7 @@ def test_operator_at_a_point_builds_its_pieces_once(monkeypatch):
     for phase in (math.pi, 0.9 * math.pi, math.pi):
         hamiltonian_blocks(replace(params, phase=phase), coupling)
     assert built == [120]
-    assert (first.matrix != second.matrix).nnz == 0
+    assert np.array_equal(first.dense(), second.dense())
 
 
 def _whole_space_factors(n_atoms, n_modes):
@@ -267,7 +267,7 @@ def test_matvec_matches_the_explicit_matrix(n_atoms, n_modes):
                   np.asfortranarray(rng.standard_normal((op.dimension, 3))),
                   rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)):
             y = op @ x
-            reference = op.matrix @ x
+            reference = op.dense() @ x
             assert y.dtype == reference.dtype
             assert np.max(np.abs(y - reference)) <= 1e-13 * np.max(np.abs(reference))
 
@@ -294,7 +294,38 @@ def test_transpose_views_match_csr_transposes_bit_for_bit(g):
         explicit = ((explicit + explicit.T) * 0.5).tocsr()
         explicit.sum_duplicates()
         explicit.sort_indices()
-        _assert_same_csr(op.matrix, explicit)
+        assert np.array_equal(op.dense(), explicit.toarray())
+
+
+@pytest.mark.parametrize("n_atoms, n_modes", [(3, 8), (4, 12)])
+@pytest.mark.parametrize("g", [0.01, 1.0, 100.0])
+def test_dense_form_equals_the_sparse_products(n_atoms, n_modes, g):
+    # the dense form against the sparse Gram products it replaced, bit for
+    # bit: whole spaces on and off the crossing and both parity sectors,
+    # each also on the columns of LOBPCG's window, whose H_WW came from the
+    # CSR rows of F[:, W]^T
+    params = SystemParams(n_atoms=n_atoms, n_modes=n_modes, interaction=g, barrier=0.008,
+                          phase=math.pi)
+    coupling = rescale_interaction(g, n_modes)
+    operators = [build_hamiltonian(replace(params, phase=phase), coupling)
+                 for phase in (math.pi, 0.9 * math.pi)]
+    operators += [op for op, _ in hamiltonian_blocks(params, coupling)]
+    for op in operators:
+        explicit = sp.diags(op.diagonal, format="csr")
+        for coef, factor in op.terms:
+            explicit = explicit + coef * (factor.matrix.T.tocsr() @ factor.matrix)
+        explicit = (explicit + explicit.T) * 0.5
+        dense = op.dense()
+        assert np.array_equal(dense, dense.T)
+        assert np.array_equal(dense, explicit.toarray())
+        kin = op.diagonal
+        window = np.flatnonzero(kin <= kin.min() + solver.COARSE_WINDOW)
+        assert 0 < window.size < op.dimension
+        h_ww = np.diag(kin[window])
+        for coef, factor in op.terms:
+            columns = factor.matrix[:, window].T.tocsr()
+            h_ww += coef * (columns @ columns.T).toarray()
+        assert np.array_equal(op.dense(window), h_ww)
 
 
 def test_crossing_sweep_set_up_fits_its_memory_budget():
@@ -376,14 +407,13 @@ def test_off_crossing_block_matches_the_fock_operator(n_atoms, n_modes, omega_ov
     [(block, q)] = hamiltonian_blocks(params, coupling)
     # the one block is the Fock-basis operator itself, with the identity
     assert (q != sp.identity(fock.dimension)).nnz == 0
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(block.matrix, name), getattr(fock.matrix, name))
+    assert np.array_equal(block.dense(), fock.dense())
     rng = np.random.default_rng(11)
     for x in (rng.standard_normal(fock.dimension), rng.standard_normal((fock.dimension, 3))):
         reference = fock @ x
         got = q @ (block @ (q.T @ x))
         assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
-    levels = sla.eigh(fock.matrix.toarray(), eigvals_only=True, subset_by_index=(0, 2))
+    levels = sla.eigh(fock.dense(), eigvals_only=True, subset_by_index=(0, 2))
     dense = lowest_eigenpairs(block, 3, dense_cutoff=block.dimension)
     iterative = lowest_eigenpairs(block, 3, dense_cutoff=0)
     assert dense.method == "dense"
@@ -492,7 +522,7 @@ def test_factored_hamiltonian_matches_term_sums(n_atoms, n_modes, g, b, phase):
     coupling = rescale_interaction(g, n_modes)
     reference = _reference_hamiltonian(basis, params, coupling.g_tilde)
     op = build_hamiltonian(params, coupling)
-    assert np.max(np.abs(op.matrix.toarray() - reference)) < 1e-13
+    assert np.max(np.abs(op.dense() - reference)) < 1e-13
     x = np.random.default_rng(0).standard_normal(basis.size)
     assert np.max(np.abs(op @ x - reference @ x)) < 1e-13
     if phase != math.pi:
@@ -502,7 +532,7 @@ def test_factored_hamiltonian_matches_term_sums(n_atoms, n_modes, g, b, phase):
         projected = s.T.toarray() @ reference @ s.toarray()
         y = np.random.default_rng(which).standard_normal(s.shape[1])
         assert np.max(np.abs(block @ y - projected @ y)) < 1e-13
-        assert np.max(np.abs(block.matrix.toarray() - projected)) < 1e-13
+        assert np.max(np.abs(block.dense() - projected)) < 1e-13
 
 
 def test_loss_operator_ladder_rules():

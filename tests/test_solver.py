@@ -73,15 +73,15 @@ def test_hamiltonian_blocks_sum_to_the_operator():
     whole = build_hamiltonian(params, coupling)
     blocks = hamiltonian_blocks(params, coupling)
     assert [h.dimension for h, _ in blocks] == [60, 60]
-    total = sum(s @ h.matrix @ s.T for h, s in blocks)
-    assert abs(total - whole.matrix).max() < 1e-12
+    total = sum(s @ h.dense() @ s.T for h, s in blocks)
+    assert np.abs(total - whole.dense()).max() < 1e-12
     off = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.008, phase=0.9 * math.pi)
     # off the crossing: one block, the Fock-basis operator with Q the identity
     [(block, q)] = hamiltonian_blocks(off, coupling)
     assert block.dimension == 120
     assert abs(q.T @ q - sp.identity(block.dimension)).max() < 1e-15
     assert abs(q @ q.T - sp.identity(block.dimension)).max() < 1e-15
-    assert abs(q @ block.matrix @ q.T - build_hamiltonian(off, coupling).matrix).max() < 1e-12
+    assert np.abs(q @ block.dense() @ q.T - build_hamiltonian(off, coupling).dense()).max() < 1e-12
 
 
 def test_parity_path_matches_plain():
@@ -140,7 +140,7 @@ def test_lobpcg_block_of_the_returned_levels_finds_the_lowest(g, b):
     params = SystemParams(n_atoms=5, n_modes=12, interaction=g, barrier=b, phase=math.pi)
     for block, _ in hamiltonian_blocks(params, rescale_interaction(g, 12)):
         assert block.dimension > DENSE_CUTOFF
-        exact = sla.eigh(block.matrix.toarray(), subset_by_index=(0, 2), eigvals_only=True)
+        exact = sla.eigh(block.dense(), subset_by_index=(0, 2), eigvals_only=True)
         for m in (1, 2):
             sol = lowest_eigenpairs(block, m)
             assert sol.method == "lobpcg"
@@ -168,7 +168,7 @@ def test_lanczos_levels_match_dense_on_the_sector_blocks(g):
     assert 0.5 * rescale_interaction(g, 12).g_tilde > solver.LOBPCG_MAX_COUPLING
     tol = solver.DEFAULT_TOL
     for block in _sector_blocks(g):
-        exact = sla.eigh(block.matrix.toarray(), subset_by_index=(0, 1), eigvals_only=True)
+        exact = sla.eigh(block.dense(), subset_by_index=(0, 1), eigvals_only=True)
         for m in (1, 2):
             sol = lowest_eigenpairs(block, m)
             # one level has no copy to miss on; two may meet one, and then
@@ -230,7 +230,7 @@ def test_lanczos_drops_a_forming_ghost(monkeypatch):
     raw = seen[-1]
     assert sol.eigenvalues[0] < raw[1] < sol.eigenvalues[1]
     assert raw[2] == pytest.approx(sol.eigenvalues[1], abs=1e-11)
-    exact = sla.eigh(block.matrix.toarray(), subset_by_index=(0, 1), eigvals_only=True)
+    exact = sla.eigh(block.dense(), subset_by_index=(0, 1), eigvals_only=True)
     assert np.max(np.abs(sol.eigenvalues - exact)) <= 1e-11
 
 
@@ -267,7 +267,7 @@ def test_lanczos_copy_of_a_converged_level_falls_back_to_arpack(monkeypatch):
     sol = lowest_eigenpairs(block, 4)
     assert sol.method == "arpack"
     assert sol.iterations > steps
-    exact = sla.eigh(block.matrix.toarray(), subset_by_index=(0, 3), eigvals_only=True)
+    exact = sla.eigh(block.dense(), subset_by_index=(0, 3), eigvals_only=True)
     assert np.max(np.abs(sol.eigenvalues - exact)) <= 1e-11
     assert np.min(np.diff(exact)) > 0.1
 
@@ -453,7 +453,7 @@ def test_propagate_two_level_frequency():
 def _random_state_on_ring():
     basis = build_basis(3, 6)
     params = SystemParams(n_atoms=3, n_modes=6, interaction=1.0, barrier=0.05, phase=math.pi)
-    h = build_hamiltonian(params).matrix
+    h = build_hamiltonian(params).dense()
     rng = np.random.default_rng(3)
     psi0 = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     return h, psi0 / np.linalg.norm(psi0)
@@ -476,7 +476,7 @@ def test_propagate_offset_grid_uses_elapsed_time():
     # t - t0, as exp(-i(t - t0)H) psi0 does
     h, psi0 = _random_state_on_ring()
     times = np.linspace(7.5, 12.5, 21)
-    exact = np.array([sla.expm(-1j * (t - times[0]) * h.toarray()) @ psi0 for t in times])
+    exact = np.array([sla.expm(-1j * (t - times[0]) * h) @ psi0 for t in times])
     blocks = _spectrum(h)
     out = propagate(blocks, psi0, times)
     states = _states(blocks, out)
@@ -525,7 +525,7 @@ def test_propagate_given_levels_carry_the_projection():
     projected = vecs[:, :10] @ (vecs[:, :10].T @ psi0)
     w = 1.0 - np.linalg.norm(projected) ** 2
     assert kept.truncated_weight == pytest.approx(w, abs=1e-12) and w > 0.5
-    exact = np.array([sla.expm(-1j * t * h.toarray()) @ projected for t in times])
+    exact = np.array([sla.expm(-1j * t * h) @ projected for t in times])
     states = _states(blocks, kept)
     for i in (0, 5):
         assert np.max(np.abs(states[:, i].real - exact[:, i].real)) < 1e-10
@@ -539,7 +539,7 @@ def test_propagate_long_grid():
     # a long grid matches stepping the exact one-step propagator
     h, psi0 = _random_state_on_ring()
     times = np.linspace(0.0, 40.0, 515)
-    step = sla.expm(-1j * (times[1] - times[0]) * h.toarray())
+    step = sla.expm(-1j * (times[1] - times[0]) * h)
     exact = [psi0]
     for _ in times[1:]:
         exact.append(step @ exact[-1])
