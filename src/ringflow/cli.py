@@ -636,38 +636,18 @@ def handle_validate(opts: dict, gopts: dict) -> int:
 
 # ---------------------------------------------------------------- parser
 
-DEFAULTS_BY_COMMAND = {
-    "sweep": SWEEP_DEFAULTS,
-    "spectrum": SPECTRUM_DEFAULTS,
-    "single-particle": SP_DEFAULTS,
-    "noon": NOON_DEFAULTS,
-    "loss": LOSS_DEFAULTS,
-    "dynamics": DYNAMICS_DEFAULTS,
-    "units": UNITS_DEFAULTS,
-    "validate": VALIDATE_DEFAULTS,
-}
-
-HANDLERS = {
-    "sweep": handle_sweep,
-    "spectrum": handle_spectrum,
-    "single-particle": handle_single_particle,
-    "noon": handle_noon,
-    "loss": handle_loss,
-    "dynamics": handle_dynamics,
-    "units": handle_units,
-    "validate": handle_validate,
-}
-
-# each command's input checks, passed first by its dry run and its real run
-# alike; a check that returns a dict adds resolved values to the dry run
-CHECKS = {
-    "sweep": check_sweep,
-    "spectrum": check_spectrum,
-    "single-particle": check_single_particle,
-    "noon": check_noon,
-    "loss": check_loss,
-    "dynamics": check_dynamics,
-    "units": check_units,
+# each command's defaults, input check and handler; the check runs first in
+# its dry run and its real run alike, and one that returns a dict adds
+# resolved values to the dry run
+COMMANDS = {
+    "sweep": (SWEEP_DEFAULTS, check_sweep, handle_sweep),
+    "spectrum": (SPECTRUM_DEFAULTS, check_spectrum, handle_spectrum),
+    "single-particle": (SP_DEFAULTS, check_single_particle, handle_single_particle),
+    "noon": (NOON_DEFAULTS, check_noon, handle_noon),
+    "loss": (LOSS_DEFAULTS, check_loss, handle_loss),
+    "dynamics": (DYNAMICS_DEFAULTS, check_dynamics, handle_dynamics),
+    "units": (UNITS_DEFAULTS, check_units, handle_units),
+    "validate": (VALIDATE_DEFAULTS, None, handle_validate),
 }
 
 
@@ -713,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ringflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, defaults in DEFAULTS_BY_COMMAND.items():
+    for name, (defaults, _, _) in COMMANDS.items():
         sp = sub.add_parser(name, parents=[shared])
         _add_flags(sp, defaults)
     return parser
@@ -737,15 +717,15 @@ def main(argv: list[str] | None = None) -> int:
                 "tol": tol if tol is not None else float(gsection.get("tol", DEFAULT_TOL)),
                 "dry_run": bool(getattr(args, "dry_run", False)),
             }
-            opts = resolve(args.command, DEFAULTS_BY_COMMAND[args.command], args, config)
-            check = CHECKS.get(args.command)
+            defaults, check, handler = COMMANDS[args.command]
+            opts = resolve(args.command, defaults, args, config)
             resolved = check(opts, gopts) if check else None
             if gopts["dry_run"]:
                 digest = _digest(args.command, opts, gopts["seed"], gopts["tol"])
                 payload = {"command": args.command, "parameters": {**opts, **(resolved or {})}}
                 _json_report({**payload, "config_digest": digest}, None)
                 return EXIT_OK
-            return HANDLERS[args.command](opts, gopts)
+            return handler(opts, gopts)
         except DimensionCapError as exc:
             _report_error(exc, EXIT_DIMENSION, json_errors)
             return EXIT_DIMENSION

@@ -30,9 +30,10 @@ and P are formed, straight from the single-atom loss operators a_k, and
 neither is formed whole: every a_k, and so every product a_{k1} a_{k2},
 holds one entry per target row, so a row of A = sum_k a_k or of
 P_K = sum_{k1+k2=K} a_{k1} a_{k2} is filled straight into CSR.  All a_k of
-one (N, r) come from one pass without ranking (`loss_operators`).
-`cached_pieces` holds what the blocks are cut from besides the a_k: the
-orbits of the reflection and the kinetic sums of their representatives.
+one (N, r) come from one pass without ranking (`loss_operators`).  The
+cache holds per (N, r) only the basis, the a_k and the two sector blocks;
+the reflection orbits the blocks are cut along are a temporary of their
+build.
 
 A parameter point only sets the prefactors: `assemble` applies a block's H_s
 as kin*x + b*A^T(Ax) + (g_tilde/2)*P^T(Px) without forming the products,
@@ -167,25 +168,6 @@ class Block:
     isometry: sp.csr_matrix
 
 
-@dataclass(frozen=True)
-class Pieces:
-    """What the sector blocks of (N, r) are cut from besides the a_k.
-
-    The orbits of the reflection k -> 1-k: the states it fixes, and the
-    lower and upper index of each pair of states it swaps, by lower index.
-    And the kinetic sums sum_k k*n_k and sum_k k^2*n_k of each orbit's
-    representative, the fixed states and then the lower members: the even
-    sector's columns, whose tail past the fixed states is the odd sector's.
-    The sector blocks hold these arrays and views of them, not copies.
-    """
-
-    fixed: np.ndarray
-    pair_lo: np.ndarray
-    pair_hi: np.ndarray
-    kin_k: np.ndarray
-    kin_k2: np.ndarray
-
-
 def _block_rows(blocks: list, width: int, rows: np.ndarray | None = None) -> sp.csr_matrix:
     """One CSR matrix of `width` columns from equal-height block rows, each a
     list of terms (w, a, b) whose operators hold one entry per row, as every
@@ -253,25 +235,8 @@ def _kinetic_sums(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     return basis.total_k.astype(float), mode_sum(basis.occupations, basis.window**2).astype(float)
 
 
-def build_pieces(basis: FockBasis) -> Pieces:
-    """The reflection orbits of the basis, and the kinetic sums of their
-    representatives."""
-    perm = basis.reflection_permutation()
-    fixed, pair_lo = _parity_orbits(perm)
-    reps = np.concatenate([fixed, pair_lo])
-    kin_k, kin_k2 = _kinetic_sums(basis)
-    return Pieces(fixed, pair_lo, perm[pair_lo], kin_k[reps], kin_k2[reps])
-
-
 def cached_basis(n_atoms: int, n_modes: int) -> FockBasis:
     return _cached(("basis", n_atoms, n_modes), lambda: build_basis(n_atoms, n_modes))
-
-
-def cached_pieces(n_atoms: int, n_modes: int) -> Pieces:
-    """`build_pieces` for (N, r), memoized in-process."""
-    return _cached(
-        ("pieces", n_atoms, n_modes), lambda: build_pieces(cached_basis(n_atoms, n_modes))
-    )
 
 
 def assemble(block: Block, params: SystemParams, coupling: RescaledCoupling) -> FactoredOperator:
@@ -365,15 +330,24 @@ def cached_sector_pieces(n_atoms: int, n_modes: int) -> tuple[Block, Block]:
     (N=5, r=20: 88,550 and 161,700 nonzeros per sector).  They are built
     straight from the a_k, one representative row of each target orbit
     (`_gram_blocks`), with no whole-space A or P.  The kinetic sums are
-    those of each column's orbit representative, held by `cached_pieces`;
-    at Omega = pi the kinetic term is reflection-invariant.
+    those of each column's orbit representative, one pair of arrays that
+    the odd block views the tail of; at Omega = pi the kinetic term is
+    reflection-invariant.  The orbits themselves are not kept.
     """
     return _cached(("sectors", n_atoms, n_modes), lambda: _sector_blocks(n_atoms, n_modes))
 
 
 def _sector_blocks(n_atoms: int, n_modes: int) -> tuple[Block, Block]:
-    pieces = cached_pieces(n_atoms, n_modes)
-    isometries = _parity_isometries(pieces)
+    basis = cached_basis(n_atoms, n_modes)
+    perm = basis.reflection_permutation()
+    fixed, pair_lo = _parity_orbits(perm)
+    # each orbit's representative, the fixed states and then the lower members:
+    # the even columns, whose tail past the fixed states is the odd columns
+    reps = np.concatenate([fixed, pair_lo])
+    kin_k, kin_k2 = (sums[reps] for sums in _kinetic_sums(basis))
+    isometries = _parity_isometries(fixed, pair_lo, perm[pair_lo])
+    columns = (slice(None), slice(fixed.size, None))
+    del perm, fixed, pair_lo, reps  # not held while the factors are built
     annihilator, pair = _gram_blocks(n_atoms, n_modes)
     barrier = _two_sided(
         annihilator, cached_basis(n_atoms - 1, n_modes).reflection_permutation(), isometries
@@ -382,10 +356,8 @@ def _sector_blocks(n_atoms: int, n_modes: int) -> tuple[Block, Block]:
         (None, None) if pair is None
         else _two_sided(pair, _pair_row_reflection(n_atoms, n_modes), isometries)
     )
-    # the odd columns are the even ones past the fixed states
-    columns = (slice(None), slice(pieces.fixed.size, None))
     return tuple(
-        Block(pieces.kin_k[c], pieces.kin_k2[c], a, f, s)
+        Block(kin_k[c], kin_k2[c], a, f, s)
         for c, a, f, s in zip(columns, barrier, interaction, isometries)
     )
 
@@ -397,7 +369,9 @@ def _parity_orbits(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(perm == idx), np.flatnonzero(perm > idx)
 
 
-def _parity_isometries(pieces: Pieces) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _parity_isometries(
+    fixed: np.ndarray, pair_lo: np.ndarray, pair_hi: np.ndarray
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Isometries onto the even/odd eigenspaces of the reflection.
 
     Fixed points span the even sector alone; each pair (lo, hi) gives one
@@ -405,7 +379,6 @@ def _parity_isometries(pieces: Pieces) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     (e_lo - e_hi)/sqrt(2).  Columns follow the orbits: fixed points first,
     then pairs by their lower index.
     """
-    fixed, pair_lo, pair_hi = pieces.fixed, pieces.pair_lo, pieces.pair_hi
     size = fixed.size + 2 * pair_lo.size
     inv = 1.0 / math.sqrt(2.0)
 

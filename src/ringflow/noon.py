@@ -66,6 +66,8 @@ def noon_gap_closed_form(n_atoms: int, g: float, b: float) -> float:
         raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
     if not (g > 0 and math.isfinite(g)):
         raise ValueError(f"g must be finite and > 0, got {g!r}")
+    if not (b > 0 and math.isfinite(b)):
+        raise ValueError(f"b must be finite and > 0, got {b!r}")
     n = n_atoms
     return 2.0 * b**n * n / (g ** (n - 1) * math.factorial(n - 1))
 
@@ -149,6 +151,8 @@ def noon_validity(n_atoms: int, g: float, b: float, threshold: float = 10.0) -> 
     """
     if n_atoms < 2:
         raise ValueError(f"n_atoms must be >= 2, got {n_atoms}")
+    if b < 0:
+        raise ValueError(f"b must be >= 0, got {b!r}")
     n = n_atoms
     if b > 0:
         x = g * (n - 1) / (2.0 * b * math.sqrt(n))

@@ -88,7 +88,6 @@ class EigenSolution:
     """Lowest eigenpairs with convergence diagnostics.
 
     Eigenvalues ascend; eigenvectors are unit-norm columns over the basis.
-    `degenerate` flags a lowest gap below DEGENERACY_FACTOR * tol.
     """
 
     eigenvalues: np.ndarray
@@ -96,7 +95,6 @@ class EigenSolution:
     residual_norms: np.ndarray
     iterations: int
     method: str
-    degenerate: bool
 
 
 def _start_vector(dim: int, seed: int) -> np.ndarray:
@@ -144,18 +142,15 @@ def _window_preconditioner(operator: FactoredOperator, k: int):
     return precondition, start
 
 
-def _lowest(vals, vecs, res, m, iterations, method, tol) -> EigenSolution:
+def _lowest(vals, vecs, res, m, iterations, method) -> EigenSolution:
     """The m lowest of the given eigenpairs (vector columns), ascending."""
     order = np.argsort(vals)[:m]
-    vals = np.asarray(vals, dtype=float)[order]
-    degenerate = vals.size >= 2 and (vals[1] - vals[0]) < DEGENERACY_FACTOR * tol
     return EigenSolution(
-        eigenvalues=vals,
+        eigenvalues=np.asarray(vals, dtype=float)[order],
         eigenvectors=np.asarray(vecs, dtype=float)[:, order],
         residual_norms=np.asarray(res)[order],
         iterations=iterations,
         method=method,
-        degenerate=degenerate,
     )
 
 
@@ -165,33 +160,29 @@ def lowest_eigenpairs(
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     v0: np.ndarray | None = None,
-    dense_cutoff: int | None = None,
     max_iterations: int | None = None,
 ) -> EigenSolution:
     """The m lowest eigenpairs of a factored real symmetric operator.
 
-    Dimensions up to `dense_cutoff` (default: `DENSE_CUTOFF` at call time)
-    are solved densely on `operator.dense()`, with residuals on the operator.
-    Larger problems apply the operator factor by factor: in the weak-coupling
-    regime (every prefactor at most `LOBPCG_MAX_COUPLING`) by LOBPCG
-    (`_lobpcg`), accepted only if
-    every residual is at most `tol`; otherwise by the Lanczos loop
-    (`_lanczos`) from the seeded (or provided) start vector.  When either
-    misses, ARPACK (`_arpack`) takes over from its best vector, and
-    `iterations` counts the matvecs of both.  `max_iterations` bounds
-    LOBPCG's iterations and ARPACK's restarts; the Lanczos loop stops at
-    `LANCZOS_MAX_STEPS`.  Raises ConvergenceError if ARPACK stalls, with the
-    achieved residual of the pairs that converged (None when none did).
+    Dimensions up to `DENSE_CUTOFF` (read at call time), and any m within
+    one of the dimension, are solved densely on `operator.dense()`, with
+    residuals on the operator.  Larger problems apply the operator factor by
+    factor: in the weak-coupling regime (every prefactor at most
+    `LOBPCG_MAX_COUPLING`) by LOBPCG (`_lobpcg`), accepted only if every
+    residual is at most `tol`; otherwise by the Lanczos loop (`_lanczos`)
+    from the seeded (or provided) start vector.  When either misses, ARPACK
+    (`_arpack`) takes over from its best vector, and `iterations` counts the
+    matvecs of both.  `max_iterations` bounds LOBPCG's iterations and
+    ARPACK's restarts; the Lanczos loop stops at `LANCZOS_MAX_STEPS`.
+    Raises ValueError unless 1 <= m <= the dimension (`check_levels`), and
+    ConvergenceError if ARPACK stalls, with the achieved residual of the
+    pairs that converged (None when none did).
     """
     dim = operator.dimension
-    dense_cutoff = DENSE_CUTOFF if dense_cutoff is None else dense_cutoff
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m > dim:
-        raise ValueError(f"requested {m} eigenpairs of a dimension-{dim} operator")
-    if dim <= dense_cutoff or m >= dim - 1:
+    check_levels(m, dim)
+    if dim <= DENSE_CUTOFF or m >= dim - 1:
         vals, vecs = sla.eigh(operator.dense(), subset_by_index=(0, m - 1))
-        return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, 0, "dense", tol)
+        return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, 0, "dense")
 
     if max((c for c, _ in operator.terms), default=0.0) <= LOBPCG_MAX_COUPLING:
         sol = _lobpcg(operator, m, tol, max_iterations)
@@ -254,7 +245,7 @@ def _lanczos(
                 if not copy:
                     res = _residuals(operator, theta, x)
                     if np.all(res <= bound):
-                        return _lowest(theta, x, res, m, done, "lanczos", tol), x[:, 0], done
+                        return _lowest(theta, x, res, m, done, "lanczos"), x[:, 0], done
                 return None, x[:, 0], done
             if last:  # the last step always returns
                 x = rows[:done].T @ s[:, 0] if theta.size else rows[0]
@@ -341,7 +332,7 @@ def _arpack(
             f"achieved residual {achieved:.3e})",
             residual=achieved,
         ) from exc
-    return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, matvecs[0], "arpack", tol)
+    return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, matvecs[0], "arpack")
 
 
 def _lobpcg(
@@ -366,7 +357,7 @@ def _lobpcg(
             counted, start, M=precondition, tol=tol, largest=False,
             maxiter=max_iterations if max_iterations is not None else LOBPCG_MAXITER,
         )
-    return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, matvecs[0], "lobpcg", tol)
+    return _lowest(vals, vecs, _residuals(operator, vals, vecs), m, matvecs[0], "lobpcg")
 
 
 def _is_crossing_phase(phase: float) -> bool:
@@ -475,7 +466,7 @@ def solve_lowest(
     method = sols[0].method
     if len(blocks) == 2:  # e.g. "dense-parity", "arpack+lanczos-parity"
         method = "+".join(sorted({s.method for s in sols.values()})) + "-parity"
-    return _lowest(vals[keep], vecs, res[keep], m, iterations, method, tol)
+    return _lowest(vals[keep], vecs, res[keep], m, iterations, method)
 
 
 @dataclass

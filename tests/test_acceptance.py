@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ringflow import solver
 from ringflow.basis import build_basis
 from ringflow.dynamics import run_quench
 from ringflow.hamiltonian import build_hamiltonian, cached_basis
@@ -273,7 +274,7 @@ def test_c08_physical_units():
     assert abs(rotation - 0.29) / 0.29 <= 0.02
 
 
-def test_c09_property_suite(tmp_path):
+def test_c09_property_suite(tmp_path, monkeypatch):
     from ringflow.cli import write_sweep_csv
 
     # hermiticity: exact
@@ -315,8 +316,10 @@ def test_c09_property_suite(tmp_path):
     # Krylov path matches a dense solve
     p4 = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
     op4 = build_hamiltonian(p4)
-    dense = lowest_eigenpairs(op4, 3, dense_cutoff=op4.dimension)
-    krylov = lowest_eigenpairs(op4, 3, dense_cutoff=0, tol=1e-12)
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", op4.dimension)
+    dense = lowest_eigenpairs(op4, 3)
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", 0)
+    krylov = lowest_eigenpairs(op4, 3, tol=1e-12)
     lanczos_diff = float(np.max(np.abs(dense.eigenvalues - krylov.eigenvalues)))
 
     # sweep determinism: byte-identical CSV on rerun

@@ -193,14 +193,14 @@ def test_dry_run_prints_without_writing(tmp_path, capsys):
     ["sweep", "spectrum", "single-particle", "noon", "loss", "dynamics", "units", "validate"],
 )
 def test_dry_run_every_command(command, tmp_path, monkeypatch, capsys):
-    from ringflow.cli import DEFAULTS_BY_COMMAND
+    from ringflow.cli import COMMANDS
 
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(["--dry-run", command], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["command"] == command
-    for key, default in DEFAULTS_BY_COMMAND[command].items():
+    for key, default in COMMANDS[command][0].items():
         assert payload["parameters"][key] == default
     assert list(tmp_path.iterdir()) == []
 
@@ -224,6 +224,8 @@ def test_dry_run_every_command(command, tmp_path, monkeypatch, capsys):
         ["spectrum", "--method", "tg", "--atoms", "4"],
         ["dynamics", "--periods", "0"],
         ["noon", "--atoms-min", "1"],
+        ["noon", "--barrier", "-0.008", "--interaction", "0.1"],
+        ["noon", "--barrier", "0", "--interaction", "0.1"],
     ],
 )
 def test_dry_run_rejects_what_the_run_rejects(args, tmp_path, monkeypatch, capsys):
@@ -605,21 +607,28 @@ def test_validate_runs_clean(tmp_path, capsys):
 
 
 def test_validate_compares_the_solvers_with_dense_references(monkeypatch):
-    # N=4, r=12 has 1,365 columns, above DENSE_CUTOFF: the references must
-    # ask for a dense solve, or the checks compare an iterative path to itself
+    # N=4, r=12 has 1,365 columns, above DENSE_CUTOFF: the references must be
+    # dense solves of the whole operator, or the checks compare an iterative
+    # path to itself
     from ringflow import validate
 
     methods = []
+    eigh = validate.eigh
+
+    def dense_spy(h, **kwargs):
+        methods.append(("dense", h.shape))
+        return eigh(h, **kwargs)
 
     def spy(op, m, **kwargs):
         sol = solver.lowest_eigenpairs(op, m, **kwargs)
         methods.append(sol.method)
         return sol
 
+    monkeypatch.setattr(validate, "eigh", dense_spy)
     monkeypatch.setattr(validate, "lowest_eigenpairs", spy)
     results = []
     validate._check_krylov_vs_dense(results)
-    assert methods == ["dense", "lobpcg", "dense"]
+    assert methods == [("dense", (1365, 1365)), "lobpcg", ("dense", (1365, 1365))]
     assert [r.name for r in results if r.passed] == [
         "krylov_matches_dense", "parity_path_matches_plain"
     ]

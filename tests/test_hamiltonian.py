@@ -14,9 +14,7 @@ from ringflow.hamiltonian import (
     FactoredOperator,
     assemble,
     build_hamiltonian,
-    build_pieces,
     cached_basis,
-    cached_pieces,
     cached_sector_pieces,
     cached_loss_operator,
     clear_caches,
@@ -127,15 +125,15 @@ def test_kinetic_phase_dependence():
 
 
 def test_operator_at_a_point_builds_its_pieces_once(monkeypatch):
-    # the solvers' blocks at the crossing are cut from pieces built once per
-    # (N, r); the Fock-basis operator, the one block off the crossing, builds
-    # none: its kinetic sums and factors come from the basis and the a_k on
-    # each call, bit for bit
+    # the solvers' blocks at the crossing are built once per (N, r); the
+    # Fock-basis operator, the one block off the crossing, builds none: its
+    # kinetic sums and factors come from the basis and the a_k on each call,
+    # bit for bit
     clear_caches()
     built = []
-    real = hamiltonian.build_pieces
+    real = hamiltonian._sector_blocks
     monkeypatch.setattr(
-        hamiltonian, "build_pieces", lambda basis: built.append(basis.size) or real(basis)
+        hamiltonian, "_sector_blocks", lambda n, r: built.append((n, r)) or real(n, r)
     )
     params = SystemParams(n_atoms=3, n_modes=8, interaction=1.0, barrier=0.02, phase=math.pi)
     first = build_hamiltonian(params)
@@ -144,7 +142,7 @@ def test_operator_at_a_point_builds_its_pieces_once(monkeypatch):
     coupling = rescale_interaction(1.0, 8)
     for phase in (math.pi, 0.9 * math.pi, math.pi):
         hamiltonian_blocks(replace(params, phase=phase), coupling)
-    assert built == [120]
+    assert built == [(3, 8)]
     assert np.array_equal(first.dense(), second.dense())
 
 
@@ -156,31 +154,25 @@ def _whole_space_factors(n_atoms, n_modes):
 
 
 def test_rebuild_is_bit_identical():
-    basis = build_basis(3, 6)
-    p1 = build_pieces(basis)
+    clear_caches()
     w1 = _whole_space_factors(3, 6)
-    clear_caches()  # rebuild the loss operators the factors come from, too
-    p2 = build_pieces(basis)
-    w2 = _whole_space_factors(3, 6)
-    for name in ("kin_k", "kin_k2", "fixed", "pair_lo", "pair_hi"):
-        assert np.array_equal(getattr(p1, name), getattr(p2, name))
-    for f1, f2 in zip(w1, w2):
-        assert np.array_equal(f1.matrix.data, f2.matrix.data)
-        assert np.array_equal(f1.matrix.indices, f2.matrix.indices)
-        assert np.array_equal(f1.matrix.indptr, f2.matrix.indptr)
-    clear_caches()
     s1 = cached_sector_pieces(3, 6)
-    clear_caches()
+    clear_caches()  # rebuild the bases and loss operators the blocks come from, too
+    w2 = _whole_space_factors(3, 6)
     s2 = cached_sector_pieces(3, 6)
     assert s1 is not s2
-    for f1, f2 in zip(
-        [b.barrier_factor for b in s1] + [b.interaction_factor for b in s1],
-        [b.barrier_factor for b in s2] + [b.interaction_factor for b in s2],
-    ):
-        for m1, m2 in ((f1.matrix, f2.matrix), (f1.transpose, f2.transpose)):
-            assert np.array_equal(m1.data, m2.data)
-            assert np.array_equal(m1.indices, m2.indices)
-            assert np.array_equal(m1.indptr, m2.indptr)
+    for f1, f2 in zip(w1, w2):
+        _assert_same_csr(f1.matrix, f2.matrix)
+    for b1, b2 in zip(s1, s2, strict=True):
+        # the kinetic sums of the orbit representatives, and the orbits
+        # themselves through the isometry's columns
+        assert np.array_equal(b1.kin_k, b2.kin_k)
+        assert np.array_equal(b1.kin_k2, b2.kin_k2)
+        _assert_same_csr(b1.isometry, b2.isometry)
+        for f1, f2 in ((b1.barrier_factor, b2.barrier_factor),
+                       (b1.interaction_factor, b2.interaction_factor)):
+            _assert_same_csr(f1.matrix, f2.matrix)
+            _assert_same_csr(f1.transpose, f2.transpose)
 
 
 def _cached_objects():
@@ -333,7 +325,6 @@ def test_crossing_sweep_set_up_fits_its_memory_budget():
     # blocks and every a_k of N = 4 and 5; each factor is held once
     clear_caches()
     cached_basis(5, 20)
-    cached_pieces(5, 20)
     cached_sector_pieces(5, 20)
     cached_basis(4, 20)
     for k in cached_basis(5, 20).window:
@@ -354,7 +345,6 @@ def _crossing_set_up_mib():
     `sweep --figure fig2` at N=5, r=20 on a cleared cache."""
     clear_caches()
     cached_basis(5, 20)
-    cached_pieces(5, 20)
     cached_sector_pieces(5, 20)
     cached_basis(4, 20)
     for k in cached_basis(5, 20).window:
@@ -397,7 +387,9 @@ def test_crossing_point_makes_no_whole_space_factor(monkeypatch):
 @pytest.mark.parametrize("n_atoms, n_modes", [(3, 8), (4, 12)])
 @pytest.mark.parametrize("omega_over_pi", [0.0, 0.7, 0.9])
 @pytest.mark.parametrize("g", [0.3, 50.0])  # LOBPCG's regime, then the Lanczos loop's
-def test_off_crossing_block_matches_the_fock_operator(n_atoms, n_modes, omega_over_pi, g):
+def test_off_crossing_block_matches_the_fock_operator(
+    monkeypatch, n_atoms, n_modes, omega_over_pi, g
+):
     params = SystemParams(n_atoms=n_atoms, n_modes=n_modes, interaction=g, barrier=0.008,
                           phase=omega_over_pi * math.pi)
     coupling = rescale_interaction(g, n_modes)
@@ -414,8 +406,10 @@ def test_off_crossing_block_matches_the_fock_operator(n_atoms, n_modes, omega_ov
         got = q @ (block @ (q.T @ x))
         assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
     levels = sla.eigh(fock.dense(), eigvals_only=True, subset_by_index=(0, 2))
-    dense = lowest_eigenpairs(block, 3, dense_cutoff=block.dimension)
-    iterative = lowest_eigenpairs(block, 3, dense_cutoff=0)
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", block.dimension)
+    dense = lowest_eigenpairs(block, 3)
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", 0)
+    iterative = lowest_eigenpairs(block, 3)
     assert dense.method == "dense"
     assert iterative.method in ("lobpcg" if weak else "lanczos", "arpack")
     for sol in (dense, iterative):
@@ -424,12 +418,16 @@ def test_off_crossing_block_matches_the_fock_operator(n_atoms, n_modes, omega_ov
 
 def test_off_crossing_solve_builds_no_sector():
     # off the crossing the one block is the Fock-basis operator: it reads the
-    # bases and the a_k, and neither the orbits nor the sector factors
+    # bases and the a_k, and no sector block; at the crossing the sector
+    # blocks are the one further entry, with no orbit cache beside them
     clear_caches()
     params = SystemParams(n_atoms=4, n_modes=12, interaction=1.0, barrier=0.008,
                           phase=0.9 * math.pi)
     solve_lowest(params)
     assert {key[0] for key in hamiltonian._CACHE} == {"basis", "loss"}
+    clear_caches()
+    solve_lowest(replace(params, phase=math.pi))
+    assert {key[0] for key in hamiltonian._CACHE} == {"basis", "loss", "sectors"}
 
 
 def _orbit_counts(labels, images):

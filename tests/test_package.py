@@ -109,9 +109,7 @@ def test_builders_the_benchmark_calls_keep_their_signatures():
 
     expected = {
         "build_basis": ["n_atoms", "n_modes", "dimension_cap"],
-        "build_pieces": ["basis"],
         "cached_basis": ["n_atoms", "n_modes"],
-        "cached_pieces": ["n_atoms", "n_modes"],
         "cached_sector_pieces": ["n_atoms", "n_modes"],
         "cached_loss_operator": ["n_atoms", "n_modes", "k"],
     }

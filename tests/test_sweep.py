@@ -17,7 +17,6 @@ from ringflow.cli import main
 from ringflow.hamiltonian import (
     cached_basis,
     cached_loss_operator,
-    cached_pieces,
     cached_sector_pieces,
     clear_caches,
 )
@@ -157,7 +156,6 @@ def test_threaded_execution_matches_sequential():
     def built():
         return (
             cached_basis(2, 8),
-            cached_pieces(2, 8),
             cached_sector_pieces(2, 8),
             cached_loss_operator(2, 8, 1),
         )
